@@ -23,7 +23,7 @@ subscription* ``e[a1, ..., an]`` (:meth:`VTuple.subscript`) and the
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.datamodel.errors import DataModelError, MissingAttributeError
 
@@ -87,7 +87,8 @@ class VTuple(Mapping[str, Value]):
                 raise DataModelError(f"duplicate tuple attribute: {name!r}")
             items[name] = value
         self._fields: Dict[str, Value] = items
-        self._hash = hash(frozenset(items.items()))
+        # eager: an unhashable field value is rejected here, at construction
+        self._hash: Optional[int] = hash(frozenset(items.items()))
 
     # -- Mapping protocol -------------------------------------------------
     def __getitem__(self, name: str) -> Value:
@@ -111,7 +112,10 @@ class VTuple(Mapping[str, Value]):
         return self._fields == other._fields
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(frozenset(self._fields.items()))
+        return h
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={format_value(v)}" for k, v in sorted(self._fields.items()))
@@ -128,12 +132,12 @@ class VTuple(Mapping[str, Value]):
 
         Produces a new tuple keeping only the named attributes.
         """
-        return VTuple({name: self[name] for name in names})
+        return trusted_tuple({name: self[name] for name in names})
 
     def drop(self, names: Iterable[str]) -> "VTuple":
         """The complement of :meth:`subscript`: remove the named attributes."""
         dropped = set(names)
-        return VTuple({k: v for k, v in self._fields.items() if k not in dropped})
+        return trusted_tuple({k: v for k, v in self._fields.items() if k not in dropped})
 
     def update_except(self, updates: Mapping[str, Value]) -> "VTuple":
         """The ``except`` operator (ADL operator 3).
@@ -143,7 +147,25 @@ class VTuple(Mapping[str, Value]):
         """
         merged = dict(self._fields)
         merged.update(updates)
-        return VTuple(merged)
+        return trusted_tuple(merged)
+
+
+_alloc = object.__new__
+
+
+def trusted_tuple(fields: Dict[str, Value]) -> VTuple:
+    """Wrap ``fields`` as a :class:`VTuple` without validating or copying.
+
+    For callers whose dict is duplicate-free by construction (a dict
+    always is) and not aliased: the tuple takes ownership of ``fields``,
+    so the caller must never mutate it afterwards.  ``VTuple(...)`` stays
+    the validating public constructor; the two paths build equal,
+    equally-hashing values.
+    """
+    t = _alloc(VTuple)
+    t._fields = fields
+    t._hash = None
+    return t
 
 
 def concat(left: VTuple, right: VTuple) -> VTuple:
@@ -153,12 +175,12 @@ def concat(left: VTuple, right: VTuple) -> VTuple:
     enforce that assumption, because silently shadowing a field would make
     join results ambiguous.
     """
-    clash = left.attributes & right.attributes
-    if clash:
+    merged = dict(left._fields)
+    merged.update(right._fields)
+    if len(merged) != len(left._fields) + len(right._fields):
+        clash = left.attributes & right.attributes
         raise DataModelError(f"tuple concatenation attribute clash: {sorted(clash)}")
-    merged = dict(left)
-    merged.update(right)
-    return VTuple(merged)
+    return trusted_tuple(merged)
 
 
 def vset(*elements: Value) -> frozenset:

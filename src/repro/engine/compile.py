@@ -66,7 +66,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.adl import ast as A
 from repro.datamodel.errors import EvaluationError, UnboundParameterError, UnboundVariableError
-from repro.datamodel.values import Oid, Value, VTuple, concat
+from repro.datamodel.values import Oid, Value, VTuple, concat, trusted_tuple
 from repro.engine.stats import Stats
 
 #: A compiled expression: evaluate against a mutable environment dict.
@@ -811,7 +811,8 @@ class Compiler:
         const = all(c for _, (_, c) in parts)
 
         def fn(env: Dict[str, Value]) -> Value:
-            return VTuple({name: f(env) for name, f in fns})
+            # field names are distinct (TupleExpr checks) and the dict is fresh
+            return trusted_tuple({name: f(env) for name, f in fns})
 
         return fn, const
 

@@ -87,6 +87,23 @@ def _equi_attr_pairs(pred: A.Expr, lvar: str, rvar: str):
     return []
 
 
+def flat_join(expr: A.Expr) -> Optional[A.NestJoin]:
+    """``⊔(α[z : z.as](L ⊣⟨x,y : p ; f ; as⟩ R))`` → the nestjoin, else ``None``.
+
+    That shape *is* the plain join ``{f(x, y) | x ∈ L, y ∈ R, p}``: each
+    group is built only to be unioned away again.  The estimator prices
+    it and the planner plans it as one emitting join — both must agree on
+    the match, so it lives here.
+    """
+    if not isinstance(expr, A.Flatten) or not isinstance(expr.source, A.Map):
+        return None
+    inner = expr.source
+    join = inner.source
+    if isinstance(join, A.NestJoin) and _bound_attr(inner.body, inner.var) == join.as_attr:
+        return join
+    return None
+
+
 # -- fallback constants (used when the catalog has no statistics) -----------
 
 DEFAULT_CARDINALITY = 1000.0
@@ -312,6 +329,9 @@ class CardinalityEstimator:
                 child.cost + child.rows * TUPLE_COST,
             )
         if isinstance(expr, A.Flatten):
+            join = flat_join(expr)
+            if join is not None:
+                return self._estimate_join(join, emitting=True)
             child = self.estimate(expr.source)
             rows = child.rows * DEFAULT_SET_SIZE
             return Estimate(rows, child.cost + rows * TUPLE_COST)
@@ -365,7 +385,11 @@ class CardinalityEstimator:
                 merged[attr] = extent
         return merged
 
-    def _estimate_join(self, expr) -> Estimate:
+    def _estimate_join(self, expr, emitting: bool = False) -> Estimate:
+        """``emitting`` prices a :func:`flat_join` nestjoin as the plain
+        join it is planned as: ``pair_rows`` outputs of ``f(x, y)``, no
+        per-left group, no map/flatten pass (``f`` renames freely, so no
+        attribute provenance survives)."""
         left = self.estimate(expr.left)
         right = self.estimate(expr.right)
         sel = self.join_selectivity(expr.pred, expr.lvar, expr.rvar, left, right)
@@ -374,6 +398,8 @@ class CardinalityEstimator:
         # re-prices physical alternatives explicitly, this is only for
         # enclosing operators
         cost = left.cost + right.cost + (left.rows + right.rows) * TUPLE_COST
+        if emitting:
+            return Estimate(pair_rows, cost + pair_rows * TUPLE_COST)
         if isinstance(expr, A.Join):
             return Estimate(
                 pair_rows,

@@ -2,10 +2,10 @@
 
 "It is better to transform nested queries into join queries, because join
 queries can be implemented in many different ways" (Section 7) — this
-module is the "many different ways": hash and sort-merge implementations of
-the join family, hash nestjoin, membership joins for ``e ∈ x.parts``-style
-predicates, plus the pipeline operators (scan, filter, map, nest, unnest,
-project...).
+module is the "many different ways": hash, index and nested-loop
+implementations of the join family, hash nestjoin, membership joins for
+``e ∈ x.parts``-style predicates, plus the pipeline operators (scan,
+filter, map, nest, unnest, project...).
 
 Streaming execution
 ===================
@@ -32,9 +32,9 @@ Which operators pipeline, and which break:
   side), the **build side** of :class:`NestedLoopJoin`,
   :class:`HashJoinBase` (right by default; the cost-based planner may
   build left for plain joins), :class:`MembershipHashJoin` and
-  :class:`CartesianProduct`, both sides of :class:`SortMergeJoin` and
-  :class:`DivisionOp`, and :class:`MaterializeOp` (batched page-clustered
-  fetching is the point of assembly).
+  :class:`CartesianProduct`, both sides of :class:`DivisionOp`, and
+  :class:`MaterializeOp` (batched page-clustered fetching is the point of
+  assembly).
 
 Under cost-based planning every node additionally carries ``est_rows`` /
 ``est_cost`` annotations which ``explain()`` renders as
@@ -71,7 +71,7 @@ columnar chunks of tuples instead of single tuples.
 ``ExecRuntime(batch_size=N)`` selects the mode — ``execute`` then drains
 batches instead of the tuple iterator.  The hot pipeline operators
 (:class:`Scan`, :class:`Filter`, :class:`MapOp`, :class:`ProjectOp`, the
-build-right :class:`HashJoinBase` family) override it natively, applying
+:class:`HashJoinBase` family) override it natively, applying
 :mod:`repro.engine.compile`'s vectorized kernels over whole chunks; every
 other operator inherits the default, which chunks its own tuple
 ``iterate`` — so batch mode is always available and always oracle-equal,
@@ -100,7 +100,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.adl import ast as A
 from repro.datamodel.errors import EvaluationError, MissingAttributeError, PlanError
-from repro.datamodel.values import Value, VTuple, concat
+from repro.datamodel.values import Value, VTuple, concat, trusted_tuple
 from repro.engine.compile import BatchKernel, Compiler, vector_covered
 from repro.engine.cost import format_estimate
 from repro.engine.interpreter import Interpreter
@@ -823,7 +823,7 @@ class RenameOp(PlanNode):
                         f"attributes are {sorted(fields)}"
                     )
                 fields[new] = fields.pop(old)
-            yield VTuple(fields)
+            yield trusted_tuple(fields)
 
 
 class UnnestOp(PlanNode):
@@ -931,7 +931,7 @@ class NestOp(PlanNode):
         for key, group in groups.items():
             fields = dict(zip(key_attrs, key))
             fields[as_attr] = frozenset(group)
-            out.append(VTuple(fields))
+            out.append(trusted_tuple(fields))
             if len(out) >= size:
                 stats.batches_emitted += 1
                 yield Batch(out)
@@ -1033,6 +1033,18 @@ def _join_tail(
     return None
 
 
+def _emit_note(node) -> str:
+    """``describe()`` suffix of an *emitting* join: a plain ``join`` whose
+    ``result`` is set emits ``result(x, y)`` per matching pair instead of
+    ``x ∘ y`` — how the planner runs a flat from-clause select (see
+    :func:`repro.engine.cost.flat_join`)."""
+    if node.kind != "join" or node.result is None:
+        return ""
+    from repro.adl.pretty import pretty
+
+    return f" ; emits {pretty(node.result)}"
+
+
 class NestedLoopJoin(PlanNode):
     """Generic nested-loop implementation of the whole join family.
 
@@ -1075,7 +1087,7 @@ class NestedLoopJoin(PlanNode):
     def describe(self) -> str:
         from repro.adl.pretty import pretty
 
-        return f"{self.lvar},{self.rvar}: {pretty(self.pred)}"
+        return f"{self.lvar},{self.rvar}: {pretty(self.pred)}" + _emit_note(self)
 
     def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
         right = self._consume(self.right, rt)
@@ -1100,7 +1112,7 @@ class NestedLoopJoin(PlanNode):
                     matched = True
                     if kind == "join" or kind == "outerjoin":
                         rt.stats.output_tuples += 1
-                        yield concat(x, y)
+                        yield concat(x, y) if result is None else result(env)
                     elif kind == "semijoin":
                         break
                     elif kind == "nestjoin":
@@ -1178,7 +1190,7 @@ class HashJoinBase(PlanNode):
         )
         if self.residual != A.Literal(True):
             keys += f" ; residual {pretty(self.residual)}"
-        return keys
+        return keys + _emit_note(self)
 
     def _build(self, rt: ExecRuntime) -> Dict[Value, List[VTuple]]:
         table: Dict[Value, List[VTuple]] = {}
@@ -1233,7 +1245,7 @@ class HashJoinBase(PlanNode):
                 matched = True
                 if kind in ("join", "outerjoin"):
                     rt.stats.output_tuples += 1
-                    yield concat(x, y)
+                    yield concat(x, y) if result is None else result(env)
                 elif kind == "semijoin":
                     break
             tail = _join_tail(kind, x, matched, (), null_pad, self.as_attr)
@@ -1242,22 +1254,26 @@ class HashJoinBase(PlanNode):
                 yield tail
 
     def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
+        lvar, rvar, as_attr = self.lvar, self.rvar, self.as_attr
+        # the probe operand streams in batches against the built table;
+        # only the symmetric plain join ever builds left
         if self.build_side == "left":
-            # the mirrored orientation keeps the tuple loop; chunk it
-            yield from PlanNode.iterate_batches(self, rt)
-            return
-        table = self._build_batched(rt)
-        key_kernels = [rt.batch_fn(k, self.lvar) for k in self.left_keys]
+            table = self._build_batched(rt, self.left, self.left_keys, lvar)
+            probe, probe_keys, probe_var, build_var = self.right, self.right_keys, rvar, lvar
+        else:
+            table = self._build_batched(rt, self.right, self.right_keys, rvar)
+            probe, probe_keys, probe_var, build_var = self.left, self.left_keys, lvar, rvar
+        key_kernels = [rt.batch_fn(k, probe_var) for k in probe_keys]
         trivial_residual = self.residual == A.Literal(True)
         residual = None if trivial_residual else rt.compiled_pred(self.residual)
         result = rt.compiled(self.result) if self.result is not None else None
         null_pad = VTuple({a: None for a in self.right_attrs})
         env: Dict[str, Value] = {}
         kind = self.kind
-        lvar, rvar, as_attr = self.lvar, self.rvar, self.as_attr
         stats = rt.stats
         empty = ()
-        for batch in self.left.stream_batches(rt):
+        lookup = table.get
+        for batch in probe.stream_batches(rt):
             rows = batch.rows
             stats.tuples_visited += len(rows)
             stats.hash_probes += len(rows)
@@ -1281,6 +1297,27 @@ class HashJoinBase(PlanNode):
                 continue
             out: List[Value] = []
             append = out.append
+            if kind == "join":
+                # emitting probe: pairs go straight into the output batch;
+                # a dangling probe row costs one dict miss, allocates nothing
+                for row, key in zip(rows, keys):
+                    bucket = lookup(key)
+                    if bucket is None:
+                        continue
+                    env[probe_var] = row
+                    for other in bucket:
+                        env[build_var] = other
+                        if residual is None or residual(env):
+                            append(
+                                concat(env[lvar], env[rvar])
+                                if result is None
+                                else result(env)
+                            )
+                if out:
+                    stats.output_tuples += len(out)
+                    stats.batches_emitted += 1
+                    yield Batch(out)
+                continue
             for x, key in zip(rows, keys):
                 bucket = table.get(key, empty)
                 if kind == "nestjoin":
@@ -1301,7 +1338,7 @@ class HashJoinBase(PlanNode):
                         env[rvar] = y
                         if residual is None or residual(env):
                             matched = True
-                            if kind == "join" or kind == "outerjoin":
+                            if kind == "outerjoin":
                                 stats.output_tuples += 1
                                 append(concat(x, y))
                             elif kind == "semijoin":
@@ -1314,15 +1351,17 @@ class HashJoinBase(PlanNode):
                 stats.batches_emitted += 1
                 yield Batch(out)
 
-    def _build_batched(self, rt: ExecRuntime) -> Dict[Value, List[VTuple]]:
+    def _build_batched(
+        self, rt: ExecRuntime, child: PlanNode, key_exprs: Tuple[A.Expr, ...], var: str
+    ) -> Dict[Value, List[VTuple]]:
         """Batched build: one bulk key-kernel pass per key expression over
-        the materialized build input, instead of |R| closure calls per
-        key."""
+        the materialized build input, instead of one closure call per row
+        and key."""
         table: Dict[Value, List[VTuple]] = {}
-        rows = list(self._consume(self.right, rt))
+        rows = list(self._consume(child, rt))
         if not rows:
             return table
-        kernels = [rt.batch_fn(k, self.rvar) for k in self.right_keys]
+        kernels = [rt.batch_fn(k, var) for k in key_exprs]
         cols = [kern(rows) for kern in kernels]
         rt.stats.hash_inserts += len(rows)
         if len(cols) == 1:
@@ -1335,8 +1374,6 @@ class HashJoinBase(PlanNode):
         return table
 
     def vector_note(self) -> str:
-        if self.build_side == "left":
-            return ""
         covered = all(
             vector_covered(k, self.lvar) for k in self.left_keys
         ) and all(vector_covered(k, self.rvar) for k in self.right_keys)
@@ -1346,7 +1383,8 @@ class HashJoinBase(PlanNode):
         """Mirror orientation: hash the left operand, stream the right.
 
         Only reached for the plain ``join`` kind, whose output
-        ``{x ∘ y | p(x, y)}`` is orientation-independent.
+        ``{x ∘ y | p(x, y)}`` (or ``{f(x, y) | p(x, y)}`` when emitting)
+        is orientation-independent.
         """
         table: Dict[Value, List[VTuple]] = {}
         key_fns = [rt.compiled(k) for k in self.left_keys]
@@ -1359,6 +1397,7 @@ class HashJoinBase(PlanNode):
         probe_fns = [rt.compiled(k) for k in self.right_keys]
         trivial_residual = self.residual == A.Literal(True)
         residual = None if trivial_residual else rt.compiled_pred(self.residual)
+        result = rt.compiled(self.result) if self.result is not None else None
         for y in self._input(self.right, rt):
             rt.stats.tuples_visited += 1
             env[self.rvar] = y
@@ -1368,7 +1407,7 @@ class HashJoinBase(PlanNode):
                 env[self.lvar] = x
                 if residual is None or residual(env):
                     rt.stats.output_tuples += 1
-                    yield concat(x, y)
+                    yield concat(x, y) if result is None else result(env)
 
 
 class MembershipHashJoin(PlanNode):
@@ -1428,7 +1467,10 @@ class MembershipHashJoin(PlanNode):
     def describe(self) -> str:
         from repro.adl.pretty import pretty
 
-        return f"{pretty(self.element)} ∈ {pretty(self.container)} [{self.probe_side}]"
+        return (
+            f"{pretty(self.element)} ∈ {pretty(self.container)} [{self.probe_side}]"
+            + _emit_note(self)
+        )
 
     def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
         element = rt.compiled(self.element)
@@ -1465,7 +1507,7 @@ class MembershipHashJoin(PlanNode):
                 matched = True
                 if kind in ("join", "outerjoin"):
                     rt.stats.output_tuples += 1
-                    yield concat(x, y)
+                    yield concat(x, y) if result is None else result(env)
                 elif kind == "semijoin":
                     break
                 elif kind == "nestjoin":
@@ -1555,7 +1597,7 @@ class IndexNestedLoopJoin(PlanNode):
         )
         if self.residual != A.Literal(True):
             text += f" ; residual {pretty(self.residual)}"
-        return text
+        return text + _emit_note(self)
 
     def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
         index = _catalog_index(rt, self.extent, self.attr, self.index_name)
@@ -1579,7 +1621,7 @@ class IndexNestedLoopJoin(PlanNode):
                 matched = True
                 if kind in ("join", "outerjoin"):
                     rt.stats.output_tuples += 1
-                    yield concat(x, y)
+                    yield concat(x, y) if result is None else result(env)
                 elif kind == "semijoin":
                     break
                 elif kind == "nestjoin":
@@ -1588,82 +1630,6 @@ class IndexNestedLoopJoin(PlanNode):
             if tail is not None:
                 rt.stats.output_tuples += 1
                 yield tail
-
-
-class SortMergeJoin(PlanNode):
-    """Single-key sort-merge join (plain join kind only) — one of the
-    paper's 'various efficient join implementations', used by the ablation
-    benchmark.  Sorting makes both operands pipeline breaks; the merge
-    output streams."""
-
-    label = "SortMergeJoin"
-    break_note = "sorts both inputs"
-
-    def __init__(
-        self,
-        lvar: str,
-        rvar: str,
-        left_key: A.Expr,
-        right_key: A.Expr,
-        residual: A.Expr,
-        left: PlanNode,
-        right: PlanNode,
-    ) -> None:
-        self.lvar = lvar
-        self.rvar = rvar
-        self.left_key = left_key
-        self.right_key = right_key
-        self.residual = residual
-        self.left = left
-        self.right = right
-
-    def children(self):
-        return (self.left, self.right)
-
-    def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
-        from repro.datamodel.values import sort_key
-
-        env: Dict[str, Value] = {}
-
-        def keyed(node, var, key_expr):
-            key_fn = rt.compiled(key_expr)
-            pairs = []
-            for row in self._consume(node, rt):
-                env[var] = row
-                key = key_fn(env)
-                rt.stats.comparisons += 1
-                pairs.append((key, row))
-            pairs.sort(key=lambda kv: sort_key(kv[0]))
-            return pairs
-
-        left = keyed(self.left, self.lvar, self.left_key)
-        right = keyed(self.right, self.rvar, self.right_key)
-        trivial_residual = self.residual == A.Literal(True)
-        residual = None if trivial_residual else rt.compiled_pred(self.residual)
-        i = j = 0
-        while i < len(left) and j < len(right):
-            rt.stats.comparisons += 1
-            lk, rk = sort_key(left[i][0]), sort_key(right[j][0])
-            if lk < rk:
-                i += 1
-            elif lk > rk:
-                j += 1
-            else:
-                j_end = j
-                while j_end < len(right) and sort_key(right[j_end][0]) == lk:
-                    j_end += 1
-                i_end = i
-                while i_end < len(left) and sort_key(left[i_end][0]) == lk:
-                    i_end += 1
-                for ii in range(i, i_end):
-                    for jj in range(j, j_end):
-                        rt.stats.tuples_visited += 1
-                        env[self.lvar] = left[ii][1]
-                        env[self.rvar] = right[jj][1]
-                        if residual is None or residual(env):
-                            rt.stats.output_tuples += 1
-                            yield concat(left[ii][1], right[jj][1])
-                i, j = i_end, j_end
 
 
 class CartesianProduct(PlanNode):

@@ -19,6 +19,11 @@ being priced is already the cheapest order the cost model can find.  Then:
   loops — and keeps the cheapest under the
   :mod:`~repro.engine.cost` model, with cardinalities propagated
   bottom-up from catalog statistics;
+* a flat from-clause select the rewriter left as
+  ``⊔(α[z : z.as](L ⊣⟨x,y : p ; f ; as⟩ R))``
+  (:func:`~repro.engine.cost.flat_join`) goes through the same
+  enumeration as the plain join it is — the winner *emits* ``f(x, y)``
+  per pair, and no nestjoin, map or flatten operator is planned;
 * selections over an indexed equality predicate become **index scans**
   when the cost model prefers the probe to the full scan;
 * joins with no hashable conjunct fall back to **nested loops** —
@@ -44,7 +49,7 @@ from repro.adl import ast as A
 from repro.adl.freevars import free_vars
 from repro.adl.subst import substitute
 from repro.engine import plan as P
-from repro.engine.cost import CostModel, Estimate, PREDICATE_COST, _bound_attr
+from repro.engine.cost import CostModel, Estimate, PREDICATE_COST, _bound_attr, flat_join
 from repro.engine.joinorder import JoinOrderDecision, reorder_joins
 from repro.engine.plan import ExecRuntime, PlanNode
 from repro.engine.stats import Stats
@@ -203,6 +208,9 @@ class Planner:
         if isinstance(expr, A.Nest):
             return P.NestOp(expr.attrs, expr.as_attr, self._plan(expr.source))
         if isinstance(expr, A.Flatten):
+            join = flat_join(expr)
+            if join is not None:
+                return self._plan_join(join, flat=expr)
             return P.FlattenOp(self._plan(expr.source))
         if isinstance(expr, A.Union):
             return P.SetOp("union", self._plan(expr.left), self._plan(expr.right))
@@ -302,15 +310,18 @@ class Planner:
         return node
 
     # -- joins ----------------------------------------------------------------
-    def _plan_join(self, expr) -> PlanNode:
-        kind = {
+    def _plan_join(self, expr, flat: Optional[A.Flatten] = None) -> PlanNode:
+        """``flat`` is the enclosing :func:`~repro.engine.cost.flat_join`
+        shape when ``expr`` is its nestjoin: the pair is planned (and
+        priced) as a plain join emitting ``expr.result`` per match."""
+        kind = "join" if flat is not None else {
             A.Join: "join",
             A.SemiJoin: "semijoin",
             A.AntiJoin: "antijoin",
             A.OuterJoin: "outerjoin",
             A.NestJoin: "nestjoin",
         }[type(expr)]
-        as_attr = getattr(expr, "as_attr", None)
+        as_attr = None if flat is not None else getattr(expr, "as_attr", None)
         result = getattr(expr, "result", None)
         right_attrs = getattr(expr, "right_attrs", ())
         common = dict(
@@ -327,7 +338,8 @@ class Planner:
 
         recipe = JoinRecipe(expr.lvar, expr.rvar, expr.pred)
         if self.cost_model is not None:
-            return self._plan_join_cost_based(expr, kind, recipe, common)
+            out = self.cost_model.estimate(flat if flat is not None else expr)
+            return self._plan_join_cost_based(expr, kind, recipe, common, out)
         return self._plan_join_heuristic(expr, kind, recipe, common)
 
     def _plan_join_heuristic(self, expr, kind, recipe, common) -> PlanNode:
@@ -365,7 +377,7 @@ class Planner:
             kind, expr.lvar, expr.rvar, expr.pred, left, right, **common,
         )
 
-    def _plan_join_cost_based(self, expr, kind, recipe, common) -> PlanNode:
+    def _plan_join_cost_based(self, expr, kind, recipe, common, out: Estimate) -> PlanNode:
         """Enumerate physical alternatives and keep the cheapest.
 
         Candidates, in tie-break preference order: index nested-loop join
@@ -375,7 +387,6 @@ class Planner:
         model = self.cost_model
         left_est = model.estimate(expr.left)
         right_est = model.estimate(expr.right)
-        out = model.estimate(expr)
         candidates: List[Tuple[float, object]] = []
 
         inlj = self._inlj_candidate(expr, kind, recipe, common, left_est)
@@ -435,8 +446,13 @@ class Planner:
 
         # partition-parallel alternatives enter the same enumeration: the
         # cost model, not a flag, decides when a parallel plan wins (ties
-        # keep the earlier — serial — candidate)
-        if self.parallel_workers > 1 and kind in ("join", "semijoin") and recipe.equi_left:
+        # keep the earlier — serial — candidate); emitting joins stay serial
+        if (
+            self.parallel_workers > 1
+            and kind in ("join", "semijoin")
+            and recipe.equi_left
+            and common["result"] is None
+        ):
             candidates.extend(
                 self._parallel_candidates(expr, kind, recipe, left_est, right_est, out)
             )

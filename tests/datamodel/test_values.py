@@ -14,6 +14,7 @@ from repro.datamodel import (
     sort_key,
     vset,
 )
+from repro.datamodel.values import trusted_tuple
 
 
 class TestOid:
@@ -109,6 +110,84 @@ class TestConcat:
 
     def test_empty_concat(self):
         assert concat(VTuple(), VTuple(a=1)) == VTuple(a=1)
+
+
+class TestTrustedConstruction:
+    """``trusted_tuple`` skips validation, copying and the eager hash; the
+    values it builds must be indistinguishable from ``VTuple(...)``'s."""
+
+    FIELDS = {"b": vset(1, 2), "a": 1, "t": VTuple(x=Oid("Part", 3))}
+
+    def pair(self):
+        return VTuple(self.FIELDS), trusted_tuple(dict(self.FIELDS))
+
+    def test_equality_hash_and_repr_parity(self):
+        public, trusted = self.pair()
+        assert trusted == public and public == trusted
+        assert hash(trusted) == hash(public)
+        assert repr(trusted) == repr(public)
+        assert format_value(trusted) == format_value(public)
+        assert sort_key(trusted) == sort_key(public)
+        assert dict(trusted) == dict(public) and len(trusted) == 3
+        assert trusted.attributes == public.attributes
+
+    def test_lazily_hashed_tuple_as_set_member_and_dict_key(self):
+        public, trusted = self.pair()
+        assert trusted._hash is None  # nothing hashed it yet
+        assert trusted in {public}
+        assert public in frozenset([trusted])
+        assert len({public, trusted}) == 1
+        assert {trusted: "v"}[public] == "v"
+        assert trusted._hash == hash(public)
+        assert vset(trusted) == vset(public)
+
+    def test_takes_ownership_without_copying(self):
+        fields = {"a": 1}
+        assert trusted_tuple(fields)._fields is fields
+
+    def test_missing_attribute_error_is_unchanged(self):
+        with pytest.raises(MissingAttributeError, match="'z'"):
+            trusted_tuple({"a": 1})["z"]
+
+    def test_public_constructor_still_validates(self):
+        with pytest.raises(DataModelError, match="duplicate"):
+            VTuple([("a", 1), ("a", 2)])
+        with pytest.raises(DataModelError, match="duplicate"):
+            VTuple({"a": 1}, a=2)
+        with pytest.raises(TypeError):
+            VTuple(a=[1, 2])  # unhashable field value, rejected eagerly
+
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda t: t.subscript(("a", "b")),
+            lambda t: t.drop(("t",)),
+            lambda t: t.update_except({"a": 2, "z": vset()}),
+            lambda t: concat(t, VTuple(q=0)),
+        ],
+        ids=["subscript", "drop", "update_except", "concat"],
+    )
+    def test_tuple_operators_agree_across_construction_paths(self, derive):
+        public, trusted = self.pair()
+        from_public, from_trusted = derive(public), derive(trusted)
+        assert from_public == from_trusted
+        assert hash(from_public) == hash(from_trusted)
+        assert repr(from_public) == repr(from_trusted)
+        assert from_public == VTuple(dict(from_public))  # and the validating path
+        assert hash(from_public) == hash(VTuple(dict(from_public)))
+
+    def test_concat_clash_still_names_the_attributes(self):
+        with pytest.raises(DataModelError, match=r"clash: \['a', 'b'\]"):
+            concat(trusted_tuple({"a": 1, "b": 2, "c": 3}), VTuple(b=0, a=0))
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        public, trusted = self.pair()
+        hash(public)
+        for value in (public, trusted):
+            clone = pickle.loads(pickle.dumps(value))
+            assert clone == public and hash(clone) == hash(public)
 
 
 class TestPredicatesAndHelpers:

@@ -14,7 +14,6 @@ from repro.engine.plan import (
     MembershipHashJoin,
     NestedLoopJoin,
     Scan,
-    SortMergeJoin,
 )
 from repro.engine.planner import Executor
 from repro.engine.stats import Stats
@@ -90,29 +89,6 @@ class TestJoinKindsAgainstNaive:
             residual, Scan("X"), Scan("Y"),
         )
         assert hash_plan.execute(rt_for(db)) == naive(logical, db)
-
-    def test_sort_merge_join(self, db):
-        logical = A.Join(B.extent("X"), B.extent("Y"), "x", "y", EQ)
-        plan = SortMergeJoin(
-            "x", "y", B.attr(B.var("x"), "a"), B.attr(B.var("y"), "d"),
-            TRUE, Scan("X"), Scan("Y"),
-        )
-        assert plan.execute(rt_for(db)) == naive(logical, db)
-
-    def test_sort_merge_join_with_duplicates(self):
-        db = MemoryDatabase({
-            "X": [VTuple(a=1, i=0), VTuple(a=1, i=1), VTuple(a=2, i=2)],
-            "Y": [VTuple(d=1, j=0), VTuple(d=1, j=1)],
-        })
-        logical = A.Join(B.extent("X"), B.extent("Y"), "x", "y",
-                         B.eq(B.attr(B.var("x"), "a"), B.attr(B.var("y"), "d")))
-        plan = SortMergeJoin(
-            "x", "y", B.attr(B.var("x"), "a"), B.attr(B.var("y"), "d"),
-            TRUE, Scan("X"), Scan("Y"),
-        )
-        out = plan.execute(rt_for(db))
-        assert out == naive(logical, db)
-        assert len(out) == 4  # 2x2 block of duplicates
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(PlanError):

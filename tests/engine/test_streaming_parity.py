@@ -30,7 +30,6 @@ from repro.engine.plan import (
     RenameOp,
     Scan,
     SetOp,
-    SortMergeJoin,
     UnnestOp,
 )
 from repro.engine.planner import Executor
@@ -145,12 +144,6 @@ CASES = {
     "SetOp-difference": (lambda: SetOp("difference", Scan("Y"), Scan("Y2")), flat_db),
     "CartesianProduct": (lambda: CartesianProduct(Scan("X"), Scan("Y")), flat_db),
     "DivisionOp": (lambda: DivisionOp(Scan("DIV"), Scan("DIVISOR")), flat_db),
-    "SortMergeJoin": (
-        lambda: SortMergeJoin(
-            "x", "y", XA[0], YD[0], TRUE, Scan("X"), Scan("Y")
-        ),
-        flat_db,
-    ),
     "SortMergeNestJoin": (
         lambda: SortMergeNestJoin(
             "x", "y", XA[0], YD[0], TRUE, Scan("X"), Scan("Y"), "g", A.Var("y")
@@ -244,6 +237,39 @@ for kind in ("join", "semijoin", "antijoin", "outerjoin", "nestjoin"):
     )
 
 
+# emitting joins: a plain ``join`` whose ``result`` is set emits
+# ``result(x, y)`` per pair instead of ``x ∘ y`` (full matrix in
+# tests/engine/test_emitting_join.py)
+EMIT = B.tup(v=B.attr(B.var("x"), "b"), w=B.attr(B.var("y"), "e"))
+CASES["NestedLoopJoin-emitting"] = (
+    lambda: NestedLoopJoin("join", "x", "y", EQ, Scan("X"), Scan("Y"), result=EMIT),
+    flat_db,
+)
+for side in ("left", "right"):
+    CASES[f"HashJoinBase-emitting-build-{side}"] = (
+        lambda side=side: HashJoinBase(
+            "join", "x", "y", XA, YD, TRUE, Scan("X"), Scan("Y"),
+            result=EMIT, build_side=side,
+        ),
+        flat_db,
+    )
+CASES["IndexNestedLoopJoin-emitting"] = (
+    lambda: IndexNestedLoopJoin(
+        "join", "x", "y", XA[0], "Y", "d", "idx_Y_d", TRUE, Scan("X"), result=EMIT
+    ),
+    indexed_db,
+)
+CASES["MembershipHashJoin-emitting"] = (
+    lambda: MembershipHashJoin(
+        "join", "s", "p",
+        B.attr(B.var("p"), "pid"), B.attr(B.var("s"), "parts"),
+        "left-set", TRUE, Scan("S"), Scan("P"),
+        result=B.tup(s=B.attr(B.var("s"), "s"), pid=B.attr(B.var("p"), "pid")),
+    ),
+    flat_db,
+)
+
+
 class TestIterateExecuteParity:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_same_result_and_counters(self, name):
@@ -313,8 +339,8 @@ class TestStreamingBehaviour:
         assert stats.pipeline_breaks == 1  # the build side only
 
         stats = Stats()
-        SortMergeJoin(
-            "x", "y", XA[0], YD[0], TRUE, Scan("X"), Scan("Y")
+        SortMergeNestJoin(
+            "x", "y", XA[0], YD[0], TRUE, Scan("X"), Scan("Y"), "g", A.Var("y")
         ).execute(ExecRuntime(db, stats))
         assert stats.pipeline_breaks == 2  # both sorts
 
