@@ -264,7 +264,7 @@ class Compiler:
 
     def compile_pred(self, expr: A.Expr) -> Callable[[Dict[str, Value]], bool]:
         """Compile a predicate: counts ``predicate_evals`` and enforces the
-        boolean result exactly like ``ExecRuntime.eval_pred``."""
+        boolean result."""
         fn, _ = self._compile(expr)
         stats = self.stats
 

@@ -126,10 +126,6 @@ MEMBER_SELECTIVITY = 0.2
 #: identically and differently-shaped plans stay comparable.
 RESIDUAL_SELECTIVITY = 0.25
 
-#: Backward-compatible alias for :data:`RESIDUAL_SELECTIVITY` (the old
-#: name, kept for existing imports).
-DEFAULT_SELECTIVITY = RESIDUAL_SELECTIVITY
-
 SEMI_MATCH_FRACTION = 0.5
 NEST_GROUP_FRACTION = 0.5
 

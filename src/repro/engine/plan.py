@@ -50,17 +50,13 @@ statically by ``explain()``::
 
 Parameter expressions (predicates, hash keys, nestjoin result functions)
 are compiled once per operator into Python closures by
-:mod:`repro.engine.compile` instead of being re-interpreted per tuple;
-``ExecRuntime(compile_exprs=False)`` restores interpreter evaluation and
-``ExecRuntime(materialized=True)`` restores operand-at-a-time
-materialization — together they reproduce the pre-streaming engine, which
-is what ``benchmarks/run_bench.py`` measures the streaming engine against.
+:mod:`repro.engine.compile` instead of being re-interpreted per tuple.
 
 Every node executes against an :class:`ExecRuntime` carrying the database,
-an :class:`~repro.engine.interpreter.Interpreter` for fallback expression
-evaluation, a :class:`~repro.engine.compile.Compiler`, and the shared
-:class:`~repro.engine.stats.Stats` counters.  ``explain()`` renders the
-physical tree.
+an :class:`~repro.engine.interpreter.Interpreter` for the expression forms
+the compiler delegates, a :class:`~repro.engine.compile.Compiler`, and the
+shared :class:`~repro.engine.stats.Stats` counters.  ``explain()`` renders
+the physical tree.
 
 Vectorized batch execution (PR 8)
 =================================
@@ -157,12 +153,6 @@ class ExecRuntime:
     :meth:`eval` / :meth:`compiled` rather than constructing their own, so
     expression compilation happens once per operator per run and all work
     counters land in one :class:`Stats` bundle.
-
-    ``materialized=True`` makes every operator consume its children through
-    ``execute`` (full ``frozenset`` per edge) instead of streaming —
-    the pre-Volcano engine, kept as the benchmark baseline.
-    ``compile_exprs=False`` routes parameter expressions through the
-    interpreter instead of compiled closures.
     """
 
     def __init__(
@@ -170,8 +160,6 @@ class ExecRuntime:
         db,
         stats: Optional[Stats] = None,
         *,
-        materialized: bool = False,
-        compile_exprs: bool = True,
         catalog=None,
         params: Optional[Dict[str, Value]] = None,
         parallel=None,
@@ -189,9 +177,9 @@ class ExecRuntime:
         #: instead of running them inline
         self.parallel = parallel
         #: absolute ``time.monotonic()`` deadline for this run, or ``None``.
-        #: Streaming operators poll it at a coarse per-tuple granularity
-        #: (see :meth:`check_deadline`); the fault-free path pays nothing —
-        #: the check branch is hoisted out of every hot loop.
+        #: Operators poll it once per batch (every 64 tuples in tuple
+        #: mode; see :meth:`check_deadline`); the fault-free path pays
+        #: nothing — the check branch is hoisted out of every hot loop.
         self.deadline = deadline
         #: fault-tolerance events of this run (retries, degradation,
         #: breaker state) — filled by the gather's ``run_fragments`` call
@@ -211,8 +199,6 @@ class ExecRuntime:
         #: keyed ``(extent, attr, multi)``; never written to the catalog
         self._transient_indexes: Dict[Tuple[str, str, bool], object] = {}
         self.interpreter = Interpreter(db, self.stats, self.params)
-        self.materialized = materialized
-        self.compile_exprs = compile_exprs
         #: rows per columnar chunk; a truthy value selects batch-at-a-time
         #: execution (``execute`` drains ``iterate_batches``), ``None``/0
         #: keeps the tuple-at-a-time engine
@@ -254,52 +240,43 @@ class ExecRuntime:
     # expression and alias someone else's closure.
 
     def compiled(self, expr: A.Expr) -> Callable[[Dict[str, Value]], Value]:
-        """The closure for ``expr`` — compiled once per runtime, or an
-        interpreter thunk when ``compile_exprs`` is off."""
+        """The closure for ``expr`` — compiled once per runtime."""
         entry = self._compiled.get(id(expr))
         if entry is None:
-            if self.compile_exprs:
-                fn = self.compiler.compile(expr)
-            else:
-                interpreter = self.interpreter
-                fn = lambda env, _e=expr: interpreter.eval(_e, env)  # noqa: E731
-            self._compiled[id(expr)] = entry = (expr, fn)
+            self._compiled[id(expr)] = entry = (expr, self.compiler.compile(expr))
         return entry[1]
 
     def compiled_pred(self, expr: A.Expr) -> Callable[[Dict[str, Value]], bool]:
-        """Like :meth:`compiled` but with ``eval_pred`` semantics: counts
+        """Like :meth:`compiled` but with predicate semantics: counts
         ``predicate_evals`` and rejects non-boolean results."""
         entry = self._compiled_preds.get(id(expr))
         if entry is None:
-            if self.compile_exprs:
-                fn = self.compiler.compile_pred(expr)
-            else:
-                fn = lambda env, _e=expr: self.eval_pred(_e, env)  # noqa: E731
+            fn = self.compiler.compile_pred(expr)
             self._compiled_preds[id(expr)] = entry = (expr, fn)
         return entry[1]
 
     # -- vectorized batch kernels (PR 8) ------------------------------------
     # Cached like the tuple closures, keyed by (id(expr), var).  When the
-    # expression is not vector-covered — or expression compilation is off —
-    # the cached kernel applies the tuple-wise closure per batch element
-    # and counts one ``vector_fallbacks`` per batch, so uncovered forms are
-    # observable, never silent.
+    # expression is not vector-covered the cached kernel applies the
+    # tuple-wise closure per batch element and counts one
+    # ``vector_fallbacks`` per batch, so uncovered forms are observable,
+    # never silent.
 
     def batch_fn(self, expr: A.Expr, var: str) -> BatchKernel:
         """A batch kernel mapping rows (bound to ``var``) through ``expr``."""
         entry = self._batch_fns.get((id(expr), var))
         if entry is None:
-            kernel = self.compiler.compile_batch(expr, var) if self.compile_exprs else None
+            kernel = self.compiler.compile_batch(expr, var)
             if kernel is None:
                 kernel = self._fallback_kernel(self.compiled(expr), var)
             self._batch_fns[(id(expr), var)] = entry = (expr, kernel)
         return entry[1]
 
     def batch_pred(self, expr: A.Expr, var: str) -> BatchKernel:
-        """Predicate variant of :meth:`batch_fn` (``eval_pred`` semantics)."""
+        """Predicate variant of :meth:`batch_fn` (:meth:`compiled_pred` semantics)."""
         entry = self._batch_preds.get((id(expr), var))
         if entry is None:
-            kernel = self.compiler.compile_batch_pred(expr, var) if self.compile_exprs else None
+            kernel = self.compiler.compile_batch_pred(expr, var)
             if kernel is None:
                 kernel = self._fallback_kernel(self.compiled_pred(expr), var)
             self._batch_preds[(id(expr), var)] = entry = (expr, kernel)
@@ -322,22 +299,14 @@ class ExecRuntime:
     def eval(self, expr: A.Expr, env: Optional[Dict[str, Value]] = None) -> Value:
         return self.compiled(expr)(env if env is not None else {})
 
-    def eval_pred(self, expr: A.Expr, env: Dict[str, Value]) -> bool:
-        self.stats.predicate_evals += 1
-        value = self.compiled(expr)(env)
-        if not isinstance(value, bool):
-            raise EvaluationError(f"predicate produced non-boolean {value!r}")
-        return value
-
 
 class PlanNode:
     """Base class of physical operators.
 
     Subclasses implement :meth:`iterate`; :meth:`execute` materializes it.
-    Children are consumed through :meth:`_input` (streams, unless the
-    runtime is in ``materialized`` mode) or :meth:`_consume` (a declared
-    pipeline break: always materializes, counted in
-    ``stats.pipeline_breaks``).
+    Children are consumed through their :meth:`stream` /
+    :meth:`stream_batches`, or through :meth:`_consume` (a declared
+    pipeline break: materializes, counted in ``stats.pipeline_breaks``).
     """
 
     #: Short operator label used by ``explain``.
@@ -394,17 +363,29 @@ class PlanNode:
         return trace.wrap_batches(self, self.iterate_batches(rt))
 
     def execute(self, rt: ExecRuntime) -> frozenset:
+        """Drain this plan into its result set — the one drain the
+        service, shipped fragments and every pipeline break call.  A
+        deadline-bound run drains the same plan in the same mode, polled
+        per drained batch (per 64 rows in tuple mode) and once after the
+        last, so a result is never returned past its deadline."""
+        if rt.deadline is None:
+            if rt.batch_size:
+                return frozenset(
+                    chain.from_iterable(batch.rows for batch in self.stream_batches(rt))
+                )
+            return frozenset(self.stream(rt))
+        out: List[Value] = []
         if rt.batch_size:
-            return frozenset(
-                chain.from_iterable(batch.rows for batch in self.stream_batches(rt))
-            )
-        return frozenset(self.stream(rt))
-
-    def _input(self, child: "PlanNode", rt: ExecRuntime):
-        """Stream a child (or materialize it, in baseline mode)."""
-        if rt.materialized:
-            return child.execute(rt)
-        return child.stream(rt)
+            for batch in self.stream_batches(rt):
+                rt.check_deadline()
+                out.extend(batch.rows)
+        else:
+            for n, row in enumerate(self.stream(rt)):
+                if not (n & 63):
+                    rt.check_deadline()
+                out.append(row)
+        rt.check_deadline()
+        return frozenset(out)
 
     def _consume(self, child: "PlanNode", rt: ExecRuntime) -> frozenset:
         """A pipeline break: this operator needs the whole child result."""
@@ -697,7 +678,7 @@ class Filter(PlanNode):
         pred = rt.compiled_pred(self.pred)
         env: Dict[str, Value] = {}
         if rt.deadline is None:
-            for item in self._input(self.child, rt):
+            for item in self.child.stream(rt):
                 rt.stats.tuples_visited += 1
                 env[self.var] = item
                 if pred(env):
@@ -705,7 +686,7 @@ class Filter(PlanNode):
             return
         # deadline runs poll every 64 input tuples (branch hoisted so the
         # fault-free loop above is untouched)
-        for n, item in enumerate(self._input(self.child, rt)):
+        for n, item in enumerate(self.child.stream(rt)):
             if not (n & 63):
                 rt.check_deadline()
             rt.stats.tuples_visited += 1
@@ -751,7 +732,7 @@ class MapOp(PlanNode):
     def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
         body = rt.compiled(self.body)
         env: Dict[str, Value] = {}
-        for item in self._input(self.child, rt):
+        for item in self.child.stream(rt):
             rt.stats.tuples_visited += 1
             env[self.var] = item
             yield body(env)
@@ -783,7 +764,7 @@ class ProjectOp(PlanNode):
         return ", ".join(self.attrs)
 
     def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
-        for item in self._input(self.child, rt):
+        for item in self.child.stream(rt):
             rt.stats.tuples_visited += 1
             yield item.subscript(self.attrs)
 
@@ -814,7 +795,7 @@ class RenameOp(PlanNode):
         return ", ".join(f"{a}->{b}" for a, b in self.renames)
 
     def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
-        for item in self._input(self.child, rt):
+        for item in self.child.stream(rt):
             fields = dict(item)
             for old, new in self.renames:
                 if old not in fields:
@@ -840,7 +821,7 @@ class UnnestOp(PlanNode):
         return self.attr
 
     def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
-        for item in self._input(self.child, rt):
+        for item in self.child.stream(rt):
             members = item[self.attr]
             rest = item.drop((self.attr,))
             for member in members:
@@ -893,7 +874,10 @@ class NestOp(PlanNode):
         shape = None
         key_attrs: Tuple[str, ...] = ()
         kernels: List[BatchKernel] = []
+        check = rt.check_deadline if rt.deadline is not None else None
         for batch in self.child.stream_batches(rt):
+            if check is not None:
+                check()
             rows = batch.rows
             stats.tuples_visited += len(rows)
             if shape is None and rows:
@@ -901,11 +885,10 @@ class NestOp(PlanNode):
                 key_attrs = tuple(
                     a for a in sorted(shape) if a not in nest_attrs
                 )
-                if rt.compile_exprs:
-                    kernels = [
-                        rt.batch_fn(A.AttrAccess(A.Var("_group"), a), "_group")
-                        for a in key_attrs
-                    ]
+                kernels = [
+                    rt.batch_fn(A.AttrAccess(A.Var("_group"), a), "_group")
+                    for a in key_attrs
+                ]
             uniform = all(item.attributes == shape for item in rows)
             if kernels and uniform:
                 cols = [kern(rows) for kern in kernels]
@@ -961,7 +944,7 @@ class FlattenOp(PlanNode):
         return (self.child,)
 
     def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
-        for member in self._input(self.child, rt):
+        for member in self.child.stream(rt):
             yield from member
 
 
@@ -987,16 +970,16 @@ class SetOp(PlanNode):
 
     def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
         if self.kind == "union":
-            yield from self._input(self.left, rt)
-            yield from self._input(self.right, rt)
+            yield from self.left.stream(rt)
+            yield from self.right.stream(rt)
             return
         right = self._consume(self.right, rt)
         if self.kind == "intersect":
-            for item in self._input(self.left, rt):
+            for item in self.left.stream(rt):
                 if item in right:
                     yield item
         else:
-            for item in self._input(self.left, rt):
+            for item in self.left.stream(rt):
                 if item not in right:
                     yield item
 
@@ -1099,7 +1082,7 @@ class NestedLoopJoin(PlanNode):
         # the O(|L|*|R|) loop is the engine's worst case — check the
         # deadline once per outer tuple (hoisted: free when none is set)
         check = rt.check_deadline if rt.deadline is not None else None
-        for x in self._input(self.left, rt):
+        for x in self.left.stream(rt):
             if check is not None:
                 check()
             env[self.lvar] = x
@@ -1231,7 +1214,7 @@ class HashJoinBase(PlanNode):
         result = rt.compiled(self.result) if self.result is not None else None
         null_pad = VTuple({a: None for a in self.right_attrs})
         kind = self.kind
-        for x in self._input(self.left, rt):
+        for x in self.left.stream(rt):
             rt.stats.tuples_visited += 1
             matched = False
             if kind == "nestjoin":
@@ -1273,7 +1256,10 @@ class HashJoinBase(PlanNode):
         stats = rt.stats
         empty = ()
         lookup = table.get
+        check = rt.check_deadline if rt.deadline is not None else None
         for batch in probe.stream_batches(rt):
+            if check is not None:
+                check()
             rows = batch.rows
             stats.tuples_visited += len(rows)
             stats.hash_probes += len(rows)
@@ -1398,7 +1384,7 @@ class HashJoinBase(PlanNode):
         trivial_residual = self.residual == A.Literal(True)
         residual = None if trivial_residual else rt.compiled_pred(self.residual)
         result = rt.compiled(self.result) if self.result is not None else None
-        for y in self._input(self.right, rt):
+        for y in self.right.stream(rt):
             rt.stats.tuples_visited += 1
             env[self.rvar] = y
             key = tuple(fn(env) for fn in probe_fns)
@@ -1496,7 +1482,7 @@ class MembershipHashJoin(PlanNode):
         result = rt.compiled(self.result) if self.result is not None else None
         null_pad = VTuple({a: None for a in self.right_attrs})
         kind = self.kind
-        for x in self._input(self.left, rt):
+        for x in self.left.stream(rt):
             rt.stats.tuples_visited += 1
             matched = False
             group = set()
@@ -1608,7 +1594,7 @@ class IndexNestedLoopJoin(PlanNode):
         null_pad = VTuple({a: None for a in self.right_attrs})
         env: Dict[str, Value] = {}
         kind = self.kind
-        for x in self._input(self.left, rt):
+        for x in self.left.stream(rt):
             rt.stats.tuples_visited += 1
             env[self.lvar] = x
             rt.stats.index_probes += 1
@@ -1645,7 +1631,7 @@ class CartesianProduct(PlanNode):
 
     def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
         right = self._consume(self.right, rt)
-        for x in self._input(self.left, rt):
+        for x in self.left.stream(rt):
             for y in right:
                 rt.stats.tuples_visited += 1
                 yield concat(x, y)

@@ -721,11 +721,7 @@ class Planner:
 class Executor:
     """Facade: plan + execute ADL expressions against a database.
 
-    ``materialized`` / ``compile_exprs`` are forwarded to
-    :class:`ExecRuntime` — the default is the streaming engine with
-    compiled parameter expressions; ``materialized=True,
-    compile_exprs=False`` reproduces the pre-streaming engine (the
-    benchmark baseline).  ``catalog`` switches the planner to cost-based
+    ``catalog`` switches the planner to cost-based
     physical selection (with DP join reordering — ``reorder=False``
     plans the rewriter's join order as-is, ``bushy=True`` widens the
     order search to bushy trees) and provides the runtime indexes.
@@ -738,8 +734,6 @@ class Executor:
         db,
         stats: Optional[Stats] = None,
         *,
-        materialized: bool = False,
-        compile_exprs: bool = True,
         catalog=None,
         reorder: bool = True,
         bushy: bool = False,
@@ -763,15 +757,11 @@ class Executor:
             parallel_workers=parallel.workers if parallel is not None else 0,
             batch_size=batch_size,
         )
-        self.materialized = materialized
-        self.compile_exprs = compile_exprs
 
     def _runtime(self, params=None, trace=None) -> ExecRuntime:
         return ExecRuntime(
             self.db,
             self.stats,
-            materialized=self.materialized,
-            compile_exprs=self.compile_exprs,
             catalog=self.catalog,
             params=params,
             parallel=self.parallel,

@@ -59,19 +59,5 @@ class MisestimateStore:
                     out.append(entry)
         return out
 
-    def epoch_mismatch_view(self) -> List[dict]:
-        """The PR-7 ``stats()["epoch_mismatches"]`` compatibility view:
-        the epoch-mismatch records with exactly their historical keys."""
-        return [
-            {
-                "shape": entry["shape"],
-                "planned_epoch": entry.get("planned_epoch"),
-                "executed_epoch": entry.get("executed_epoch"),
-                "est_rows": entry.get("est_rows"),
-                "actual_rows": entry.get("actual_rows"),
-            }
-            for entry in self.records("epoch-mismatch")
-        ]
-
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._by_shape.values())

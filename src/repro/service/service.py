@@ -353,13 +353,13 @@ class QueryService:
         catalog version *and* the schema fingerprint still match.
     batch_size:
         Vectorized batch execution (PR 8): rows per columnar chunk for
-        cached-plan execution.  **On by default** — every no-deadline run
-        executes batch-at-a-time through ``iterate_batches``, with
+        cached-plan execution.  **On by default** — every run, with or
+        without a ``timeout``, executes batch-at-a-time through
+        ``iterate_batches`` (deadlines are polled per batch), with
         uncovered expression forms falling back to the tuple-wise
         compiled closure per batch element (results are oracle-equal by
-        construction).  Deadline-bound runs always stay tuple-mode: the
-        row-granular deadline polls are the enforcement mechanism.
-        ``None`` disables batching entirely (pre-PR-8 behaviour).
+        construction).  ``None`` disables batching entirely (pre-PR-8
+        behaviour).
         Adoption is observable, never silent: ``QueryResult.stats``
         carries ``batches_emitted`` / ``vector_fallbacks`` per run and
         :meth:`stats` aggregates them service-wide under ``"batch"``.
@@ -377,7 +377,6 @@ class QueryService:
         cache_size: int = 64,
         reorder: bool = True,
         bushy: bool = False,
-        compile_exprs: bool = True,
         parallel_workers: int = 0,
         parallel_mode: str = "process",
         fault_plan=None,
@@ -399,7 +398,6 @@ class QueryService:
         self.cache = PlanCache(cache_size)
         self.reorder = reorder
         self.bushy = bushy
-        self.compile_exprs = compile_exprs
         self.max_in_flight = max_in_flight if max_in_flight is not None else max_workers
         if self.max_in_flight < 1:
             raise ServiceError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
@@ -466,8 +464,7 @@ class QueryService:
         # -- observability (PR 10), see _wire_metrics
         #: bounded per-shape estimate-vs-actual misses — operator-level
         #: q-error records from traced runs *and* the PR-7 epoch-mismatch
-        #: records, migrated here as ``kind="epoch-mismatch"`` (the
-        #: ``stats()["epoch_mismatches"]`` key stays as a view)
+        #: records, as ``kind="epoch-mismatch"``
         self.misestimates = MisestimateStore(per_shape=misestimate_capacity)
         self.q_error_threshold = q_error_threshold
         self.slow_log = SlowQueryLog(slow_query_s)
@@ -898,34 +895,19 @@ class QueryService:
             exec_db = EpochView(self.db, pinned) if pinned is not None else self.db
             # all mutable execution state is local to this runtime: stats,
             # interpreter, compiled closures, parameter bindings — and the
-            # deadline the engine's hot loops poll
+            # deadline the engine polls per batch
             runtime = ExecRuntime(
                 exec_db,
                 work,
-                compile_exprs=self.compile_exprs,
                 catalog=self.catalog,
                 params=bindings,
                 parallel=self._parallel_handle() if entry.parallel else None,
                 deadline=deadline,
-                # batch mode only on the no-deadline path: deadline-bound
-                # runs need the row-granular polls below to stay honest
-                batch_size=self.batch_size if deadline is None else None,
+                batch_size=self.batch_size,
                 trace=recorder,
             )
             start = time.perf_counter()
-            if deadline is None:
-                rows = entry.plan.execute(runtime)
-            else:
-                # output-granularity enforcement on top of the operator
-                # hot-loop polls: a plan stalling between emitted rows is
-                # still caught at every row it does emit
-                out = []
-                for n, row in enumerate(entry.plan.stream(runtime)):
-                    if not (n & 63):
-                        runtime.check_deadline()
-                    out.append(row)
-                runtime.check_deadline()
-                rows = frozenset(out)
+            rows = entry.plan.execute(runtime)
             wall = time.perf_counter() - start
             faults = dict(runtime.fault_events)
             if faults:
@@ -1025,9 +1007,6 @@ class QueryService:
                 "shed_queue_wait": self.shed_queue_wait,
                 "shed_fairness": self.shed_fairness,
                 "epoch_mismatch_runs": self.epoch_mismatch_runs,
-                # compatibility view (PR 10): the records live on the
-                # misestimate store now, rendered with their PR-7 keys
-                "epoch_mismatches": self.misestimates.epoch_mismatch_view(),
                 "misestimates": self.misestimates.recorded,
                 "analyzed_runs": self.analyzed_runs,
                 "slow_queries": self.slow_log.logged,

@@ -238,8 +238,8 @@ def execute_fragment(
     installed — see :mod:`repro.faults.runtime`); faults fire *before*
     any row is produced, so a failed attempt never leaks partial
     statistics into the attempt that succeeds.  ``deadline`` (absolute
-    ``time.monotonic()``) is threaded into the runtime so the scan/filter
-    hot loops poll it, and checked once per emitted row batch here.
+    ``time.monotonic()``) is threaded into the runtime, whose operators
+    and final drain poll it per batch.
     """
     import os
     import time
@@ -274,25 +274,16 @@ def execute_fragment(
         stats,
         params=spec.param_map,
         deadline=deadline,
-        batch_size=spec.batch_size if deadline is None else None,
+        batch_size=spec.batch_size,
     )
-    if deadline is None:
-        rows = plan.execute(rt)
-        if spec.batch_size:
-            # batched exchange: ship the (deduplicated) result as row
-            # chunks so the gather re-emits whole batches instead of
-            # paying per-row stream overhead on the way back
-            seq = list(rows)
-            size = spec.batch_size
-            rows = ChunkedRows(seq[i : i + size] for i in range(0, len(seq), size))
-    else:
-        out = []
-        for n, row in enumerate(plan.iterate(rt)):
-            if not (n & 63):
-                rt.check_deadline()
-            out.append(row)
-        rt.check_deadline()
-        rows = frozenset(out)
+    rows = plan.execute(rt)
+    if spec.batch_size:
+        # batched exchange: ship the (deduplicated) result as row
+        # chunks so the gather re-emits whole batches instead of
+        # paying per-row stream overhead on the way back
+        seq = list(rows)
+        size = spec.batch_size
+        rows = ChunkedRows(seq[i : i + size] for i in range(0, len(seq), size))
     snapshot = stats.snapshot()
     if spec.trace is not None:
         # the span rides the snapshot under an underscore key, which

@@ -36,14 +36,12 @@ filter per fragment (counted as a break by the resolver).
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.adl import ast as A
 from repro.datamodel.values import Value
 from repro.engine.plan import DEFAULT_BATCH_SIZE, Batch, ExecRuntime, PlanNode
 from repro.shard.fragment import (
-    ChunkedRows,
     FragmentSpec,
     ShardRef,
     execute_fragment,
@@ -259,21 +257,10 @@ class Exchange(PlanNode):
         for rows, snapshot in results:
             _collect_span(rt, self, snapshot)
             merge_stats_snapshot(stats, snapshot)
-            if isinstance(rows, ChunkedRows):
-                for chunk in rows.chunks:
-                    if chunk:
-                        stats.batches_emitted += 1
-                        yield Batch(chunk)
-            else:
-                # a deadline-bound fragment degraded to tuple mode and
-                # returned a flat frozenset; chunk it here
-                it = iter(rows)
-                while True:
-                    part = list(islice(it, size))
-                    if not part:
-                        break
+            for chunk in rows.chunks:
+                if chunk:
                     stats.batches_emitted += 1
-                    yield Batch(part)
+                    yield Batch(chunk)
 
     def vector_note(self) -> str:
         return "vec:gather" if self.kind == "gather" else ""

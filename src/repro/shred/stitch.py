@@ -96,7 +96,7 @@ class StitchNest(PlanNode):
         as_attr = self.as_attr
         empty: frozenset = frozenset()
         stats = rt.stats
-        for x in self._input(self.outer, rt):
+        for x in self.outer.stream(rt):
             stats.tuples_visited += 1
             group = groups.get(x)
             yield x.update_except(
@@ -111,7 +111,10 @@ class StitchNest(PlanNode):
         empty: frozenset = frozenset()
         stats = rt.stats
         get = groups.get
+        check = rt.check_deadline if rt.deadline is not None else None
         for batch in self.outer.stream_batches(rt):
+            if check is not None:
+                check()
             rows = batch.rows
             stats.tuples_visited += len(rows)
             out = []

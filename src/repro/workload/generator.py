@@ -98,37 +98,6 @@ def generate_flat(
     return sorted(rows, key=lambda t: tuple(t[a] for a in attrs))
 
 
-def generate_join_database(
-    nx: int,
-    ny: int,
-    x_domain: int,
-    y_domain: int,
-    seed: int = 0,
-    page_size: int = 512,
-) -> Database:
-    """A *paged* two-extent join workload: ``X(a, v)`` probes, ``Y(d, w)``
-    builds, integer keys drawn from separate domains so the match rate is
-    ``min(x_domain, y_domain) / x_domain``-ish and controllable.
-
-    Unlike :func:`generate_xy` (an in-memory store whose extents are
-    frozensets with hash-scattered iteration order), records here live on
-    heap pages in insertion order — the storage layout the batched scan
-    path (PR 8) feeds from, and the layout real scans have."""
-    from repro.datamodel.schema import Schema
-    from repro.datamodel.types import INT
-
-    schema = Schema()
-    schema.add_class("X", "X", {"a": INT, "v": INT})
-    schema.add_class("Y", "Y", {"d": INT, "w": INT})
-    db = Database(schema.freeze(), page_size=page_size)
-    rng = random.Random(seed)
-    for i in range(nx):
-        db.insert("X", {"a": rng.randrange(x_domain), "v": i})
-    for i in range(ny):
-        db.insert("Y", {"d": rng.randrange(y_domain), "w": i})
-    return db
-
-
 def generate_xy(
     nx: int,
     ny: int,

@@ -339,7 +339,7 @@ class TestRuntimeIntegration:
             expected = k % 2 == 0
             assert rt.eval(expr, env) is expected
 
-    def test_compile_exprs_off_matches_compiled_results(self, db):
+    def test_compiled_results_match_interpreter(self, db):
         from repro.engine.planner import Executor
 
         expr = B.sel(
@@ -348,6 +348,4 @@ class TestRuntimeIntegration:
                      B.eq(B.attr(X, "a"), B.attr(Y, "d"))),
             B.extent("X"),
         )
-        on = Executor(db).execute(expr)
-        off = Executor(db, compile_exprs=False).execute(expr)
-        assert on == off == Interpreter(db).eval(expr)
+        assert Executor(db).execute(expr) == Interpreter(db).eval(expr)

@@ -412,7 +412,7 @@ class TestServiceModes:
         assert want
         with QueryService(db, types, catalog, snapshot_isolation=False) as svc:
             assert svc.execute(text, params).rows == want
-            # a deadline forces the tuple-mode engine
+            # a deadline-bound run drains the same batch plan, polled per batch
             assert svc.execute(text, params, timeout=30.0).rows == want
             analyzed = svc.execute(text, params, analyze=True)
             assert analyzed.rows == want

@@ -7,7 +7,9 @@ input), and must stay exact on heterogeneous row shapes.
 
 import pytest
 
+from repro.adl import builders as B
 from repro.datamodel import VTuple
+from repro.engine.interpreter import Interpreter
 from repro.engine.plan import ExecRuntime, NestOp, Scan
 from repro.engine.stats import Stats
 from repro.storage import MemoryDatabase
@@ -56,14 +58,11 @@ class TestNestBatchParity:
         assert _snap(stats) == _snap(oracle_stats)
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_compile_exprs_off_row_path_matches(self, batch_size):
-        want = nest().execute(ExecRuntime(uniform_db(), Stats()))
-        got = nest().execute(
-            ExecRuntime(
-                uniform_db(), Stats(), batch_size=batch_size, compile_exprs=False
-            )
-        )
-        assert got == want
+    @pytest.mark.parametrize("db_factory", [uniform_db, hetero_db], ids=["uniform", "hetero"])
+    def test_rows_match_interpreter(self, db_factory, batch_size):
+        db = db_factory()
+        want = Interpreter(db).eval(B.nest(B.extent("R"), ("v",), "vs"))
+        assert nest().execute(ExecRuntime(db, Stats(), batch_size=batch_size)) == want
 
     def test_empty_input(self):
         db = MemoryDatabase({"R": []})

@@ -55,10 +55,10 @@ class TestStats:
 
 
 class TestRuntimeErrorPaths:
-    def test_eval_pred_requires_boolean(self, db):
+    def test_compiled_pred_requires_boolean(self, db):
         rt = ExecRuntime(db, Stats())
         with pytest.raises(EvaluationError, match="non-boolean"):
-            rt.eval_pred(B.lit(1), {})
+            rt.compiled_pred(B.lit(1))({})
 
     def test_interpreter_rejects_unknown_nodes(self, db):
         class Rogue(A.Expr):

@@ -1,8 +1,8 @@
-"""Streaming/materialized parity: for every physical operator class, the
-streaming interface (``iterate``) and the materializing wrapper
-(``execute``) must produce the same set AND the same work counters, and
-the pre-streaming baseline engine (``ExecRuntime(materialized=True,
-compile_exprs=False)``) must agree on the result set."""
+"""Streaming parity: for every physical operator class, the streaming
+interface (``iterate``) and the materializing wrapper (``execute``) must
+produce the same set AND the same work counters, and the result must equal
+the reference :class:`Interpreter`'s evaluation of the operator's logical
+ADL form."""
 
 import pytest
 
@@ -32,6 +32,7 @@ from repro.engine.plan import (
     SetOp,
     UnnestOp,
 )
+from repro.engine.interpreter import Interpreter
 from repro.engine.planner import Executor
 from repro.engine.stats import Stats
 from repro.shard import Exchange, PartitionedHashJoin, PartitionedScan, ShardRef
@@ -270,6 +271,77 @@ CASES["MembershipHashJoin-emitting"] = (
 )
 
 
+
+# the logical ADL form of every case above — what the reference
+# interpreter evaluates as the oracle
+X_EXT, Y_EXT = B.extent("X"), B.extent("Y")
+PID_IN_PARTS = B.member(B.attr(B.var("p"), "pid"), B.attr(B.var("s"), "parts"))
+LOGICAL_JOINS = {
+    "join": B.join(X_EXT, Y_EXT, "x", "y", EQ),
+    "semijoin": B.semijoin(X_EXT, Y_EXT, "x", "y", EQ),
+    "antijoin": B.antijoin(X_EXT, Y_EXT, "x", "y", EQ),
+    "outerjoin": B.outerjoin(X_EXT, Y_EXT, "x", "y", EQ, ("d", "e")),
+    "nestjoin": B.nestjoin(X_EXT, Y_EXT, "x", "y", EQ, "ys"),
+}
+LOGICAL_EMITTING = B.flatten(
+    B.amap("x", B.amap("y", EMIT, B.sel("y", EQ, Y_EXT)), X_EXT)
+)
+X_A_GT_1 = B.sel("x", B.gt(B.attr(B.var("x"), "a"), 1), X_EXT)
+LOGICAL = {
+    "Scan": X_EXT,
+    "EvalExpr": X_A_GT_1,
+    "Filter": X_A_GT_1,
+    "MapOp": B.amap("x", B.tup(v=B.attr(B.var("x"), "a")), X_EXT),
+    "ProjectOp": B.project(X_EXT, "a"),
+    "RenameOp": B.rename(X_EXT, a="z"),
+    "UnnestOp": B.unnest(B.extent("NESTED"), "ms"),
+    "NestOp": B.nest(Y_EXT, ("e",), "es"),
+    "FlattenOp": B.flatten(B.extent("SETS")),
+    "SetOp-union": B.union(Y_EXT, B.extent("Y2")),
+    "SetOp-intersect": B.intersect(Y_EXT, B.extent("Y2")),
+    "SetOp-difference": B.difference(Y_EXT, B.extent("Y2")),
+    "CartesianProduct": B.cart(X_EXT, Y_EXT),
+    "DivisionOp": B.division(B.extent("DIV"), B.extent("DIVISOR")),
+    "SortMergeNestJoin": B.nestjoin(X_EXT, Y_EXT, "x", "y", EQ, "g"),
+    "MaterializeOp": B.materialize(
+        B.extent("SUPPLIER"), "parts_supplied", "objs", "Part"
+    ),
+    "MembershipHashJoin-left-set": B.semijoin(
+        B.extent("S"), B.extent("P"), "s", "p", PID_IN_PARTS
+    ),
+    "MembershipHashJoin-right-set": B.join(
+        B.extent("P"), B.extent("S"), "p", "s", PID_IN_PARTS
+    ),
+    "MembershipHashJoin-emitting": B.flatten(
+        B.amap(
+            "s",
+            B.amap(
+                "p",
+                B.tup(s=B.attr(B.var("s"), "s"), pid=B.attr(B.var("p"), "pid")),
+                B.sel("p", PID_IN_PARTS, B.extent("P")),
+            ),
+            B.extent("S"),
+        )
+    ),
+    "IndexScan": B.sel("x", B.eq(B.attr(B.var("x"), "a"), 1), X_EXT),
+    "HashJoinBase-build-left": LOGICAL_JOINS["join"],
+    "PartitionedScan": X_EXT,
+    "Exchange-gather": X_EXT,
+    "Exchange-broadcast": Y_EXT,
+    "Exchange-repartition": Y_EXT,
+    "PartitionedHashJoin": LOGICAL_JOINS["join"],
+    "Exchange-gather-join": LOGICAL_JOINS["join"],
+    "StitchNest": LOGICAL_JOINS["nestjoin"],
+    "NestedLoopJoin-emitting": LOGICAL_EMITTING,
+    "HashJoinBase-emitting-build-left": LOGICAL_EMITTING,
+    "HashJoinBase-emitting-build-right": LOGICAL_EMITTING,
+    "IndexNestedLoopJoin-emitting": LOGICAL_EMITTING,
+}
+for impl in ("NestedLoopJoin", "HashJoinBase", "IndexNestedLoopJoin"):
+    for kind, logical in LOGICAL_JOINS.items():
+        LOGICAL[f"{impl}-{kind}"] = logical
+
+
 class TestIterateExecuteParity:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_same_result_and_counters(self, name):
@@ -286,15 +358,13 @@ class TestIterateExecuteParity:
         assert stream_stats.snapshot() == exec_stats.snapshot(), name
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_baseline_engine_agrees(self, name):
-        """The materializing + interpreted engine computes the same set."""
+    def test_interpreter_agrees(self, name):
+        """The reference interpreter computes the same set from the
+        operator's logical form (every case has one)."""
         factory, db_factory = CASES[name]
         db = db_factory()
-        baseline = factory().execute(
-            ExecRuntime(db, Stats(), materialized=True, compile_exprs=False)
-        )
         streaming = factory().execute(ExecRuntime(db, Stats()))
-        assert baseline == streaming, name
+        assert streaming == Interpreter(db).eval(LOGICAL[name]), name
 
     def test_every_plan_node_class_is_covered(self):
         """Future operator classes must join the parity matrix."""
@@ -362,16 +432,6 @@ class TestStreamingBehaviour:
         expr = B.sel("x", B.gt(B.attr(B.var("x"), "a"), 1), B.extent("X"))
         executor = Executor(db)
         assert frozenset(executor.iterate(expr)) == executor.execute(expr)
-
-    def test_materialized_runtime_still_streams_nothing(self):
-        """Baseline mode consumes children via execute() — results equal."""
-        db = flat_db()
-        plan = Filter(
-            "x", B.gt(B.attr(B.var("x"), "a"), 1),
-            MapOp("x", B.var("x"), Scan("X")),
-        )
-        baseline = plan.execute(ExecRuntime(db, Stats(), materialized=True))
-        assert baseline == plan.execute(ExecRuntime(db, Stats()))
 
 
 class TestRenameMissingAttribute:

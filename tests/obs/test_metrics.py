@@ -1,6 +1,6 @@
 """The unified metrics registry, slow-query log, and misestimate store
 (PR 10): units, the service wiring, the Prometheus export, and the PR-7
-``epoch_mismatches`` compatibility view over the migrated store."""
+epoch-mismatch records on the misestimate store."""
 
 import json
 
@@ -86,10 +86,11 @@ def test_misestimate_store_bounds_and_views():
                  est_rows=10, actual_rows=20)
     store.record("s3", kind="operator")
     assert len(store.shapes()) == 2  # LRU-evicted down to max_shapes
-    view = store.epoch_mismatch_view()
-    # epoch-mismatch records render with exactly the PR-7 keys
-    assert view == [] or set(view[0]) == {
-        "shape", "planned_epoch", "executed_epoch", "est_rows", "actual_rows",
+    # s1 was evicted; the epoch-mismatch record keeps every field it was given
+    (rec,) = store.records("epoch-mismatch")
+    assert rec == {
+        "shape": "s2", "kind": "epoch-mismatch", "planned_epoch": 1,
+        "executed_epoch": 2, "est_rows": 10, "actual_rows": 20,
     }
 
 
@@ -145,9 +146,9 @@ def test_service_metrics_surface():
         assert stats["misestimates"] == 0
 
 
-def test_epoch_mismatch_migration_compat_view():
-    """Satellite: epoch mismatches now land on the misestimate store;
-    ``stats()['epoch_mismatches']`` still serves the PR-7 records."""
+def test_epoch_mismatch_lands_on_misestimate_store():
+    """Epoch mismatches are ``kind="epoch-mismatch"`` records on the
+    misestimate store — one estimate-feedback surface."""
     db = _db()
     with QueryService(db) as svc:
         svc.execute(QUERY)  # compiles at the current epoch
@@ -156,10 +157,8 @@ def test_epoch_mismatch_migration_compat_view():
         assert r.cache_hit
         stats = svc.stats()
         assert stats["epoch_mismatch_runs"] >= 1
-        rec = stats["epoch_mismatches"][-1]
+        rec = svc.misestimates.records("epoch-mismatch")[-1]
+        assert rec["shape"] == r.shape
         assert rec["planned_epoch"] < rec["executed_epoch"]
         assert rec["actual_rows"] == len(r.rows)
-        # the same record is a kind="epoch-mismatch" store entry
-        entries = svc.misestimates.records("epoch-mismatch")
-        assert entries and entries[-1]["shape"] == r.shape
         assert svc.metrics_snapshot()["repro_misestimates"] >= 1

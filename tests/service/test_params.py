@@ -139,25 +139,18 @@ def test_compiled_unbound_param_raises():
         fn({})
 
 
-def test_exec_runtime_shares_params_across_engines():
+def test_exec_runtime_params_match_interpreter():
     db = _db()
     expr = _filter_expr()
-    for compile_exprs in (True, False):
-        rt = ExecRuntime(db, compile_exprs=compile_exprs, params={"k": 1})
-        assert rt.eval(expr) == evaluate(expr, db, params={"k": 1})
+    rt = ExecRuntime(db, params={"k": 1})
+    assert rt.eval(expr) == evaluate(expr, db, params={"k": 1})
 
 
-def test_executor_param_passthrough_streaming_and_materialized():
+def test_executor_param_passthrough():
     db = _db()
     expr = _filter_expr()
     oracle = evaluate(expr, db, params={"k": 4})
     assert Executor(db).execute(expr, params={"k": 4}) == oracle
-    assert (
-        Executor(db, materialized=True, compile_exprs=False).execute(
-            expr, params={"k": 4}
-        )
-        == oracle
-    )
 
 
 def test_executor_iterate_streams_with_params():

@@ -177,7 +177,7 @@ def test_epoch_mismatch_records_estimate_delta():
         assert r.cache_hit
         stats = svc.stats()
         assert stats["epoch_mismatch_runs"] >= 1
-        rec = stats["epoch_mismatches"][-1]
+        rec = svc.misestimates.records("epoch-mismatch")[-1]
         assert rec["planned_epoch"] < rec["executed_epoch"]
         assert rec["actual_rows"] == len(r.rows)
 

@@ -12,10 +12,16 @@ import time
 
 import pytest
 
+from repro.adl import ast as A
+from repro.adl import builders as B
 from repro.datamodel import VTuple
 from repro.datamodel.errors import QueryTimeoutError, ServiceError
+from repro.engine.plan import ExecRuntime, Filter, HashJoinBase, NestOp, Scan
+from repro.engine.stats import Stats
 from repro.faults import FaultPlan, RetryPolicy
 from repro.service import QueryService
+from repro.shard import PartitionedScan
+from repro.shred import StitchNest
 from repro.storage import Catalog, MemoryDatabase
 
 #: non-equality correlated predicate with no matches: the optimizer keeps
@@ -31,6 +37,52 @@ def slow_db(n=1500):
         "X": [VTuple(a=i, i=i) for i in range(n)],
         "Y": [VTuple(d=i, w=i % 7) for i in range(n)],
     })
+
+
+def big_db(n=4000):
+    return MemoryDatabase({
+        "X": [VTuple(a=i, v=i % 100, i=i) for i in range(n)],
+        "Y": [VTuple(d=i, w=i % 7) for i in range(n)],
+    })
+
+
+class _ExpiringDatabase:
+    """X's rows come from a generator that moves the runtime's deadline
+    into the past after ``expire_after`` rows and counts the rows still
+    pulled from there on — the engine's overshoot.  ``extent`` hands out
+    the same generator, so a ``PartitionedScan`` (no deadline poll of its
+    own) streams it too."""
+
+    def __init__(self, db, expire_after):
+        self._db = db
+        self.expire_after = expire_after
+        self.rt = None
+        self.overshoot = 0
+
+    def scan(self, name):
+        rows = self._db.extent(name)
+        return self._expiring(rows) if name == "X" else iter(rows)
+
+    extent = scan
+
+    def _expiring(self, rows):
+        for n, row in enumerate(rows):
+            if n == self.expire_after:
+                self.rt.deadline = time.monotonic() - 1
+            if n >= self.expire_after:
+                self.overshoot += 1
+            yield row
+
+
+NO_ROWS = Filter("y", B.lt(B.attr(B.var("y"), "d"), 0), Scan("Y"))
+
+
+def _hash_join(left, right):
+    return HashJoinBase(
+        "join", "x", "y",
+        (B.attr(B.var("x"), "a"),), (B.attr(B.var("y"), "d"),),
+        A.Literal(True), left, right,
+    )
 
 
 def co_partitioned_db(n=2500, parts=4):
@@ -92,6 +144,49 @@ class TestSerialDeadlines:
                 stmt.execute({"k": -1}, timeout=0.1)
             res = stmt.execute({"k": 1}, timeout=30.0)
             assert isinstance(res.rows, frozenset)
+
+
+class TestDeadlineRunsTheBatchPlan:
+    """A deadline never switches engines: a ``timeout=``-carrying run
+    executes the same batch plan, polled once per batch."""
+
+    def test_timeout_run_reports_batches_and_oracle_rows(self):
+        db, catalog = co_partitioned_db(n=600)
+        with QueryService(db, catalog=catalog) as svc:
+            plain = svc.execute(PARALLEL_QUERY, {"m": 3})
+            timed = svc.execute(PARALLEL_QUERY, {"m": 3}, timeout=30.0)
+            assert timed.cache_hit
+            assert timed.stats["batches_emitted"] > 0
+            assert timed.rows == frozenset(i for i in range(600) if i % 7 < 3)
+            # same cached plan, same engine: the whole work profile agrees
+            assert timed.stats == plain.stats
+            assert svc.stats()["batch"]["batch_runs"] == 2
+
+    @pytest.mark.parametrize("expire_after", [0, 1000], ids=["expired", "mid-scan"])
+    @pytest.mark.parametrize("shape", ["scan-filter-join", "hash-probe", "nest", "stitch"])
+    def test_deadline_overshoots_at_most_one_batch(self, shape, expire_after):
+        """Once the deadline passes, at most the batch in flight is still
+        pulled: through Scan → Filter → HashJoin, and by each batch-native
+        operator over a child with no poll of its own."""
+        db = _ExpiringDatabase(big_db(), expire_after)
+        unpolled = PartitionedScan("X", "a", 4)
+        plan = {
+            "scan-filter-join": lambda: _hash_join(
+                Filter("x", B.ge(B.attr(B.var("x"), "v"), 0), Scan("X")), Scan("Y")
+            ),
+            # an empty build side: no output batch ever reaches the drain
+            "hash-probe": lambda: _hash_join(unpolled, NO_ROWS),
+            "nest": lambda: NestOp(("i",), "is", unpolled),
+            "stitch": lambda: StitchNest(
+                "x", "y", "ys", A.Var("y"), ("a", "v", "i"), unpolled, NO_ROWS
+            ),
+        }[shape]()
+        deadline = time.monotonic() + (60 if expire_after else -1)
+        db.rt = ExecRuntime(db, Stats(), deadline=deadline, batch_size=256)
+        with pytest.raises(QueryTimeoutError):
+            plan.execute(db.rt)
+        assert db.overshoot <= 256
+        assert db.overshoot > 0 or not expire_after
 
 
 class TestParallelDeadlines:

@@ -39,6 +39,7 @@ from repro.shard import (
     PartitionedScan,
 )
 from repro.shard.fragment import (
+    ChunkedRows,
     LEFT_PLACEHOLDER,
     RIGHT_PLACEHOLDER,
     ShardRef,
@@ -67,11 +68,11 @@ def _gather(strategy, bindings, left, right, parts=PARTS):
     return Exchange("gather", join, parts)
 
 
-def co_partitioned():
+def co_partitioned(n=90, keys=12):
     """X(a) co-partitioned with Y(d): the stored-shard fast path."""
     db = MemoryDatabase({
-        "X": [VTuple(a=i % 12, v=i % 5, i=i) for i in range(90)],
-        "Y": [VTuple(d=i % 12, w=i) for i in range(90)],
+        "X": [VTuple(a=i % keys, v=i % 5, i=i) for i in range(n)],
+        "Y": [VTuple(d=i % keys, w=i) for i in range(n)],
     })
     catalog = Catalog(db)
     catalog.analyze()
@@ -140,9 +141,10 @@ strategy_param = pytest.mark.parametrize("strategy", sorted(STRATEGIES))
 mode_param = pytest.mark.parametrize("mode", ["inline", "process"])
 
 
-def _run(db, catalog, plan, parallel, deadline=None):
+def _run(db, catalog, plan, parallel, deadline=None, batch_size=None):
     stats = Stats()
-    rt = ExecRuntime(db, stats, catalog=catalog, parallel=parallel, deadline=deadline)
+    rt = ExecRuntime(db, stats, catalog=catalog, parallel=parallel,
+                     deadline=deadline, batch_size=batch_size)
     rows = plan.execute(rt)
     return rows, stats, rt.fault_events
 
@@ -210,6 +212,51 @@ class TestFaultMatrix:
             parallel.inject(None)
             rows, _, _ = _run(db, catalog, plan, parallel)
             assert rows == oracle
+
+    @mode_param
+    def test_deadline_carrying_fragments_ship_chunked_rows(self, mode):
+        """A deadline does not change the fragment contract: batch-mode
+        fragments ship ``ChunkedRows`` and the gather reports the same
+        counters (``batches_emitted`` included) as a no-deadline run."""
+        db, catalog, plan = co_partitioned()
+        oracle = Executor(db, catalog=catalog).execute(JOIN)
+        specs = plan.child.payloads(batch_size=16)
+        with ParallelExecutor(db, catalog, workers=PARTS, mode=mode,
+                              retry_policy=FAST) as parallel:
+            shipped = parallel.run_fragments(specs, deadline=time.monotonic() + 60)
+            assert all(isinstance(rows, ChunkedRows) for rows, _ in shipped)
+            snapshots = []
+            for deadline in (None, time.monotonic() + 60):
+                rows, stats, _ = _run(db, catalog, plan, parallel, deadline, 16)
+                assert rows == oracle
+                snapshots.append(stats.snapshot())
+        assert snapshots[0] == snapshots[1]
+        assert snapshots[1]["batches_emitted"] > 0
+
+    @mode_param
+    def test_expired_deadline_raises_then_recovers(self, mode):
+        db, catalog, plan = co_partitioned()
+        oracle = Executor(db, catalog=catalog).execute(JOIN)
+        with ParallelExecutor(db, catalog, workers=PARTS, mode=mode,
+                              retry_policy=FAST) as parallel:
+            with pytest.raises(QueryTimeoutError):
+                _run(db, catalog, plan, parallel, time.monotonic() - 1, 16)
+            assert parallel.timeouts == 1
+            assert _run(db, catalog, plan, parallel, batch_size=16)[0] == oracle
+
+    def test_deadline_expiring_mid_fragment_raises(self):
+        """No injected fault: the fragments' own work outlives the budget
+        (a 250k-pair join per fragment) and the per-batch polls stop it.
+        Inline only — on the pool the workers' own polls fire at the very
+        moment the coordinator terminates them."""
+        db, catalog, plan = co_partitioned(n=1500, keys=3)
+        with ParallelExecutor(db, catalog, workers=PARTS, mode="inline",
+                              retry_policy=FAST) as parallel:
+            start = time.monotonic()
+            with pytest.raises(QueryTimeoutError):
+                _run(db, catalog, plan, parallel, time.monotonic() + 0.02, 256)
+            assert time.monotonic() - start < 5.0
+            assert parallel.timeouts == 1
 
     def test_crash_recovery_preserves_stats_accounting(self):
         """Failed attempts contribute zero statistics: a crash-recovered
