@@ -9,7 +9,7 @@ that construction close to the paper's notation::
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.adl import ast as A
 from repro.datamodel.values import Value
@@ -109,15 +109,31 @@ def mul(left: ExprLike, right: ExprLike) -> A.Arith:
 
 # -- boolean connectives -------------------------------------------------------
 
+def conjuncts(pred: A.Expr) -> List[A.Expr]:
+    """The conjuncts of ``pred``, left to right (any ``And`` nesting)."""
+    if isinstance(pred, A.And):
+        return conjuncts(pred.left) + conjuncts(pred.right)
+    return [pred]
+
+
+def conjoin(parts: Sequence[A.Expr]) -> A.Expr:
+    """Right-nested conjunction of ``parts``; the empty list is ``true``.
+
+    The one inverse of :func:`conjuncts` — the rewriter, the join-order
+    search and the planner all rebuild predicates through it, so the
+    ``And`` shape (and with it pretty-printed plans and plan-cache keys)
+    is decided here."""
+    if not parts:
+        return A.Literal(True)
+    out = parts[-1]
+    for part in reversed(parts[:-1]):
+        out = A.And(part, out)
+    return out
+
+
 def conj(*preds: ExprLike) -> A.Expr:
     """Right-nested conjunction; ``conj()`` is ``true``."""
-    exprs = [lift(p) for p in preds]
-    if not exprs:
-        return A.Literal(True)
-    out = exprs[-1]
-    for p in reversed(exprs[:-1]):
-        out = A.And(p, out)
-    return out
+    return conjoin([lift(p) for p in preds])
 
 
 def disj(*preds: ExprLike) -> A.Expr:

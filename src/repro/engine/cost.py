@@ -643,6 +643,35 @@ class CostModel:
             + self._dispatch(out_rows)
         )
 
+    def index_join_cost(
+        self,
+        probe: Estimate,
+        named,
+        pair_conjuncts: int,
+        out_rows: Optional[float] = None,
+    ) -> float:
+        """The full price of an index nested-loop join probing the
+        registered index ``named`` — the one place it is computed, for the
+        planner's candidate and the join-order DP alike.
+
+        Fan-out per probe comes from the indexed attribute's distinct
+        count, else from the index as built.  The index fetches
+        *unfiltered* matches; ``pair_conjuncts`` leftover / pushed-down
+        conjuncts are then evaluated per fetched pair.  ``out_rows``, when
+        given, additionally charges output rows beyond the fetched pairs.
+        """
+        stats = self.catalog.stats(named.extent)
+        if stats is not None and stats.distinct_count(named.attr):
+            fanout = stats.cardinality / stats.distinct_count(named.attr)
+        else:
+            fanout = named.built_cardinality / max(len(named.index), 1)
+        fetched = probe.rows * fanout
+        cost = self.index_nl_join_cost(probe, fetched)
+        cost += pair_conjuncts * fetched * PREDICATE_COST
+        if out_rows is not None:
+            cost += max(out_rows - fetched, 0.0)
+        return cost
+
     def nested_loop_cost(
         self, left: Estimate, right: Estimate, out_rows: float
     ) -> float:

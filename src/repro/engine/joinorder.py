@@ -42,14 +42,14 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.adl import ast as A
+from repro.adl.builders import conjoin, conjuncts
 from repro.adl.freevars import all_var_names, free_vars, fresh_name
 from repro.adl.subst import substitute
 from repro.engine.cost import (
     EQ_SELECTIVITY,
-    PREDICATE_COST,
     RESIDUAL_SELECTIVITY,
     CostModel,
     Estimate,
@@ -69,21 +69,6 @@ MAX_BUSHY_LEAVES = 10
 
 class _Bail(Exception):
     """Extraction cannot prove the region safe to reorder — keep it."""
-
-
-def _conjuncts(pred: A.Expr) -> List[A.Expr]:
-    if isinstance(pred, A.And):
-        return _conjuncts(pred.left) + _conjuncts(pred.right)
-    return [pred]
-
-
-def _conjoin(parts: Sequence[A.Expr]) -> A.Expr:
-    if not parts:
-        return TRUE
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = A.And(part, out)
-    return out
 
 
 def _leaf_var(index: int) -> str:
@@ -226,7 +211,7 @@ class JoinGraph:
         them into index scans or index-join residuals."""
         for index, parts in self._pushed.items():
             leaf = self.leaves[index]
-            pred = _conjoin(
+            pred = conjoin(
                 [_untag(p, {index: leaf.var}) for p in parts]
             )
             leaf.expr = A.Select(leaf.var, pred, leaf.expr)
@@ -396,7 +381,7 @@ def _flatten_region(expr: A.Join, graph: JoinGraph) -> Tuple[FrozenSet[int], Sha
         expr.lvar: _owners_of(graph, left_ids),
         expr.rvar: _owners_of(graph, right_ids),
     }
-    for conjunct in _conjuncts(expr.pred):
+    for conjunct in conjuncts(expr.pred):
         if conjunct == TRUE:
             continue
         if not free_vars(conjunct) <= {expr.lvar, expr.rvar}:
@@ -501,9 +486,9 @@ class _Enumerator:
     def _inlj_cost(
         self, probe: Estimate, right_leaf: int, edges: List[JoinEdge], out_rows: float
     ) -> Optional[float]:
-        """Price an index nested-loop join probing ``right_leaf``'s extent,
-        mirroring the planner's candidate (a pushed-down selection over the
-        indexed extent rides along as a residual)."""
+        """Price an index nested-loop join probing ``right_leaf``'s extent
+        with the planner candidate's own formula (a pushed-down selection
+        over the indexed extent rides along as a residual)."""
         catalog = self.graph.catalog
         if catalog is None:
             return None
@@ -514,21 +499,20 @@ class _Enumerator:
             expr = expr.source
         if not isinstance(expr, A.ExtentRef):
             return None
-        stats = catalog.stats(expr.name)
         for edge in edges:
             attr = edge.right_attr if edge.right == right_leaf else edge.left_attr
             named = catalog.index_on(expr.name, attr)
             if named is None or named.multi:
                 continue
-            if stats is not None and stats.distinct_count(attr):
-                fanout = stats.cardinality / stats.distinct_count(attr)
-            else:
-                fanout = named.built_cardinality / max(len(named.index), 1)
-            fetched = probe.rows * fanout
-            cost = self.model.index_nl_join_cost(probe, fetched)
-            extra = len(edges) - 1 + (1 if filtered else 0)
-            cost += extra * fetched * PREDICATE_COST
-            return cost + max(out_rows - fetched, 0.0)
+            return self.model.index_join_cost(
+                probe,
+                named,
+                len(edges) - 1 + (1 if filtered else 0),
+                # the DP's subset estimate can exceed what the probes
+                # fetch; those rows are charged here (the planner's
+                # candidate prices the fetched pairs only)
+                out_rows=out_rows,
+            )
         return None
 
     def combine_cost(
@@ -745,7 +729,7 @@ def _emit(
         applied.add(pos)
         mapping = {i: (lvar if i in left_ids else rvar) for i in used}
         parts.append(_untag(tagged, mapping))
-    return A.Join(left_expr, right_expr, lvar, rvar, _conjoin(parts)), ids, "t"
+    return A.Join(left_expr, right_expr, lvar, rvar, conjoin(parts)), ids, "t"
 
 
 def emit_shape(graph: JoinGraph, shape: Shape) -> A.Expr:

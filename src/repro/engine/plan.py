@@ -2,10 +2,20 @@
 
 "It is better to transform nested queries into join queries, because join
 queries can be implemented in many different ways" (Section 7) — this
-module is the "many different ways": hash, index and nested-loop
-implementations of the join family, hash nestjoin, membership joins for
-``e ∈ x.parts``-style predicates, plus the pipeline operators (scan,
+module is the "many different ways", plus the pipeline operators (scan,
 filter, map, nest, unnest, project...).
+
+The join family keeps the paper's two decisions apart.  *What* a join
+means — join / semijoin / antijoin / outerjoin / nestjoin, i.e. what
+happens to dangling tuples and empty groups (Table 3, Fig. 2) — is
+written once, in :class:`_JoinNode`'s tuple-mode emission loop.  *How*
+candidates are found is a strategy, and a strategy is only an ``_open``:
+:class:`NestedLoopJoin` (every right tuple), :class:`HashJoinBase` (hash
+table on either operand's keys), :class:`MembershipHashJoin` (``e ∈
+x.parts``-style predicates) and :class:`IndexNestedLoopJoin` (a
+registered catalog index).  A new strategy adds an ``_open``, not a loop;
+a change to a kind's semantics is one edit (two with the hash join's
+batch-native probe).
 
 Streaming execution
 ===================
@@ -92,7 +102,7 @@ from __future__ import annotations
 import os
 import time
 from itertools import chain, compress, islice
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.adl import ast as A
 from repro.datamodel.errors import EvaluationError, MissingAttributeError, PlanError
@@ -985,7 +995,7 @@ class SetOp(PlanNode):
 
 
 # ---------------------------------------------------------------------------
-# Join family — nested loop fallbacks
+# Join family — one emission loop, four ways to open it
 # ---------------------------------------------------------------------------
 
 JOIN_KINDS = ("join", "semijoin", "antijoin", "outerjoin", "nestjoin")
@@ -1000,11 +1010,11 @@ def _join_tail(
     as_attr: Optional[str],
 ) -> Optional[Value]:
     """The per-left-tuple emission after match iteration, shared by the
-    join family's nested-loop, hash, membership and index
-    implementations: semijoin/antijoin emit the bare left tuple on (no)
-    match, outerjoin null-pads dangling tuples, nestjoin always attaches
-    its collected group.  ``None`` means "emit nothing" (plain joins
-    already emitted pairs during iteration)."""
+    tuple loop (:meth:`_JoinNode.iterate`) and the hash join's batch
+    probe: semijoin/antijoin emit the bare left tuple on (no) match,
+    outerjoin null-pads dangling tuples, nestjoin always attaches its
+    collected group.  ``None`` means "emit nothing" (plain joins already
+    emitted pairs during iteration)."""
     if kind == "semijoin":
         return x if matched else None
     if kind == "antijoin":
@@ -1016,25 +1026,117 @@ def _join_tail(
     return None
 
 
-def _emit_note(node) -> str:
-    """``describe()`` suffix of an *emitting* join: a plain ``join`` whose
-    ``result`` is set emits ``result(x, y)`` per matching pair instead of
-    ``x ∘ y`` — how the planner runs a flat from-clause select (see
-    :func:`repro.engine.cost.flat_join`)."""
-    if node.kind != "join" or node.result is None:
-        return ""
-    from repro.adl.pretty import pretty
-
-    return f" ; emits {pretty(node.result)}"
+#: What a strategy's ``_open`` hands the emission loop: the operand to
+#: stream, the variable its rows bind, the variable candidates bind, and
+#: ``candidates(row)`` — the rows that may pair with ``row``.
+Opened = Tuple[PlanNode, str, str, Callable[[VTuple], Iterable[VTuple]]]
 
 
-class NestedLoopJoin(PlanNode):
-    """Generic nested-loop implementation of the whole join family.
+class _JoinNode(PlanNode):
+    """The join family's *kind* semantics, written once.
+
+    The paper separates what a join means (join / semijoin / antijoin /
+    outerjoin / nestjoin — Table 3's dangling-tuple and empty-set
+    behaviour) from how it is evaluated (Section 7's "many different
+    ways").  This base owns the first: the shared fields, the kind check
+    and :meth:`iterate`, the one tuple-mode loop that applies the
+    residual, emits ``result(x, y)`` / ``x ∘ y`` pairs, stops a semijoin
+    at its first match, collects a nestjoin's group and null-pads an
+    outerjoin's dangling tuples.  A subclass is one *strategy* and
+    supplies only :meth:`_open` — what it builds, and where the candidate
+    partners of one streamed row come from, with the strategy's own work
+    counters.  (Underscore-named: never planned or instantiated itself.)
+    """
+
+    def __init__(
+        self,
+        kind: str,
+        lvar: str,
+        rvar: str,
+        left: PlanNode,
+        right: Optional[PlanNode],
+        as_attr: Optional[str],
+        result: Optional[A.Expr],
+        right_attrs: Tuple[str, ...],
+    ) -> None:
+        if kind not in JOIN_KINDS:
+            raise PlanError(f"unknown join kind {kind!r}")
+        self.kind = kind
+        self.lvar = lvar
+        self.rvar = rvar
+        self.left = left
+        self.right = right
+        self.as_attr = as_attr
+        self.result = result
+        self.right_attrs = right_attrs
+
+    def children(self):
+        return (self.left, self.right)
+
+    def _emit_note(self) -> str:
+        """``describe()`` suffix of an *emitting* join: a plain ``join``
+        whose ``result`` is set emits ``result(x, y)`` per matching pair
+        instead of ``x ∘ y`` — how the planner runs a flat from-clause
+        select (see :func:`repro.engine.cost.flat_join`)."""
+        if self.kind != "join" or self.result is None:
+            return ""
+        from repro.adl.pretty import pretty
+
+        return f" ; emits {pretty(self.result)}"
+
+    def _open(self, rt: ExecRuntime, env: Dict[str, Value]) -> Opened:
+        """Strategy hook: do the build work (counted) and return the
+        :data:`Opened` description.  ``env`` is the loop's environment —
+        the streamed row is already bound in it when ``candidates`` runs."""
+        raise NotImplementedError
+
+    def _residual(self, rt: ExecRuntime) -> Optional[Callable]:
+        """The per-candidate predicate, ``None`` when trivially true."""
+        if self.residual == A.Literal(True):
+            return None
+        return rt.compiled_pred(self.residual)
+
+    def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
+        env: Dict[str, Value] = {}
+        outer, outer_var, inner_var, candidates = self._open(rt, env)
+        residual = self._residual(rt)
+        result = rt.compiled(self.result) if self.result is not None else None
+        null_pad = VTuple({a: None for a in self.right_attrs})
+        kind, lvar, rvar, as_attr = self.kind, self.lvar, self.rvar, self.as_attr
+        emits_pairs = kind in ("join", "outerjoin")
+        stats = rt.stats
+        # ``outer`` is the left operand except for a plain join hashed on
+        # its left (orientation-independent output, no tail), so ``x`` is
+        # the left tuple wherever the tail needs it
+        for x in outer.stream(rt):
+            env[outer_var] = x
+            matched = False
+            group = set() if kind == "nestjoin" else ()
+            for y in candidates(x):
+                env[inner_var] = y
+                if residual is not None and not residual(env):
+                    continue
+                matched = True
+                if emits_pairs:
+                    stats.output_tuples += 1
+                    yield concat(env[lvar], env[rvar]) if result is None else result(env)
+                elif kind == "semijoin":
+                    break
+                elif kind == "nestjoin":
+                    group.add(result(env))
+            tail = _join_tail(kind, x, matched, group, null_pad, as_attr)
+            if tail is not None:
+                stats.output_tuples += 1
+                yield tail
+
+
+class NestedLoopJoin(_JoinNode):
+    """Nested loops: every right tuple is a candidate for every left one.
 
     The baseline the paper wants to escape; kept as the fallback for
     non-equi predicates and as the comparison point in benchmarks.  The
     left operand streams; the right operand is materialized once (it is
-    re-iterated per left tuple).
+    re-iterated per left tuple, one ``tuples_visited`` per pair looked at).
     """
 
     break_note = "materializes right"
@@ -1051,77 +1153,48 @@ class NestedLoopJoin(PlanNode):
         result: Optional[A.Expr] = None,
         right_attrs: Tuple[str, ...] = (),
     ) -> None:
-        if kind not in JOIN_KINDS:
-            raise PlanError(f"unknown join kind {kind!r}")
-        self.kind = kind
-        self.lvar = lvar
-        self.rvar = rvar
+        super().__init__(kind, lvar, rvar, left, right, as_attr, result, right_attrs)
         self.pred = pred
-        self.left = left
-        self.right = right
-        self.as_attr = as_attr
-        self.result = result
-        self.right_attrs = right_attrs
         self.label = f"NestedLoop({kind})"
-
-    def children(self):
-        return (self.left, self.right)
 
     def describe(self) -> str:
         from repro.adl.pretty import pretty
 
-        return f"{self.lvar},{self.rvar}: {pretty(self.pred)}" + _emit_note(self)
+        return f"{self.lvar},{self.rvar}: {pretty(self.pred)}" + self._emit_note()
 
-    def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
+    def _residual(self, rt: ExecRuntime) -> Callable:
+        # the whole predicate, evaluated (and counted) on every pair
+        return rt.compiled_pred(self.pred)
+
+    def _open(self, rt: ExecRuntime, env: Dict[str, Value]) -> Opened:
         right = self._consume(self.right, rt)
-        pred = rt.compiled_pred(self.pred)
-        result = rt.compiled(self.result) if self.result is not None else None
-        env: Dict[str, Value] = {}
-        null_pad = VTuple({a: None for a in self.right_attrs})
-        kind = self.kind
+        stats = rt.stats
         # the O(|L|*|R|) loop is the engine's worst case — check the
         # deadline once per outer tuple (hoisted: free when none is set)
         check = rt.check_deadline if rt.deadline is not None else None
-        for x in self.left.stream(rt):
+
+        def candidates(x: VTuple) -> Iterator[VTuple]:
             if check is not None:
                 check()
-            env[self.lvar] = x
-            matched = False
-            group = set()
             for y in right:
-                rt.stats.tuples_visited += 1
-                env[self.rvar] = y
-                if pred(env):
-                    matched = True
-                    if kind == "join" or kind == "outerjoin":
-                        rt.stats.output_tuples += 1
-                        yield concat(x, y) if result is None else result(env)
-                    elif kind == "semijoin":
-                        break
-                    elif kind == "nestjoin":
-                        group.add(result(env))
-            tail = _join_tail(kind, x, matched, group, null_pad, self.as_attr)
-            if tail is not None:
-                rt.stats.output_tuples += 1
-                yield tail
+                stats.tuples_visited += 1
+                yield y
+
+        return self.left, self.lvar, self.rvar, candidates
 
 
-# ---------------------------------------------------------------------------
-# Join family — hash implementations
-# ---------------------------------------------------------------------------
+class HashJoinBase(_JoinNode):
+    """Hash strategy: build a hash table on one operand's key expressions,
+    probe with the other's; a residual predicate filters candidate pairs.
+    The build side is the pipeline break; the probe side streams.
 
-
-class HashJoinBase(PlanNode):
-    """Shared machinery: build a hash table on one operand's key
-    expressions, probe with the other's; a residual predicate filters
-    candidate pairs.  The build side is the pipeline break; the probe side
-    streams.
-
-    ``build_side`` defaults to ``"right"`` (the PR-1 heuristic).  The
-    cost-based planner may flip it to ``"left"`` when the left operand is
-    the smaller input — only for the symmetric plain ``join`` kind, since
+    ``build_side`` defaults to ``"right"``.  The cost-based planner may
+    flip it to ``"left"`` when the left operand is the smaller input —
+    only for the symmetric plain ``join`` kind, since
     semijoin/antijoin/outerjoin/nestjoin semantics are anchored to the
-    left operand surviving tuple-at-a-time.
+    left operand surviving tuple-at-a-time.  Tuple mode runs the shared
+    emission loop with the operand roles swapped; batch mode
+    (:meth:`iterate_batches`) is this class's own native probe.
     """
 
     def __init__(
@@ -1139,8 +1212,7 @@ class HashJoinBase(PlanNode):
         right_attrs: Tuple[str, ...] = (),
         build_side: str = "right",
     ) -> None:
-        if kind not in JOIN_KINDS:
-            raise PlanError(f"unknown join kind {kind!r}")
+        super().__init__(kind, lvar, rvar, left, right, as_attr, result, right_attrs)
         if len(left_keys) != len(right_keys) or not left_keys:
             raise PlanError("hash join needs matching, non-empty key lists")
         if build_side not in ("left", "right"):
@@ -1149,21 +1221,10 @@ class HashJoinBase(PlanNode):
             raise PlanError(f"build side 'left' requires a symmetric join, not {kind!r}")
         self.build_side = build_side
         self.break_note = f"builds {build_side}"
-        self.kind = kind
-        self.lvar = lvar
-        self.rvar = rvar
         self.left_keys = left_keys
         self.right_keys = right_keys
         self.residual = residual
-        self.left = left
-        self.right = right
-        self.as_attr = as_attr
-        self.result = result
-        self.right_attrs = right_attrs
         self.label = f"HashJoin({kind})"
-
-    def children(self):
-        return (self.left, self.right)
 
     def describe(self) -> str:
         from repro.adl.pretty import pretty
@@ -1173,68 +1234,33 @@ class HashJoinBase(PlanNode):
         )
         if self.residual != A.Literal(True):
             keys += f" ; residual {pretty(self.residual)}"
-        return keys + _emit_note(self)
+        return keys + self._emit_note()
 
-    def _build(self, rt: ExecRuntime) -> Dict[Value, List[VTuple]]:
+    def _open(self, rt: ExecRuntime, env: Dict[str, Value]) -> Opened:
+        left = (self.left, self.left_keys, self.lvar)
+        right = (self.right, self.right_keys, self.rvar)
+        # only the symmetric plain join ever builds left
+        (build, build_keys, build_var), (probe, probe_keys, probe_var) = (
+            (left, right) if self.build_side == "left" else (right, left)
+        )
         table: Dict[Value, List[VTuple]] = {}
-        key_fns = [rt.compiled(k) for k in self.right_keys]
-        env: Dict[str, Value] = {}
-        for y in self._consume(self.right, rt):
-            env[self.rvar] = y
-            key = tuple(fn(env) for fn in key_fns)
-            table.setdefault(key, []).append(y)
-            rt.stats.hash_inserts += 1
-        return table
-
-    def _matcher(self, rt: ExecRuntime, table, env: Dict[str, Value]):
-        key_fns = [rt.compiled(k) for k in self.left_keys]
-        trivial_residual = self.residual == A.Literal(True)
-        residual = None if trivial_residual else rt.compiled_pred(self.residual)
-        lvar, rvar = self.lvar, self.rvar
+        key_fns = [rt.compiled(k) for k in build_keys]
         stats = rt.stats
-
-        def matches(x: VTuple):
-            env[lvar] = x
+        for row in self._consume(build, rt):
+            env[build_var] = row
             key = tuple(fn(env) for fn in key_fns)
+            table.setdefault(key, []).append(row)
+            stats.hash_inserts += 1
+        probe_fns = [rt.compiled(k) for k in probe_keys]
+        lookup = table.get
+
+        def candidates(x: VTuple) -> Sequence[VTuple]:
+            stats.tuples_visited += 1
+            key = tuple(fn(env) for fn in probe_fns)
             stats.hash_probes += 1
-            for y in table.get(key, ()):
-                env[rvar] = y
-                if residual is None or residual(env):
-                    yield y
+            return lookup(key, ())
 
-        return matches
-
-    def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
-        if self.build_side == "left":
-            yield from self._iterate_build_left(rt)
-            return
-        table = self._build(rt)
-        env: Dict[str, Value] = {}
-        matches = self._matcher(rt, table, env)
-        result = rt.compiled(self.result) if self.result is not None else None
-        null_pad = VTuple({a: None for a in self.right_attrs})
-        kind = self.kind
-        for x in self.left.stream(rt):
-            rt.stats.tuples_visited += 1
-            matched = False
-            if kind == "nestjoin":
-                group = set()
-                for y in matches(x):
-                    group.add(result(env))
-                rt.stats.output_tuples += 1
-                yield x.update_except({self.as_attr: frozenset(group)})
-                continue
-            for y in matches(x):
-                matched = True
-                if kind in ("join", "outerjoin"):
-                    rt.stats.output_tuples += 1
-                    yield concat(x, y) if result is None else result(env)
-                elif kind == "semijoin":
-                    break
-            tail = _join_tail(kind, x, matched, (), null_pad, self.as_attr)
-            if tail is not None:
-                rt.stats.output_tuples += 1
-                yield tail
+        return probe, probe_var, build_var, candidates
 
     def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
         lvar, rvar, as_attr = self.lvar, self.rvar, self.as_attr
@@ -1365,39 +1391,15 @@ class HashJoinBase(PlanNode):
         ) and all(vector_covered(k, self.rvar) for k in self.right_keys)
         return "vec" if covered else "vec:fallback"
 
-    def _iterate_build_left(self, rt: ExecRuntime) -> Iterator[Value]:
-        """Mirror orientation: hash the left operand, stream the right.
 
-        Only reached for the plain ``join`` kind, whose output
-        ``{x ∘ y | p(x, y)}`` (or ``{f(x, y) | p(x, y)}`` when emitting)
-        is orientation-independent.
-        """
-        table: Dict[Value, List[VTuple]] = {}
-        key_fns = [rt.compiled(k) for k in self.left_keys]
-        env: Dict[str, Value] = {}
-        for x in self._consume(self.left, rt):
-            env[self.lvar] = x
-            key = tuple(fn(env) for fn in key_fns)
-            table.setdefault(key, []).append(x)
-            rt.stats.hash_inserts += 1
-        probe_fns = [rt.compiled(k) for k in self.right_keys]
-        trivial_residual = self.residual == A.Literal(True)
-        residual = None if trivial_residual else rt.compiled_pred(self.residual)
-        result = rt.compiled(self.result) if self.result is not None else None
-        for y in self.right.stream(rt):
-            rt.stats.tuples_visited += 1
-            env[self.rvar] = y
-            key = tuple(fn(env) for fn in probe_fns)
-            rt.stats.hash_probes += 1
-            for x in table.get(key, ()):
-                env[self.lvar] = x
-                if residual is None or residual(env):
-                    rt.stats.output_tuples += 1
-                    yield concat(x, y) if result is None else result(env)
+def _set_members(value: Value) -> frozenset:
+    if not isinstance(value, frozenset):
+        raise EvaluationError("membership join container is not a set")
+    return value
 
 
-class MembershipHashJoin(PlanNode):
-    """Hash join for set-membership predicates like ``p[pid] ∈ s.parts``.
+class MembershipHashJoin(_JoinNode):
+    """Hash strategy for set-membership predicates like ``p[pid] ∈ s.parts``.
 
     Two orientations:
 
@@ -1429,106 +1431,65 @@ class MembershipHashJoin(PlanNode):
         result: Optional[A.Expr] = None,
         right_attrs: Tuple[str, ...] = (),
     ) -> None:
-        if kind not in JOIN_KINDS:
-            raise PlanError(f"unknown join kind {kind!r}")
+        super().__init__(kind, lvar, rvar, left, right, as_attr, result, right_attrs)
         if probe_side not in ("left-set", "right-set"):
             raise PlanError(f"unknown probe side {probe_side!r}")
-        self.kind = kind
-        self.lvar = lvar
-        self.rvar = rvar
         self.element = element
         self.container = container
         self.probe_side = probe_side
         self.residual = residual
-        self.left = left
-        self.right = right
-        self.as_attr = as_attr
-        self.result = result
-        self.right_attrs = right_attrs
         self.label = f"MembershipHashJoin({kind})"
-
-    def children(self):
-        return (self.left, self.right)
 
     def describe(self) -> str:
         from repro.adl.pretty import pretty
 
         return (
             f"{pretty(self.element)} ∈ {pretty(self.container)} [{self.probe_side}]"
-            + _emit_note(self)
+            + self._emit_note()
         )
 
-    def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
+    def _open(self, rt: ExecRuntime, env: Dict[str, Value]) -> Opened:
         element = rt.compiled(self.element)
         container = rt.compiled(self.container)
+        left_set = self.probe_side == "left-set"
         table: Dict[Value, List[VTuple]] = {}
-        env: Dict[str, Value] = {}
+        stats = rt.stats
         for y in self._consume(self.right, rt):
             env[self.rvar] = y
-            if self.probe_side == "left-set":
-                key = element(env)
+            for key in (element(env),) if left_set else _set_members(container(env)):
                 table.setdefault(key, []).append(y)
-                rt.stats.hash_inserts += 1
-            else:
-                members = container(env)
-                if not isinstance(members, frozenset):
-                    raise EvaluationError("membership join container is not a set")
-                for member in members:
-                    table.setdefault(member, []).append(y)
-                    rt.stats.hash_inserts += 1
+                stats.hash_inserts += 1
+        lookup = table.get
 
-        trivial_residual = self.residual == A.Literal(True)
-        residual = None if trivial_residual else rt.compiled_pred(self.residual)
-        result = rt.compiled(self.result) if self.result is not None else None
-        null_pad = VTuple({a: None for a in self.right_attrs})
-        kind = self.kind
-        for x in self.left.stream(rt):
-            rt.stats.tuples_visited += 1
-            matched = False
-            group = set()
-            for y in self._candidates(rt, table, x, env, element, container):
-                env[self.rvar] = y
-                if residual is not None and not residual(env):
-                    continue
-                matched = True
-                if kind in ("join", "outerjoin"):
-                    rt.stats.output_tuples += 1
-                    yield concat(x, y) if result is None else result(env)
-                elif kind == "semijoin":
-                    break
-                elif kind == "nestjoin":
-                    group.add(result(env))
-            tail = _join_tail(kind, x, matched, group, null_pad, self.as_attr)
-            if tail is not None:
-                rt.stats.output_tuples += 1
-                yield tail
-
-    def _candidates(self, rt, table, x, env, element, container) -> List[VTuple]:
-        env[self.lvar] = x
-        seen: List[VTuple] = []
-        marked = set()
-        if self.probe_side == "left-set":
-            members = container(env)
-            if not isinstance(members, frozenset):
-                raise EvaluationError("membership join container is not a set")
-            for member in members:
-                rt.stats.hash_probes += 1
-                for y in table.get(member, ()):
+        def probe_members(x: VTuple) -> List[VTuple]:
+            # one probe per member of the left tuple's set; a right tuple
+            # reached through several members is a candidate once
+            stats.tuples_visited += 1
+            seen: List[VTuple] = []
+            marked = set()
+            for member in _set_members(container(env)):
+                stats.hash_probes += 1
+                for y in lookup(member, ()):
                     if id(y) not in marked:
                         marked.add(id(y))
                         seen.append(y)
-        else:
+            return seen
+
+        def probe_element(x: VTuple) -> Sequence[VTuple]:
+            stats.tuples_visited += 1
             key = element(env)
-            rt.stats.hash_probes += 1
-            seen = list(table.get(key, ()))
-        return seen
+            stats.hash_probes += 1
+            return lookup(key, ())
+
+        candidates = probe_members if left_set else probe_element
+        return self.left, self.lvar, self.rvar, candidates
 
 
-class IndexNestedLoopJoin(PlanNode):
-    """Index nested-loop join: probe a registered persistent index on the
-    right extent's join attribute instead of building a transient hash
-    table — one of the paper's Section 6 join strategies the rewrite to
-    joins makes available.
+class IndexNestedLoopJoin(_JoinNode):
+    """Index strategy: probe a registered persistent index on the right
+    extent's join attribute instead of building a transient hash table —
+    one of the paper's Section 6 join strategies the rewrite to joins
+    makes available.
 
     The left operand streams; each tuple evaluates ``left_key`` and looks
     the value up in the catalog index on ``extent.attr``.  There is **no
@@ -1536,8 +1497,7 @@ class IndexNestedLoopJoin(PlanNode):
     which is exactly the win over a hash join when the probe side is small
     and the indexed side is large.  ``residual`` filters candidate pairs
     (extra equi conjuncts, membership conjuncts, pushed-down right-side
-    filters).  Supports the whole join family with the same emission
-    semantics as :class:`HashJoinBase`.
+    filters).
     """
 
     def __init__(
@@ -1555,20 +1515,13 @@ class IndexNestedLoopJoin(PlanNode):
         result: Optional[A.Expr] = None,
         right_attrs: Tuple[str, ...] = (),
     ) -> None:
-        if kind not in JOIN_KINDS:
-            raise PlanError(f"unknown join kind {kind!r}")
-        self.kind = kind
-        self.lvar = lvar
-        self.rvar = rvar
+        # no right child: the index stands in for the right operand
+        super().__init__(kind, lvar, rvar, left, None, as_attr, result, right_attrs)
         self.left_key = left_key
         self.extent = extent
         self.attr = attr
         self.index_name = index_name
         self.residual = residual
-        self.left = left
-        self.as_attr = as_attr
-        self.result = result
-        self.right_attrs = right_attrs
         self.label = f"IndexNLJoin({kind})"
 
     def children(self):
@@ -1583,39 +1536,19 @@ class IndexNestedLoopJoin(PlanNode):
         )
         if self.residual != A.Literal(True):
             text += f" ; residual {pretty(self.residual)}"
-        return text + _emit_note(self)
+        return text + self._emit_note()
 
-    def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
+    def _open(self, rt: ExecRuntime, env: Dict[str, Value]) -> Opened:
         index = _catalog_index(rt, self.extent, self.attr, self.index_name)
         key_fn = rt.compiled(self.left_key)
-        trivial_residual = self.residual == A.Literal(True)
-        residual = None if trivial_residual else rt.compiled_pred(self.residual)
-        result = rt.compiled(self.result) if self.result is not None else None
-        null_pad = VTuple({a: None for a in self.right_attrs})
-        env: Dict[str, Value] = {}
-        kind = self.kind
-        for x in self.left.stream(rt):
-            rt.stats.tuples_visited += 1
-            env[self.lvar] = x
-            rt.stats.index_probes += 1
-            matched = False
-            group = set()
-            for y in index.lookup(key_fn(env)):
-                env[self.rvar] = y
-                if residual is not None and not residual(env):
-                    continue
-                matched = True
-                if kind in ("join", "outerjoin"):
-                    rt.stats.output_tuples += 1
-                    yield concat(x, y) if result is None else result(env)
-                elif kind == "semijoin":
-                    break
-                elif kind == "nestjoin":
-                    group.add(result(env))
-            tail = _join_tail(kind, x, matched, group, null_pad, self.as_attr)
-            if tail is not None:
-                rt.stats.output_tuples += 1
-                yield tail
+        stats = rt.stats
+
+        def candidates(x: VTuple) -> Iterable[VTuple]:
+            stats.tuples_visited += 1
+            stats.index_probes += 1
+            return index.lookup(key_fn(env))
+
+        return self.left, self.lvar, self.rvar, candidates
 
 
 class CartesianProduct(PlanNode):

@@ -13,12 +13,14 @@ being priced is already the cheapest order the cost model can find.  Then:
   sides depend on one operand each become **hash-join keys**, membership
   conjuncts (``e ∈ set``) become **membership hash joins**, everything
   else stays as a residual filter;
-* with a catalog, the planner enumerates physical alternatives per join —
-  hash join with **either build side** (plain joins), an **index
-  nested-loop join** probing a registered persistent index, and nested
-  loops — and keeps the cheapest under the
-  :mod:`~repro.engine.cost` model, with cardinalities propagated
-  bottom-up from catalog statistics;
+* every join gets **one ordered list of physical alternatives**
+  (:meth:`Planner._join_alternatives`) — an **index nested-loop join**
+  probing a registered persistent index, hash join building right, hash
+  join building left (plain joins), membership hash join, nested loops —
+  each a ``(price, build)`` pair.  With a catalog the planner keeps the
+  cheapest under the :mod:`~repro.engine.cost` model (ties keep list
+  order), with cardinalities propagated bottom-up from catalog
+  statistics; without one it takes the first alternative in list order;
 * a flat from-clause select the rewriter left as
   ``⊔(α[z : z.as](L ⊣⟨x,y : p ; f ; as⟩ R))``
   (:func:`~repro.engine.cost.flat_join`) goes through the same
@@ -35,17 +37,18 @@ being priced is already the cheapest order the cost model can find.  Then:
   predicate's interior) is evaluated by the interpreter inside the
   enclosing operator — the tuple-oriented residue.
 
-Without a catalog the planner reproduces the PR-1 heuristics exactly
-(hash join whenever an equi conjunct exists, build side on the right), so
-existing callers are unaffected.  Under cost-based planning every node is
-annotated with estimated rows and cost, rendered by ``explain()``.
+Without a catalog "the first alternative in list order" means a hash
+join whenever an equi conjunct exists, build side on the right (no index
+can be known).  Under cost-based planning every node is annotated with
+estimated rows and cost, rendered by ``explain()``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.adl import ast as A
+from repro.adl.builders import conjoin, conjuncts
 from repro.adl.freevars import free_vars
 from repro.adl.subst import substitute
 from repro.engine import plan as P
@@ -56,20 +59,11 @@ from repro.engine.stats import Stats
 
 TRUE = A.Literal(True)
 
-
-def _conjuncts(pred: A.Expr) -> List[A.Expr]:
-    if isinstance(pred, A.And):
-        return _conjuncts(pred.left) + _conjuncts(pred.right)
-    return [pred]
-
-
-def _conjoin(parts: List[A.Expr]) -> A.Expr:
-    if not parts:
-        return TRUE
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = A.And(part, out)
-    return out
+#: One physical alternative of a join: ``price(model, left_est, right_est,
+#: out_rows)`` is its estimated cost, ``build()`` plans its operands and
+#: constructs the node (called for the winner only).
+Price = Callable[[CostModel, Estimate, Estimate, float], float]
+Build = Callable[[], PlanNode]
 
 
 class JoinRecipe:
@@ -80,7 +74,7 @@ class JoinRecipe:
         self.equi_right: List[A.Expr] = []
         self.membership: Optional[Tuple[A.Expr, A.Expr, str]] = None
         residual: List[A.Expr] = []
-        for conjunct in _conjuncts(pred):
+        for conjunct in conjuncts(pred):
             if isinstance(conjunct, A.Compare) and conjunct.op == "=":
                 sides = self._orient(conjunct.left, conjunct.right, lvar, rvar)
                 if sides is not None:
@@ -102,7 +96,7 @@ class JoinRecipe:
                     self.membership = (element, container, "right-set")
                     continue
             residual.append(conjunct)
-        self.residual = _conjoin(residual)
+        self.residual = conjoin(residual)
 
     @staticmethod
     def _orient(a: A.Expr, b: A.Expr, lvar: str, rvar: str):
@@ -122,7 +116,7 @@ class JoinRecipe:
         different physical strategy consumes the equi keys)."""
         if self.membership is None:
             return self.residual
-        return _conjoin(
+        return conjoin(
             [A.SetCompare("in", self.membership[0], self.membership[1]), self.residual]
         )
 
@@ -130,8 +124,8 @@ class JoinRecipe:
 class Planner:
     """Plans closed ADL expressions (no free variables at the top level).
 
-    ``catalog`` enables cost-based planning; without it the PR-1
-    heuristics apply unchanged.  Under cost-based planning every maximal
+    ``catalog`` enables cost-based planning; without it each join takes
+    its first applicable alternative.  Under cost-based planning every maximal
     plain-join region of three or more operands is first re-enumerated by
     the DP join-order search (:mod:`repro.engine.joinorder`) —
     ``reorder=False`` plans the rewriter's order as-is, ``bushy=True``
@@ -267,7 +261,7 @@ class Planner:
         if self.catalog is None or not isinstance(expr.source, A.ExtentRef):
             return None
         extent = expr.source.name
-        parts = _conjuncts(expr.pred)
+        parts = conjuncts(expr.pred)
         choice = None
         for index_pos, part in enumerate(parts):
             if not (isinstance(part, A.Compare) and part.op == "="):
@@ -304,7 +298,7 @@ class Planner:
         node.est_rows = matching
         node.est_cost = model.index_scan_cost(matching)
         if remaining:
-            node = P.Filter(expr.var, _conjoin(remaining), node)
+            node = P.Filter(expr.var, conjoin(remaining), node)
         node.est_rows = model.estimate(expr).rows
         node.est_cost = index_cost
         return node
@@ -328,122 +322,27 @@ class Planner:
             as_attr=as_attr, result=result, right_attrs=tuple(right_attrs)
         )
 
+        recipe = JoinRecipe(expr.lvar, expr.rvar, expr.pred)
+        alternatives = self._join_alternatives(expr, kind, recipe, common)
         # correlated operands (free variables beyond the join's own) cannot
         # be hashed once; fall back to tuple-at-a-time evaluation
         if free_vars(expr.right) or free_vars(expr.left):
-            return P.NestedLoopJoin(
-                kind, expr.lvar, expr.rvar, expr.pred,
-                self._plan(expr.left), self._plan(expr.right), **common,
-            )
+            return alternatives[-1][1]()  # nested loops
 
-        recipe = JoinRecipe(expr.lvar, expr.rvar, expr.pred)
-        if self.cost_model is not None:
-            out = self.cost_model.estimate(flat if flat is not None else expr)
-            return self._plan_join_cost_based(expr, kind, recipe, common, out)
-        return self._plan_join_heuristic(expr, kind, recipe, common)
-
-    def _plan_join_heuristic(self, expr, kind, recipe, common) -> PlanNode:
-        """The PR-1 recipe: hash join when possible, always building right."""
-        left = self._plan(expr.left)
-        right = self._plan(expr.right)
-        if recipe.equi_left:
-            return P.HashJoinBase(
-                kind,
-                expr.lvar,
-                expr.rvar,
-                tuple(recipe.equi_left),
-                tuple(recipe.equi_right),
-                # membership conjunct (if any) stays residual when equi keys exist
-                recipe.residual_with_membership(),
-                left,
-                right,
-                **common,
-            )
-        if recipe.membership is not None:
-            element, container, probe_side = recipe.membership
-            return P.MembershipHashJoin(
-                kind,
-                expr.lvar,
-                expr.rvar,
-                element,
-                container,
-                probe_side,
-                recipe.residual,
-                left,
-                right,
-                **common,
-            )
-        return P.NestedLoopJoin(
-            kind, expr.lvar, expr.rvar, expr.pred, left, right, **common,
-        )
-
-    def _plan_join_cost_based(self, expr, kind, recipe, common, out: Estimate) -> PlanNode:
-        """Enumerate physical alternatives and keep the cheapest.
-
-        Candidates, in tie-break preference order: index nested-loop join
-        (no build), hash join building right, hash join building left
-        (plain joins only), membership hash join, nested loops.
-        """
         model = self.cost_model
+        if model is None:
+            # nothing to price with: the first applicable alternative —
+            # hash join (building right) on an equi conjunct, else a
+            # membership hash join, else nested loops
+            return alternatives[0][1]()
+
+        out = model.estimate(flat if flat is not None else expr)
         left_est = model.estimate(expr.left)
         right_est = model.estimate(expr.right)
-        candidates: List[Tuple[float, object]] = []
-
-        inlj = self._inlj_candidate(expr, kind, recipe, common, left_est)
-        if inlj is not None:
-            candidates.append(inlj)
-
-        if recipe.equi_left:
-            residual = recipe.residual_with_membership()
-
-            def hash_right() -> PlanNode:
-                return P.HashJoinBase(
-                    kind, expr.lvar, expr.rvar,
-                    tuple(recipe.equi_left), tuple(recipe.equi_right),
-                    residual, self._plan(expr.left), self._plan(expr.right),
-                    **common,
-                )
-
-            candidates.append(
-                (model.hash_join_cost(right_est, left_est, out.rows), hash_right)
-            )
-            if kind == "join":
-
-                def hash_left() -> PlanNode:
-                    return P.HashJoinBase(
-                        kind, expr.lvar, expr.rvar,
-                        tuple(recipe.equi_left), tuple(recipe.equi_right),
-                        residual, self._plan(expr.left), self._plan(expr.right),
-                        build_side="left", **common,
-                    )
-
-                candidates.append(
-                    (model.hash_join_cost(left_est, right_est, out.rows), hash_left)
-                )
-        elif recipe.membership is not None:
-            element, container, probe_side = recipe.membership
-
-            def membership() -> PlanNode:
-                return P.MembershipHashJoin(
-                    kind, expr.lvar, expr.rvar, element, container, probe_side,
-                    recipe.residual, self._plan(expr.left), self._plan(expr.right),
-                    **common,
-                )
-
-            candidates.append(
-                (model.hash_join_cost(right_est, left_est, out.rows), membership)
-            )
-
-        def nested_loop() -> PlanNode:
-            return P.NestedLoopJoin(
-                kind, expr.lvar, expr.rvar, expr.pred,
-                self._plan(expr.left), self._plan(expr.right), **common,
-            )
-
-        candidates.append(
-            (model.nested_loop_cost(left_est, right_est, out.rows), nested_loop)
-        )
-
+        candidates = [
+            (price(model, left_est, right_est, out.rows), build)
+            for price, build in alternatives
+        ]
         # partition-parallel alternatives enter the same enumeration: the
         # cost model, not a flag, decides when a parallel plan wins (ties
         # keep the earlier — serial — candidate); emitting joins stay serial
@@ -451,19 +350,69 @@ class Planner:
             self.parallel_workers > 1
             and kind in ("join", "semijoin")
             and recipe.equi_left
-            and common["result"] is None
+            and result is None
         ):
             candidates.extend(
                 self._parallel_candidates(expr, kind, recipe, left_est, right_est, out)
             )
-
-        cost, builder = min(candidates, key=lambda c: c[0])
-        node = builder()
+        cost, build = min(candidates, key=lambda c: c[0])
+        node = build()
         node.est_rows = out.rows
         node.est_cost = cost
         return node
 
-    def _inlj_candidate(self, expr, kind, recipe, common, left_est: Estimate):
+    def _join_alternatives(self, expr, kind, recipe, common) -> List[Tuple[Price, Build]]:
+        """The serial physical alternatives of one join, each a ``(price,
+        build)`` pair, in preference order (the order that breaks cost
+        ties, and the order the no-catalog planner takes the first of):
+        index nested-loop join (no build), hash join building right, hash
+        join building left (plain joins only), membership hash join,
+        nested loops — always applicable, so the list is never empty."""
+        lvar, rvar = expr.lvar, expr.rvar
+        alternatives: List[Tuple[Price, Build]] = []
+
+        inlj = self._inlj_candidate(expr, kind, recipe, common)
+        if inlj is not None:
+            alternatives.append(inlj)
+
+        if recipe.equi_left:
+            keys = tuple(recipe.equi_left), tuple(recipe.equi_right)
+            # membership conjunct (if any) stays residual when equi keys exist
+            residual = recipe.residual_with_membership()
+
+            def hash_join(build_side: str) -> Build:
+                return lambda: P.HashJoinBase(
+                    kind, lvar, rvar, *keys, residual,
+                    self._plan(expr.left), self._plan(expr.right),
+                    build_side=build_side, **common,
+                )
+
+            alternatives.append(
+                (lambda m, l, r, rows: m.hash_join_cost(r, l, rows), hash_join("right"))
+            )
+            if kind == "join":
+                alternatives.append(
+                    (lambda m, l, r, rows: m.hash_join_cost(l, r, rows), hash_join("left"))
+                )
+        elif recipe.membership is not None:
+            alternatives.append((
+                lambda m, l, r, rows: m.hash_join_cost(r, l, rows),
+                lambda: P.MembershipHashJoin(
+                    kind, lvar, rvar, *recipe.membership, recipe.residual,
+                    self._plan(expr.left), self._plan(expr.right), **common,
+                ),
+            ))
+
+        alternatives.append((
+            lambda m, l, r, rows: m.nested_loop_cost(l, r, rows),
+            lambda: P.NestedLoopJoin(
+                kind, lvar, rvar, expr.pred,
+                self._plan(expr.left), self._plan(expr.right), **common,
+            ),
+        ))
+        return alternatives
+
+    def _inlj_candidate(self, expr, kind, recipe, common) -> Optional[Tuple[Price, Build]]:
         """An index nested-loop join alternative, when the right operand is
         an indexed extent — bare, or under a pushed-down selection, which
         then rides along as a residual predicate applied after the probe."""
@@ -505,23 +454,12 @@ class Planner:
         # the pushed-down selection filters fetched matches before any
         # other residual work sees them
         pushed_parts = [pushed] if pushed is not None else []
-        residual = _conjoin(
+        residual = conjoin(
             pushed_parts
             + leftover
             + [p for p in [recipe.residual_with_membership()] if p != TRUE]
         )
-
-        model = self.cost_model
-        stats = self.catalog.stats(extent)
-        if stats is not None and stats.distinct_count(attr):
-            matches_per_probe = stats.cardinality / stats.distinct_count(attr)
-        else:
-            matches_per_probe = named.built_cardinality / max(len(named.index), 1)
-        # the index fetches *unfiltered* matches; the pushed selection and
-        # leftover conjuncts are then evaluated per fetched pair
-        pair_rows = left_est.rows * matches_per_probe
-        cost = model.index_nl_join_cost(left_est, pair_rows)
-        cost += (len(leftover) + len(pushed_parts)) * pair_rows * PREDICATE_COST
+        pair_conjuncts = len(leftover) + len(pushed_parts)
 
         def build() -> PlanNode:
             return P.IndexNestedLoopJoin(
@@ -530,7 +468,7 @@ class Planner:
                 **common,
             )
 
-        return (cost, build)
+        return (lambda m, l, r, rows: m.index_join_cost(l, named, pair_conjuncts), build)
 
     # -- partition-parallel candidates (PR 5) --------------------------------
     @staticmethod

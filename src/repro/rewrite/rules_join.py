@@ -19,9 +19,10 @@ whose where-clause mixes local tests with subqueries unnest too.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.adl import ast as A
+from repro.adl.builders import conjoin, conjuncts
 from repro.adl.freevars import free_vars
 from repro.rewrite.common import RewriteContext, is_uncorrelated_table
 from repro.rewrite.engine import rule
@@ -55,19 +56,6 @@ def rule1(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return cls(expr.source, exists.source, expr.var, exists.var, exists.pred)
 
 
-def _conjuncts(pred: A.Expr) -> List[A.Expr]:
-    if isinstance(pred, A.And):
-        return _conjuncts(pred.left) + _conjuncts(pred.right)
-    return [pred]
-
-
-def _conjoin(parts: List[A.Expr]) -> A.Expr:
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = A.And(part, out)
-    return out
-
-
 @rule("rule1-conjunct")
 def rule1_conjunct(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """Peel one quantified conjunct off a mixed selection predicate:
@@ -76,7 +64,7 @@ def rule1_conjunct(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """
     if not isinstance(expr, A.Select):
         return None
-    parts = _conjuncts(expr.pred)
+    parts = conjuncts(expr.pred)
     if len(parts) < 2:
         return None
     for index, part in enumerate(parts):
@@ -87,7 +75,7 @@ def rule1_conjunct(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
         cls = A.AntiJoin if negated else A.SemiJoin
         joined = cls(expr.source, exists.source, expr.var, exists.var, exists.pred)
         remaining = parts[:index] + parts[index + 1 :]
-        return A.Select(expr.var, _conjoin(remaining), joined)
+        return A.Select(expr.var, conjoin(remaining), joined)
     return None
 
 
@@ -136,7 +124,7 @@ def push_right_selection(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """
     if not isinstance(expr, (A.Join, A.SemiJoin, A.AntiJoin, A.NestJoin)):
         return None
-    parts = _conjuncts(expr.pred)
+    parts = conjuncts(expr.pred)
     if len(parts) < 2:
         return None
     rvar_only = [
@@ -148,8 +136,8 @@ def push_right_selection(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     if not remaining:
         # keep at least `true` as the join predicate
         remaining = [A.Literal(True)]
-    new_right = A.Select(expr.rvar, _conjoin(rvar_only), expr.right)
-    return dataclasses.replace(expr, right=new_right, pred=_conjoin(remaining))
+    new_right = A.Select(expr.rvar, conjoin(rvar_only), expr.right)
+    return dataclasses.replace(expr, right=new_right, pred=conjoin(remaining))
 
 
 JOIN_RULES = (rule1, rule1_conjunct, rule2, push_right_selection)

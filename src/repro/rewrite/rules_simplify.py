@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.adl import ast as A
+from repro.adl.builders import conjoin, conjuncts
 from repro.adl.freevars import free_vars
 from repro.adl.subst import substitute
 from repro.rewrite.common import RewriteContext
@@ -187,19 +188,6 @@ def empty_quantifiers(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return None
 
 
-def _conjunct_list(pred: A.Expr):
-    if isinstance(pred, A.And):
-        return _conjunct_list(pred.left) + _conjunct_list(pred.right)
-    return [pred]
-
-
-def _conjoin_list(parts):
-    out = parts[-1]
-    for part in reversed(parts[:-1]):
-        out = A.And(part, out)
-    return out
-
-
 @rule("exists-eq-to-membership")
 def exists_eq_to_membership(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """∃x ∈ S • (x = e ∧ r)  ≡  e ∈ S ∧ r[x↦e]   when x ∉ fv(e).
@@ -216,7 +204,7 @@ def exists_eq_to_membership(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Exp
 
     if mentions_extent(expr.source):
         return None
-    parts = _conjunct_list(expr.pred)
+    parts = conjuncts(expr.pred)
     for index, part in enumerate(parts):
         if not isinstance(part, A.Compare) or part.op != "=":
             continue
@@ -232,7 +220,7 @@ def exists_eq_to_membership(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Exp
         rest = parts[:index] + parts[index + 1 :]
         if not rest:
             return membership
-        remainder = substitute(_conjoin_list(rest), {expr.var: witness})
+        remainder = substitute(conjoin(rest), {expr.var: witness})
         return A.And(membership, remainder)
     return None
 

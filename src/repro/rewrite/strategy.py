@@ -335,6 +335,11 @@ class Optimizer:
             chosen.set_oriented,
             chosen.nested_extents,
         )
+        if self.ctx.checker is None:
+            chosen.trace.note(
+                "schema-aware rules (nestjoin, grouping, unnest) declined: "
+                "no schema / type catalog was given"
+            )
         return OptimizationResult(expr, normalized, chosen, attempts)
 
     def _pick_cheapest(self, attempts: List[Attempt]) -> Optional[Attempt]:

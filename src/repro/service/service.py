@@ -1092,9 +1092,7 @@ class QueryService:
         in-memory catalog version — matching on content rather than on
         the raw version counter, which restarts per process); individual
         entries that fail to re-plan are dropped and counted
-        (``warm_dropped``) without poisoning the rest.  Files from
-        before the content fingerprint existed are still honoured via
-        the legacy exact-version comparison."""
+        (``warm_dropped``) without poisoning the rest."""
         from repro.adl.parser import parse_adl
         from repro.shard.nodes import Exchange
 
@@ -1112,16 +1110,11 @@ class QueryService:
         if payload.get("schema_fingerprint") != schema_fingerprint(self.schema):
             self.warm_dropped += len(entries)
             return
-        stored_fp = payload.get("catalog_fingerprint")
-        if stored_fp is not None:
-            # content match: the rebuilt catalog holds the same statistics,
-            # indexes and partitionings the entries were compiled under —
-            # rebase them onto whatever version number it landed on
-            if stored_fp != self._catalog_fingerprint():
-                self.warm_dropped += len(entries)
-                return
-        elif payload.get("catalog_version") != version:
-            # pre-fingerprint file: fall back to the exact-version check
+        # content match: the rebuilt catalog holds the same statistics,
+        # indexes and partitionings the entries were compiled under —
+        # rebase them onto whatever version number it landed on (a payload
+        # without the fingerprint is a mismatch like any other)
+        if payload.get("catalog_fingerprint") != self._catalog_fingerprint():
             self.warm_dropped += len(entries)
             return
         for raw in entries:

@@ -16,7 +16,7 @@ plain ``{extent: PartitionedExtent}`` snapshot of the catalog's
 partitionings (never the live catalog — a forked child must not inherit
 or touch its locks), and the executor's
 :class:`~repro.faults.FaultPlan` (installed process-globally in each
-worker).  Staleness is caught on *three* triggers, checked per run
+worker).  Staleness is caught on *four* triggers, checked per run
 before the pool is used:
 
 * the snapshot itself performs the extent-identity handshake
@@ -34,8 +34,7 @@ before the pool is used:
   *cannot be read* (dropped/renamed extent, store error) is classified,
   counted in :attr:`extent_lookup_failures`, and recorded as a unique
   sentinel that can never match — a forced re-fork instead of silently
-  disabling the staleness trigger.
-
+  disabling the staleness trigger;
 * the **visibility epoch** a batch is pinned to (PR 7): a batch whose
   fragments carry an epoch newer than the pool's fork epoch re-forks,
   because snapshots preserved after the fork cannot be in its

@@ -4,6 +4,11 @@ produce the same set AND the same work counters, and the result must equal
 the reference :class:`Interpreter`'s evaluation of the operator's logical
 ADL form."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.adl import ast as A
@@ -93,6 +98,38 @@ def partitioned_db():
     catalog.analyze(["X", "Y"])
     catalog.partition("X", "a", 2)
     catalog.partition("Y", "d", 2)
+    return db
+
+
+def kinds_db():
+    """The join-kind fixture (Table 3 / Fig. 2 territory): an empty right
+    side (``EMPTY``), dangling left rows (``a=2``; ``pid=99``; ``s=2``,
+    whose part is in no ``PR`` row; ``s=3``, whose set is empty), duplicate
+    matches (``a=1`` meets three ``YR`` rows, ``pid=30`` two ``SR`` rows)
+    and left rows whose every candidate the residuals below reject
+    (``a=4``; ``s=4``; ``pid=10``).  ``YR.d`` and ``EMPTY.d`` are indexed
+    for the index nested-loop cells."""
+    db = MemoryDatabase(
+        {
+            "XR": [VTuple(a=a, b=10 * a) for a in (1, 2, 3, 4)],
+            "YR": [
+                VTuple(d=1, e=1), VTuple(d=1, e=2), VTuple(d=1, e=3),
+                VTuple(d=3, e=3), VTuple(d=4, e=-5),
+            ],
+            "SR": [
+                VTuple(s=1, parts=vset(10, 20, 30)),
+                VTuple(s=2, parts=vset(40)),
+                VTuple(s=3, parts=frozenset()),
+                VTuple(s=4, parts=vset(10)),
+                VTuple(s=5, parts=vset(30)),
+            ],
+            "PR": [VTuple(pid=10), VTuple(pid=20), VTuple(pid=30), VTuple(pid=99)],
+            "EMPTY": [],
+        }
+    )
+    catalog = Catalog(db)
+    catalog.create_index("YR", "d")
+    catalog.create_index("EMPTY", "d")
     return db
 
 
@@ -271,11 +308,93 @@ CASES["MembershipHashJoin-emitting"] = (
 )
 
 
+# the join-kind cells over ``kinds_db``: every serial strategy x the four
+# kinds whose dangling-tuple / empty-set behaviour differs, each with a
+# residual that rejects some but not all candidates and again against an
+# empty right side, plus the membership join's remaining trivial-residual
+# cells on both probe sides
+S_VAR, P_VAR = B.var("s"), B.var("p")
+PID, PARTS = B.attr(P_VAR, "pid"), B.attr(S_VAR, "parts")
+PID_IN_PARTS = B.member(PID, PARTS)
+RES_XY = B.gt(B.add(B.attr(B.var("x"), "a"), B.attr(B.var("y"), "e")), 2)
+RES_SP = B.gt(B.add(PID, B.attr(S_VAR, "s")), 14)
+
+
+def _kind_extra(kind, right_attrs, rvar):
+    if kind == "outerjoin":
+        return {"right_attrs": right_attrs}
+    if kind == "nestjoin":
+        return {"as_attr": "grp", "result": A.Var(rvar)}
+    return {}
+
+
+def _xy_strategies(kind, residual, right):
+    """NL / hash / INLJ nodes for ``XR (kind)⟨x,y : x.a = y.d ∧ residual⟩ right``."""
+    extra = _kind_extra(kind, ("d", "e"), "y")
+    return {
+        "NestedLoopJoin": lambda: NestedLoopJoin(
+            kind, "x", "y", B.conj(EQ, residual), Scan("XR"), Scan(right), **extra
+        ),
+        "HashJoinBase": lambda: HashJoinBase(
+            kind, "x", "y", XA, YD, residual, Scan("XR"), Scan(right), **extra
+        ),
+        "IndexNestedLoopJoin": lambda: IndexNestedLoopJoin(
+            kind, "x", "y", XA[0], right, "d", f"idx_{right}_d", residual,
+            Scan("XR"), **extra
+        ),
+    }
+
+
+#: probe side -> (left extent, right extent, lvar, rvar, right attributes)
+#: of ``SR (kind) PR`` / ``PR (kind) SR`` on ``p.pid ∈ s.parts``
+MEMBERSHIP_SIDES = {
+    "left-set": ("SR", "PR", "s", "p", ("pid",)),
+    "right-set": ("PR", "SR", "p", "s", ("s", "parts")),
+}
+
+
+def _membership(kind, probe_side, residual, right):
+    left, _, lvar, rvar, attrs = MEMBERSHIP_SIDES[probe_side]
+    return lambda: MembershipHashJoin(
+        kind, lvar, rvar, PID, PARTS, probe_side, residual,
+        Scan(left), Scan(right), **_kind_extra(kind, attrs, rvar),
+    )
+
+
+def _logical(kind, left, right, lvar, rvar, pred, right_attrs):
+    args = (B.extent(left), B.extent(right), lvar, rvar, pred)
+    if kind == "outerjoin":
+        return B.outerjoin(*args, right_attrs)
+    if kind == "nestjoin":
+        return B.nestjoin(*args, "grp")
+    return {"semijoin": B.semijoin, "antijoin": B.antijoin}[kind](*args)
+
+
+KIND_LOGICAL = {}
+for kind in ("semijoin", "antijoin", "outerjoin", "nestjoin"):
+    for suffix, right in (("residual", "YR"), ("empty-right", "EMPTY")):
+        for impl, factory in _xy_strategies(kind, RES_XY, right).items():
+            CASES[f"{impl}-{kind}-{suffix}"] = (factory, kinds_db)
+            KIND_LOGICAL[f"{impl}-{kind}-{suffix}"] = _logical(
+                kind, "XR", right, "x", "y", B.conj(EQ, RES_XY), ("d", "e")
+            )
+    for side, (left, right, lvar, rvar, attrs) in MEMBERSHIP_SIDES.items():
+        cells = {"residual": (RES_SP, right), "empty-right": (RES_SP, "EMPTY")}
+        if kind != "semijoin" or side != "left-set":
+            cells["trivial"] = (TRUE, right)  # semijoin left-set: already above
+        for suffix, (residual, right_extent) in cells.items():
+            name = f"MembershipHashJoin-{side}-{kind}-{suffix}"
+            CASES[name] = (_membership(kind, side, residual, right_extent), kinds_db)
+            KIND_LOGICAL[name] = _logical(
+                kind, left, right_extent, lvar, rvar,
+                B.conj(PID_IN_PARTS, residual) if residual != TRUE else PID_IN_PARTS,
+                attrs,
+            )
+
 
 # the logical ADL form of every case above — what the reference
 # interpreter evaluates as the oracle
 X_EXT, Y_EXT = B.extent("X"), B.extent("Y")
-PID_IN_PARTS = B.member(B.attr(B.var("p"), "pid"), B.attr(B.var("s"), "parts"))
 LOGICAL_JOINS = {
     "join": B.join(X_EXT, Y_EXT, "x", "y", EQ),
     "semijoin": B.semijoin(X_EXT, Y_EXT, "x", "y", EQ),
@@ -340,6 +459,7 @@ LOGICAL = {
 for impl in ("NestedLoopJoin", "HashJoinBase", "IndexNestedLoopJoin"):
     for kind, logical in LOGICAL_JOINS.items():
         LOGICAL[f"{impl}-{kind}"] = logical
+LOGICAL.update(KIND_LOGICAL)
 
 
 class TestIterateExecuteParity:
@@ -381,6 +501,54 @@ class TestIterateExecuteParity:
             if cls not in tested and not cls.__name__.startswith("_")
         }
         assert not missing, f"operators without parity coverage: {sorted(missing)}"
+
+
+JOIN_CLASSES = (NestedLoopJoin, HashJoinBase, MembershipHashJoin, IndexNestedLoopJoin)
+GOLDEN_JOIN_COUNTERS = os.path.join(os.path.dirname(__file__), "golden_join_counters.json")
+
+
+def join_counter_table():
+    """``{case: {"tuple": counters, "batch": counters}}`` (non-zero
+    counters only) for every join-family case of the matrix."""
+    table = {}
+    for name in sorted(CASES):
+        factory, db_factory = CASES[name]
+        if not isinstance(factory(), JOIN_CLASSES):
+            continue
+        table[name] = {}
+        for mode, batch_size in (("tuple", None), ("batch", 256)):
+            stats = Stats()
+            factory().execute(ExecRuntime(db_factory(), stats, batch_size=batch_size))
+            table[name][mode] = {k: v for k, v in stats.snapshot().items() if v}
+    return table
+
+
+class TestJoinCounterGolden:
+    def test_every_join_case_matches_the_golden_stats_table(self):
+        """Row parity is the matrix above; this pins the *counters* of
+        every strategy x kind cell to a table captured before the join
+        family was folded into one emission loop, so a refactor of that
+        loop is shown counter-identical, not just row-identical.
+
+        Semijoins stop at the first match, so their counters depend on
+        the iteration order of the right operand's frozenset — i.e. on
+        string hashing.  The table is therefore computed in a child
+        interpreter with ``PYTHONHASHSEED=0``; regenerate the file with
+        ``PYTHONHASHSEED=0 PYTHONPATH=src python -m
+        tests.engine.test_streaming_parity > tests/engine/golden_join_counters.json``."""
+        root = os.path.join(os.path.dirname(__file__), "..", "..")
+        result = subprocess.run(
+            [sys.executable, "-m", "tests.engine.test_streaming_parity"],
+            capture_output=True, text=True, cwd=root,
+            env=dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.path.join(root, "src")),
+        )
+        assert result.returncode == 0, result.stderr
+        with open(GOLDEN_JOIN_COUNTERS) as fh:
+            golden = json.load(fh)
+        actual = json.loads(result.stdout)
+        assert sorted(actual) == sorted(golden)
+        for name in sorted(golden):
+            assert actual[name] == golden[name], name
 
 
 class TestStreamingBehaviour:
@@ -449,3 +617,12 @@ class TestRenameMissingAttribute:
         plan = RenameOp((("nope", "z"),), Scan("X"))
         with pytest.raises(DataModelError):
             frozenset(plan.iterate(ExecRuntime(db, Stats())))
+
+
+if __name__ == "__main__":
+    # prints the golden join-counter table, one case per line
+    rows = [
+        f" {json.dumps(name)}: {json.dumps(modes, sort_keys=True)}"
+        for name, modes in join_counter_table().items()
+    ]
+    print("{\n" + ",\n".join(rows) + "\n}")

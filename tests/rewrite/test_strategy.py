@@ -95,6 +95,24 @@ class TestOptionSelection:
         assert result.option.startswith("nested-loop")
         assert not result.set_oriented
 
+    def test_nested_loop_fallback_without_schema_says_why(self):
+        """The silent cause of most nested-loop outcomes — no type
+        checker, so nestjoin / grouping / unnest never tried — is on the
+        chosen trace; with a schema the same query unnests and no such
+        note appears."""
+        sub = B.sel("y", CORR, B.extent("Y"))
+        query = B.sel("x", B.ni(B.attr(B.var("x"), "c"), sub), B.extent("X"))
+        marker = "no schema / type catalog was given"
+
+        untyped = optimize(query)
+        assert untyped.option.startswith("nested-loop")
+        assert any(marker in note for note in untyped.trace.notes)
+        assert marker in untyped.render()
+
+        typed = optimize(query, figure2_catalog())
+        assert typed.set_oriented
+        assert not any(marker in note for note in typed.trace.notes)
+
 
 class TestPriorityPermutation:
     """The ablation hook: permuting priorities changes the chosen plan."""

@@ -10,7 +10,7 @@ import pytest
 
 from repro.adl import ast as A
 from repro.adl import builders as B
-from repro.datamodel import VTuple
+from repro.datamodel import INT, Catalog as TypeCatalog, SetType, TupleType, VTuple
 from repro.datamodel.errors import AdmissionError, ServiceError, TypeCheckError
 from repro.engine.interpreter import evaluate
 from repro.engine.planner import Planner
@@ -221,15 +221,27 @@ def test_eight_concurrent_sessions_match_serial_oracle():
     catalog = Catalog(db)
     catalog.analyze()
     catalog.create_index("Y", "d")
+    # with the extents' types the two-variable select unnests into one
+    # emitting hash join; without a schema it would run as nested maps,
+    # and this test would time the interpreter instead of the service
+    schema = TypeCatalog(
+        {
+            "X": SetType(TupleType({"a": INT, "b": INT})),
+            "Y": SetType(TupleType({"d": INT, "e": INT})),
+        }
+    )
 
     # serial oracle: a fresh service, one query at a time
-    with QueryService(db, catalog=catalog, cache_size=0, max_workers=1) as oracle_svc:
+    with QueryService(
+        db, schema, catalog=catalog, cache_size=0, max_workers=1
+    ) as oracle_svc:
         expected = [
             frozenset(oracle_svc.execute(text, params).rows)
             for text, params in _concurrent_queries()
         ]
 
-    with QueryService(db, catalog=catalog, max_workers=8, queue_depth=64) as svc:
+    with QueryService(db, schema, catalog=catalog, max_workers=8, queue_depth=64) as svc:
+        assert "HashJoin(join)" in svc.explain(_concurrent_queries()[-1][0])
         sessions = [svc.session() for _ in range(8)]
         rounds = 5
         outcomes = [[None] * len(expected) for _ in range(8)]

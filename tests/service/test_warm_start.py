@@ -82,13 +82,15 @@ def test_catalog_fingerprint_mismatch_drops_whole_file(tmp_path):
         assert svc.warm_dropped == len(payload["entries"])
 
 
-def test_legacy_file_without_fingerprint_uses_version_compare(tmp_path):
-    # files from before the content fingerprint existed: exact-version check
+def test_file_without_fingerprint_is_refused_wholesale(tmp_path):
+    # the pre-fingerprint format is gone: even with a matching
+    # ``catalog_version`` (which the old exact-version fallback accepted)
+    # a payload without the content fingerprint is a mismatch
     path = _warm_file(tmp_path)
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     del payload["catalog_fingerprint"]
-    payload["catalog_version"] = 99
+    assert payload["catalog_version"] == 0  # what a fresh _db() service reports
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     with QueryService(_db(), cache_persist_path=path) as svc:
