@@ -549,14 +549,26 @@ class Scan(PlanNode):
 
 
 def _catalog_index(rt: ExecRuntime, extent: str, attr: str, index_name: str):
-    """Resolve a registered index at runtime, rebuilding a stale snapshot.
+    """Resolve a registered index at runtime — shared when it matches the
+    rows this run reads, healed or replaced by a private one when not.
 
-    The catalog's indexes are eager snapshots of the extent value they
-    were built from.  Stores hand out a *fresh* ``frozenset`` whenever an
-    extent changes (inserts invalidate the paged store's cache,
-    ``set_extent`` replaces the in-memory one), so comparing the current
-    extent value by identity detects staleness — including same-size
-    replacements — and the index is rebuilt through the catalog.
+    A :class:`~repro.storage.catalog.NamedIndex` is an immutable
+    ``(index, source_rows)`` pair, fetched from the registry once; the run
+    probes it only when ``rt.db.extent(extent) is named.source_rows``.
+    Stores hand out a *fresh* ``frozenset`` whenever an extent changes, so
+    that identity test detects staleness, including same-size
+    replacements.  Notified write batches keep the shared index current
+    (``Catalog.note_insert`` / ``note_delete``), so the mismatch cases are:
+
+    * the run reads the **live head** (unpinned, or pinned to an epoch
+      that still sees the extent's current value) and the index missed a
+      change — ``set_extent``, a count-only notification, notifications
+      that overtook each other: the index is rebuilt through the catalog,
+      once, for every later reader;
+    * the run is pinned to a **historical** epoch (or a write landed
+      between the check and the rebuild): it builds a private per-run
+      index over its own rows.  A historical read never writes to the
+      catalog.
     """
     if rt.catalog is None:
         raise PlanError(
@@ -569,29 +581,25 @@ def _catalog_index(rt: ExecRuntime, extent: str, attr: str, index_name: str):
         named = rt.catalog.index_on(extent, attr)
     if named is None:
         raise PlanError(f"index {index_name!r} on {extent}.{attr} is not registered")
-    if hasattr(rt.db, "extent") and rt.db.extent(extent) is not named.source_rows:
-        if rt.pinned_epoch is not None:
-            # Epoch-pinned run reading a historical snapshot: the shared
-            # catalog index tracks the live head, so rebuilding it here
-            # would either poison the catalog with stale rows or (rebuilt
-            # from the view) still mismatch the head.  Build a private
-            # per-run index over the pinned rows instead; the catalog is
-            # never mutated from a historical read.
-            cache_key = (extent, named.attr, named.multi)
-            transient = rt._transient_indexes.get(cache_key)
-            if transient is None:
-                from repro.storage.index import HashIndex
-
-                attr_name = named.attr
-                transient = HashIndex(
-                    rt.db.extent(extent),
-                    key=lambda row: row[attr_name],
-                    multi=named.multi,
-                )
-                rt._transient_indexes[cache_key] = transient
-            return transient
+    if not hasattr(rt.db, "extent"):
+        return named
+    rows = rt.db.extent(extent)
+    if rows is named.source_rows:
+        return named
+    pinned = rt.pinned_epoch is not None
+    if not pinned or rt.db.extent_current_at(extent, rt.pinned_epoch):
         named = rt.catalog.create_index(named.extent, named.attr, named.name, named.multi)
-    return named
+        if not pinned or named.source_rows is rows:
+            return named
+    cache_key = (extent, named.attr, named.multi)
+    transient = rt._transient_indexes.get(cache_key)
+    if transient is None:
+        from repro.storage.index import HashIndex
+
+        attr_name = named.attr
+        transient = HashIndex(rows, key=lambda row: row[attr_name], multi=named.multi)
+        rt._transient_indexes[cache_key] = transient
+    return transient
 
 
 class IndexScan(PlanNode):

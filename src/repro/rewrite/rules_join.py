@@ -12,8 +12,9 @@ Rule 2 (NESTING IN THE MAP OPERATOR)::
 Both are *the* unnesting steps — everything in Tables 1/2 and the
 quantifier toolkit exists to massage predicates into these shapes.  A
 conjunction variant peels quantified conjuncts off mixed predicates
-(``σ[x : r ∧ ∃y ∈ Y • p](X) ≡ σ[x : r](X ⋉⟨x,y : p⟩ Y)``), so selections
-whose where-clause mixes local tests with subqueries unnest too.
+(``σ[x : r ∧ ∃y ∈ Y • p](X) ≡ σ[x : r](X) ⋉⟨x,y : p⟩ Y``), so selections
+whose where-clause mixes local tests with subqueries unnest too — with
+the local tests already sitting on their operand.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Optional, Tuple
 
 from repro.adl import ast as A
 from repro.adl.builders import conjoin, conjuncts
-from repro.adl.freevars import free_vars
-from repro.rewrite.common import RewriteContext, is_uncorrelated_table
+from repro.adl.freevars import bound_vars, free_vars
+from repro.rewrite.common import RewriteContext, is_uncorrelated_table, mentions_extent
 from repro.rewrite.engine import rule
 
 
@@ -56,11 +57,27 @@ def rule1(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return cls(expr.source, exists.source, expr.var, exists.var, exists.pred)
 
 
+def _is_local(part: A.Expr) -> bool:
+    """Quantifier- and subquery-free: no iterator, no base table."""
+    return not bound_vars(part) and not mentions_extent(part)
+
+
 @rule("rule1-conjunct")
 def rule1_conjunct(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
-    """Peel one quantified conjunct off a mixed selection predicate:
+    """Peel one quantified conjunct off a mixed selection predicate, and
+    leave the plain conjuncts on the operand they test:
 
-    ``σ[x : r ∧ (¬)∃y ∈ Y • p](X)  ≡  σ[x : r](X (⋉|▷)⟨x,y : p⟩ Y)``.
+    ``σ[x : r ∧ q ∧ (¬)∃y ∈ Y • p](X)  ≡  σ[x : q](σ[x : r](X) (⋉|▷)⟨x,y : p⟩ Y)``
+
+    with ``r`` the quantifier- and subquery-free conjuncts and ``q`` the
+    rest (further quantifiers, nested selects — later applications peel
+    those).  ``r`` tests ``x`` alone, so filtering ``X`` by it first
+    commutes with keeping (⋉) or dropping (▷) the ``x`` that find a
+    partner: it is a conjunct of the *selection*, not of the join
+    predicate — the left-side push :func:`push_right_selection` warns
+    about is a different thing.  Under the join ``σ[x : r](X)`` is an
+    ordinary leaf the planner knows access paths for (``y.d = $k``
+    becomes an index scan feeding an index nested-loop semijoin).
     """
     if not isinstance(expr, A.Select):
         return None
@@ -72,10 +89,14 @@ def rule1_conjunct(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
         if match is None:
             continue
         negated, exists = match
-        cls = A.AntiJoin if negated else A.SemiJoin
-        joined = cls(expr.source, exists.source, expr.var, exists.var, exists.pred)
         remaining = parts[:index] + parts[index + 1 :]
-        return A.Select(expr.var, conjoin(remaining), joined)
+        local, above = [], []
+        for other in remaining:
+            (local if _is_local(other) else above).append(other)
+        left = A.Select(expr.var, conjoin(local), expr.source) if local else expr.source
+        cls = A.AntiJoin if negated else A.SemiJoin
+        joined = cls(left, exists.source, expr.var, exists.var, exists.pred)
+        return A.Select(expr.var, conjoin(above), joined) if above else joined
     return None
 
 

@@ -15,6 +15,7 @@ full expected list in the message.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.datamodel.errors import ServiceError
@@ -24,6 +25,11 @@ from repro.oosql.parser import parse
 from repro.oosql.pretty import pretty as oosql_pretty
 
 
+#: raw texts whose shape is remembered (a few hundred bytes each)
+SHAPE_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=SHAPE_MEMO_SIZE)
 def normalize_shape(text: str) -> Tuple[str, Tuple[str, ...]]:
     """Parse ``text`` and return ``(shape, param_names)``.
 
@@ -31,6 +37,11 @@ def normalize_shape(text: str) -> Tuple[str, Tuple[str, ...]]:
     text, insensitive to whitespace, comments, keyword case and redundant
     parentheses — and is the plan cache's key.  ``param_names`` are the
     distinct ``$name`` placeholders in source order.
+
+    Memoised on the raw text (the result is a pure function of it and
+    immutable), so a client re-sending one text pays the parse once, not
+    per call; a text that fails to parse raises on every call — errors
+    are not remembered.
     """
     node = parse(text)
     names = []

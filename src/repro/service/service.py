@@ -532,11 +532,16 @@ class QueryService:
             ),
         )
         if self.catalog is not None:
-            m.gauge(
-                "repro_catalog_stat_refreshes",
-                "catalog statistics refreshes",
-                lambda: self.catalog.stat_refreshes,
-            )
+            for attr, help_text in (
+                ("stat_refreshes", "catalog statistics refreshes"),
+                ("index_increments", "write batches folded into a catalog index"),
+                ("index_rebuilds", "full rebuilds of an existing catalog index"),
+            ):
+                m.gauge(
+                    f"repro_catalog_{attr}",
+                    help_text,
+                    lambda a=attr: getattr(self.catalog, a),
+                )
         if hasattr(self.db, "epoch_stats"):
             for key in (
                 "epoch",

@@ -30,11 +30,14 @@ before the pool is used:
   handshake through — is compared against the identities recorded at
   fork time; any change (e.g. a notified ``insert_rows`` that bumped
   nothing yet) re-forks, because forked children hold a copy-on-write
-  image of the parent's pre-mutation heap.  An extent whose identity
-  *cannot be read* (dropped/renamed extent, store error) is classified,
-  counted in :attr:`extent_lookup_failures`, and recorded as a unique
-  sentinel that can never match — a forced re-fork instead of silently
-  disabling the staleness trigger;
+  image of the parent's pre-mutation heap.  An extent the forking batch
+  did not read is recorded on first use while the store's epoch still
+  equals the fork epoch (nothing was published since, so the image has
+  it) — alternating shapes over different extents keep one pool.  An
+  extent whose identity *cannot be read* (dropped/renamed extent, store
+  error) is classified, counted in :attr:`extent_lookup_failures`, and
+  recorded as a unique sentinel that can never match — a forced re-fork
+  instead of silently disabling the staleness trigger;
 * the **visibility epoch** a batch is pinned to (PR 7): a batch whose
   fragments carry an epoch newer than the pool's fork epoch re-forks,
   because snapshots preserved after the fork cannot be in its
@@ -146,6 +149,11 @@ def _run_fragment(payload):
     return execute_fragment(
         db, partitions, spec, index=index, attempt=attempt, deadline=deadline
     )
+
+
+class _Unreadable:
+    """Stands in for the identity of an extent whose lookup failed: a
+    fresh instance per failure, so it is never a recorded identity."""
 
 
 class ParallelExecutor:
@@ -263,7 +271,7 @@ class ParallelExecutor:
                         out[ref.extent] = self.db.extent(ref.extent)
                     except ReproError:
                         self.extent_lookup_failures += 1
-                        out[ref.extent] = object()  # unique: forces a re-fork
+                        out[ref.extent] = _Unreadable()  # unique: forces a re-fork
         return out
 
     def _ensure_pool(
@@ -293,10 +301,7 @@ class ParallelExecutor:
                 min_epoch is None
                 or (self._pool_epoch is not None and self._pool_epoch >= min_epoch)
             )
-            and all(
-                self._pool_extents.get(name) is rows
-                for name, rows in identities.items()
-            )
+            and self._fork_image_covers(identities)
         ):
             return self._pool
         self._close_pool()
@@ -317,6 +322,34 @@ class ParallelExecutor:
         self._pool_pids = frozenset(p.pid for p in self._pool._pool)
         self.pool_rebuilds += 1
         return self._pool
+
+    def _fork_image_covers(self, identities: Dict[str, object]) -> bool:
+        """Do the workers' copy-on-write images hold these extent values?
+
+        An extent recorded at (or since) the fork must still have the
+        recorded identity.  One the pool has *not* recorded yet — the
+        forking batch did not read it — is in the image iff nothing was
+        published since the fork: every mutation publishes an epoch, so
+        an unmoved epoch (read *after* the identities were) proves the
+        value the caller just read is the one that was forked.  It is
+        then recorded, so alternating query shapes share one pool.
+        Epoch-less stores cannot prove it and re-fork.
+        """
+        fresh: Dict[str, object] = {}
+        for name, rows in identities.items():
+            if name not in self._pool_extents:
+                fresh[name] = rows
+            elif self._pool_extents[name] is not rows:
+                return False
+        if fresh:
+            if (
+                self._pool_epoch is None
+                or getattr(self.db, "epoch", None) != self._pool_epoch
+                or any(isinstance(rows, _Unreadable) for rows in fresh.values())
+            ):
+                return False
+            self._pool_extents.update(fresh)
+        return True
 
     def inject(self, fault_plan: Optional[FaultPlan]) -> None:
         """Install (or, with ``None``, clear) the fault plan.  Retires

@@ -24,7 +24,11 @@ stale and re-run ANALYZE each time.  Statistics and indexes are
 snapshots, but stale ones are caught automatically: both record the
 extent *value* they were computed from, and stores hand out a fresh
 ``frozenset`` whenever an extent changes, so an identity comparison
-detects staleness.  Indexes are rebuilt at execution time; statistics are
+detects staleness.  Indexes follow notified write batches incrementally
+(:meth:`Catalog.note_insert` / :meth:`Catalog.note_delete` publish a new
+immutable :class:`NamedIndex` per batch, counted in
+:attr:`Catalog.index_increments`) and are rebuilt at execution time when a
+change was not notified (:attr:`Catalog.index_rebuilds`); statistics are
 re-analyzed lazily on the next :meth:`stats` lookup (counted in
 :attr:`Catalog.stat_refreshes`), so the cost model never silently prices
 plans with numbers describing old data.  :meth:`refresh` remains for
@@ -36,7 +40,7 @@ catalog can be introduced incrementally.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.datamodel.errors import StorageError
@@ -77,16 +81,21 @@ class ExtentStats:
         return self.avg_set_size.get(attr)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NamedIndex:
     """A registered, persistent hash index over one extent attribute.
 
-    ``multi`` indexes a set-valued attribute by its *elements*.  The index
-    is an eager snapshot; ``source_rows`` keeps the extent value it was
-    built from (stores return a fresh ``frozenset`` whenever the extent
-    changes, so an identity comparison detects staleness — including
-    same-cardinality replacements) and ``built_cardinality`` records the
-    size for the cost model.
+    ``multi`` indexes a set-valued attribute by its *elements*.  A
+    ``NamedIndex`` is an **immutable (index, rows) pair**: ``source_rows``
+    is the extent value ``index`` describes (stores return a fresh
+    ``frozenset`` whenever the extent changes, so an identity comparison
+    detects staleness — including same-cardinality replacements) and
+    ``built_cardinality`` records its size for the cost model.  The
+    catalog never edits a published one: a notified write batch
+    (:meth:`Catalog.note_insert` / :meth:`Catalog.note_delete`) and a full
+    :meth:`Catalog.create_index` rebuild both swap a *new* object into the
+    registry, so a reader that fetched the previous one keeps probing an
+    index that matches the rows it checked it against.
     """
 
     name: str
@@ -122,6 +131,14 @@ class Catalog:
         #: how many times :meth:`partitioning` lazily re-partitioned a
         #: stale extent
         self.partition_refreshes: int = 0
+        #: how many write batches were folded into a registered index
+        #: incrementally (one per index per notified batch; O(batch) —
+        #: see :meth:`_note`)
+        self.index_increments: int = 0
+        #: how many times :meth:`create_index` rebuilt an *existing*
+        #: index from scratch (explicit re-creation, ``refresh()``, or an
+        #: execution-time heal of an index a notification missed)
+        self.index_rebuilds: int = 0
         #: net notified row delta per extent since its last full ANALYZE.
         #: *Presence* of a key means every change since ANALYZE went
         #: through :meth:`note_insert`/:meth:`note_delete`, so the next
@@ -222,8 +239,6 @@ class Catalog:
                     if incremental:
                         # all changes were notified: exact cardinality from
                         # the new extent value, distinct counts stay lazy
-                        from dataclasses import replace
-
                         pages = (
                             self.db.page_count(extent)
                             if hasattr(self.db, "page_count")
@@ -251,20 +266,82 @@ class Catalog:
         return stale
 
     # -- incremental maintenance hooks ---------------------------------------
-    def note_insert(self, extent: str, count: int = 1) -> None:
+    def note_insert(
+        self,
+        extent: str,
+        count: int = 1,
+        *,
+        before: Optional[frozenset] = None,
+        after: Optional[frozenset] = None,
+        rows: Iterable[VTuple] = (),
+    ) -> None:
         """Record ``count`` notified row insertions into ``extent``.
 
         Stores wired to a catalog (both in-repo stores are) call this on
         every insert, which licenses the next stale-statistics hit to
         adjust cardinality incrementally instead of re-analyzing.
+
+        A store that can also name the batch exactly — ``before`` /
+        ``after`` the extent values around it, ``rows`` the rows it
+        really added — gets the extent's registered indexes maintained
+        in O(batch) (:meth:`_note`); count-only callers leave them to
+        the rebuild-on-staleness path.
+        """
+        self._note(extent, count, before, after, added=rows)
+
+    def note_delete(
+        self,
+        extent: str,
+        count: int = 1,
+        *,
+        before: Optional[frozenset] = None,
+        after: Optional[frozenset] = None,
+        rows: Iterable[VTuple] = (),
+    ) -> None:
+        """Record ``count`` notified row deletions from ``extent``;
+        ``before`` / ``after`` / ``rows`` (the rows really removed) as in
+        :meth:`note_insert`."""
+        self._note(extent, -count, before, after, removed=rows)
+
+    def _note(
+        self,
+        extent: str,
+        delta: int,
+        before: Optional[frozenset],
+        after: Optional[frozenset],
+        added: Iterable[VTuple] = (),
+        removed: Iterable[VTuple] = (),
+    ) -> None:
+        """One notified write batch: count it for the statistics and, when
+        the store named it exactly (``after`` given), fold it into every
+        index of ``extent`` built from ``before`` by publishing a new
+        :class:`NamedIndex` over ``after``.
+
+        **No version bump** — the access path is the one cached plans
+        were priced with; only ``built_cardinality`` drifts, the way
+        distinct counts already do under incremental statistics.  An
+        index whose ``source_rows`` is *not* ``before`` (a notification
+        overtook this one, or an earlier change was unnotified) is left
+        alone: it stays detectably stale and the next live-head read
+        rebuilds it through :meth:`create_index`.
         """
         with self._delta_lock:
-            self._deltas[extent] = self._deltas.get(extent, 0) + count
-
-    def note_delete(self, extent: str, count: int = 1) -> None:
-        """Record ``count`` notified row deletions from ``extent``."""
-        with self._delta_lock:
-            self._deltas[extent] = self._deltas.get(extent, 0) - count
+            self._deltas[extent] = self._deltas.get(extent, 0) + delta
+        if after is None:
+            return
+        with self._lock:
+            for slot, named in list(self._indexes.items()):
+                if named.extent != extent or named.source_rows is not before:
+                    continue
+                fresh = replace(
+                    named,
+                    index=named.index.with_changes(added, removed),
+                    built_cardinality=len(after),
+                    source_rows=after,
+                )
+                self._indexes[slot] = fresh
+                self._by_name[fresh.name] = fresh
+                self.index_increments += 1
 
     def note_replaced(self, extent: str) -> None:
         """Record an *unaccounted* bulk change (e.g. ``set_extent``):
@@ -450,8 +527,10 @@ class Catalog:
                 built_cardinality=len(rows),
                 source_rows=rows,
             )
-            if replaced is not None and replaced.name != index_name:
-                self._by_name.pop(replaced.name, None)
+            if replaced is not None:
+                self.index_rebuilds += 1
+                if replaced.name != index_name:
+                    self._by_name.pop(replaced.name, None)
             self._indexes[(extent, attr)] = named
             self._by_name[index_name] = named
             self._bump_version()

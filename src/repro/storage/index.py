@@ -20,6 +20,11 @@ class HashIndex:
     Built eagerly from an iterable of tuples; supports multi-valued keys so
     a set-valued attribute can be indexed by its *elements* (useful for
     ``p.pid ∈ s.parts`` style predicates).
+
+    **Immutable once constructed**: readers probe a published index with
+    no lock, so maintenance never touches its buckets —
+    :meth:`with_changes` builds a *new* index that shares every untouched
+    bucket list with this one and copies only the touched ones.
     """
 
     def __init__(
@@ -29,16 +34,50 @@ class HashIndex:
         multi: bool = False,
     ) -> None:
         self._buckets: Dict[Value, List[VTuple]] = {}
+        self._key = key
         self._multi = multi
         for row in rows:
-            key_value = key(row)
-            if multi:
-                if not isinstance(key_value, frozenset):
-                    raise StorageError("multi-valued index key must be a set")
-                for element in key_value:
-                    self._buckets.setdefault(element, []).append(row)
-            else:
+            for key_value in self._keys(row):
                 self._buckets.setdefault(key_value, []).append(row)
+
+    def _keys(self, row: VTuple) -> Iterable[Value]:
+        """The bucket keys ``row`` is filed under (its elements if multi)."""
+        key_value = self._key(row)
+        if not self._multi:
+            return (key_value,)
+        if not isinstance(key_value, frozenset):
+            raise StorageError("multi-valued index key must be a set")
+        return key_value
+
+    def with_changes(
+        self, added: Iterable[VTuple], removed: Iterable[VTuple]
+    ) -> "HashIndex":
+        """A new index over ``(indexed rows − removed) ∪ added``.
+
+        ``removed`` must be rows this index holds and ``added`` rows it
+        does not (the store hands over exactly the rows a batch took out
+        of / put into the extent).  Costs one shallow copy of the bucket
+        dict plus the touched buckets; every other bucket list is shared
+        with ``self``, which stays valid for whoever still holds it.
+        """
+        removed = frozenset(removed)
+        out = HashIndex((), self._key, self._multi)
+        buckets = out._buckets = dict(self._buckets)
+        owned = set()  # keys whose list was already copied for `out`
+        for key_value in {k for row in removed for k in self._keys(row)}:
+            kept = [row for row in buckets.get(key_value, ()) if row not in removed]
+            if kept:
+                buckets[key_value] = kept
+                owned.add(key_value)
+            else:
+                buckets.pop(key_value, None)
+        for row in added:
+            for key_value in self._keys(row):
+                if key_value not in owned:
+                    buckets[key_value] = list(buckets.get(key_value, ()))
+                    owned.add(key_value)
+                buckets[key_value].append(row)
+        return out
 
     def lookup(self, key_value: Value) -> List[VTuple]:
         return self._buckets.get(key_value, [])

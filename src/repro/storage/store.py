@@ -530,6 +530,15 @@ class Database(EpochStoreMixin):
         self.io.reset()
 
 
+def _row_oid(row) -> Optional[Oid]:
+    """The oid an object row carries, or ``None`` for a plain tuple."""
+    if isinstance(row, VTuple) and OID_ATTR in row:
+        oid = row[OID_ATTR]
+        if isinstance(oid, Oid):
+            return oid
+    return None
+
+
 class MemoryDatabase(EpochStoreMixin):
     """A schema-less dict-backed database for algebra-level tests.
 
@@ -548,11 +557,27 @@ class MemoryDatabase(EpochStoreMixin):
                 for name, rows in extents.items():
                     self.set_extent(name, rows)
 
-    def _store_rows(self, name: str, rows: frozenset) -> None:
+    def _store_rows(
+        self,
+        name: str,
+        rows: frozenset,
+        added: Optional[Iterable[VTuple]] = None,
+        removed: Iterable[VTuple] = (),
+    ) -> None:
+        """Publish ``rows`` as the extent's value and keep the oid map in
+        step: objects among ``removed`` stop being dereferenceable, those
+        among ``added`` (default: the whole extent) are registered —
+        O(batch) for a notified write, never a walk of the extent."""
         self._extents[name] = rows
-        for row in rows:
-            if isinstance(row, VTuple) and OID_ATTR in row and isinstance(row[OID_ATTR], Oid):
-                self._objects[row[OID_ATTR]] = row
+        for row in removed:
+            oid = _row_oid(row)
+            # a re-inserted oid may already name a newer row: keep that one
+            if oid is not None and self._objects.get(oid) == row:
+                del self._objects[oid]
+        for row in rows if added is None else added:
+            oid = _row_oid(row)
+            if oid is not None:
+                self._objects[oid] = row
 
     def _current_rows(self, name: str) -> Optional[frozenset]:
         return self._extents.get(name)
@@ -567,23 +592,28 @@ class MemoryDatabase(EpochStoreMixin):
             catalog.note_replaced(name)
 
     def insert_rows(self, name: str, rows: Iterable[VTuple]) -> None:
-        """Add rows to an extent as a *notified* insert: the catalog may
-        adjust cardinality incrementally instead of re-analyzing."""
-        added = frozenset(rows)
+        """Add rows to an extent as a *notified* insert: the catalog
+        adjusts cardinality and its indexes on the extent incrementally,
+        from the rows really added, instead of re-analyzing/rebuilding."""
         with self._mutating(name):
-            self._store_rows(name, self._extents.get(name, frozenset()) | added)
+            before = self._extents.get(name, frozenset())
+            added = frozenset(rows) - before
+            after = before | added
+            self._store_rows(name, after, added=added)
         catalog = getattr(self, "catalog", None)
         if catalog is not None:
-            catalog.note_insert(name, len(added))
+            catalog.note_insert(name, len(added), before=before, after=after, rows=added)
 
     def delete_rows(self, name: str, rows: Iterable[VTuple]) -> None:
         """Remove rows from an extent as a *notified* delete."""
-        removed = frozenset(rows)
         with self._mutating(name):
-            self._store_rows(name, self.extent(name) - removed)
+            before = self.extent(name)
+            removed = before & frozenset(rows)
+            after = before - removed
+            self._store_rows(name, after, added=(), removed=removed)
         catalog = getattr(self, "catalog", None)
         if catalog is not None:
-            catalog.note_delete(name, len(removed))
+            catalog.note_delete(name, len(removed), before=before, after=after, rows=removed)
 
     def extent(self, name: str) -> frozenset:
         try:

@@ -335,3 +335,49 @@ class TestIndexJoinOverFilteredExtent:
         db, catalog = analyzed
         plan = Planner(catalog).plan(self._query())
         assert not isinstance(plan, P.IndexNestedLoopJoin)
+
+
+class TestLocalConjunctsUnderTheSemijoin:
+    """``where r(x) and (not) exists y in Y : p`` — Rule 1's conjunct
+    variant leaves ``r`` on ``X``, so the join sees a filtered operand
+    (``unnest_warm``'s semijoin / antijoin texts)."""
+
+    @pytest.mark.parametrize("negation, kind", [("", "semijoin"), ("not ", "antijoin")])
+    def test_filter_sits_under_the_hash_join(self, negation, kind):
+        from repro.datamodel import Catalog as TypeCatalog, INT, SetType, TupleType
+        from repro.service import QueryService
+
+        db = MemoryDatabase(
+            {
+                "X": [VTuple(a=i % 50, b=i) for i in range(200)],
+                "Y": [VTuple(d=i % 50, e=i) for i in range(200)],
+            }
+        )
+        types = TypeCatalog(
+            {
+                "X": SetType(TupleType({"a": INT, "b": INT})),
+                "Y": SetType(TupleType({"d": INT, "e": INT})),
+            }
+        )
+        catalog = Catalog(db)
+        catalog.analyze()
+        text = (
+            f"select x.b from x in X where x.b < $k and {negation}exists y in Y : "
+            "x.a = y.d and y.e < $m"
+        )
+        with QueryService(db, types, catalog) as svc:
+            lines = [line.strip().split(" (rows")[0] for line in svc.explain(text).splitlines()]
+            assert lines == [
+                "Map [x: x.b]",
+                f"HashJoin({kind}) [x.a = y.d] <builds right>",
+                "Filter [x: x.b < $k]",
+                "Scan [X]",
+                "Filter [y: y.e < $m]",
+                "Scan [Y]",
+            ]
+            got = svc.execute(text, {"k": 120, "m": 30}).rows
+        partners = {y["d"] for y in db.extent("Y") if y["e"] < 30}
+        assert got == {
+            x["b"] for x in db.extent("X")
+            if x["b"] < 120 and (x["a"] in partners) != bool(negation)
+        }

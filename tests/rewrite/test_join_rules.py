@@ -1,11 +1,14 @@
 """Unit tests for Rule 1, Rule 2, conjunct peeling, and selection pushdown."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adl import ast as A
 from repro.adl import builders as B
 from repro.datamodel import VTuple, vset
 from repro.engine.interpreter import Interpreter
+from repro.engine.planner import Executor
 from repro.rewrite.common import RewriteContext
 from repro.rewrite.rules_join import (
     push_right_selection,
@@ -13,6 +16,7 @@ from repro.rewrite.rules_join import (
     rule1_conjunct,
     rule2,
 )
+from repro.rewrite.strategy import Optimizer
 from repro.storage import MemoryDatabase
 
 CTX = RewriteContext()
@@ -74,8 +78,9 @@ class TestRule1Conjunct:
         local = B.gt(B.attr(B.var("x"), "b"), 15)
         before = B.sel("x", B.conj(local, B.exists("y", B.extent("Y"), CORR)), B.extent("X"))
         after = rule1_conjunct.apply(before, CTX)
-        assert after == B.sel("x", local,
-                              B.semijoin(B.extent("X"), B.extent("Y"), "x", "y", CORR))
+        # the local conjunct goes *under* the semijoin, onto its operand
+        assert after == B.semijoin(B.sel("x", local, B.extent("X")), B.extent("Y"),
+                                   "x", "y", CORR)
         equiv(before, after, db)
 
     def test_peels_negated_conjunct(self, db):
@@ -84,9 +89,63 @@ class TestRule1Conjunct:
             "x", B.conj(B.neg(B.exists("y", B.extent("Y"), CORR)), local), B.extent("X")
         )
         after = rule1_conjunct.apply(before, CTX)
-        assert isinstance(after, A.Select)
-        assert isinstance(after.source, A.AntiJoin)
+        assert isinstance(after, A.AntiJoin)
+        assert after.left == B.sel("x", local, B.extent("X"))
         equiv(before, after, db)
+
+    @pytest.mark.parametrize("negated", [False, True])
+    def test_quantified_or_nested_conjuncts_stay_above(self, negated):
+        db = MemoryDatabase({
+            "X": [VTuple(a=1, b=10, c=vset(1, 2)), VTuple(a=2, b=20, c=vset()),
+                  VTuple(a=3, b=30, c=vset(3))],
+            "Y": [VTuple(d=1, e=1), VTuple(d=3, e=0)],
+        })
+        x = B.var("x")
+        local = B.gt(B.attr(x, "b"), 5)
+        attr_quantifier = B.exists("m", B.attr(x, "c"), B.gt(B.var("m"), 0))
+        nested_select = B.member(
+            B.attr(x, "a"), B.amap("w", B.attr(B.var("w"), "d"), B.extent("Y"))
+        )
+        quantified = B.exists("y", B.extent("Y"), CORR)
+        if negated:
+            quantified = B.neg(quantified)
+        before = B.sel(
+            "x", B.conj(attr_quantifier, local, quantified, nested_select), B.extent("X")
+        )
+        after = rule1_conjunct.apply(before, CTX)
+        assert isinstance(after, A.Select)
+        assert after.pred == B.conj(attr_quantifier, nested_select)
+        assert isinstance(after.source, A.AntiJoin if negated else A.SemiJoin)
+        assert after.source.left == B.sel("x", local, B.extent("X"))
+        equiv(before, after, db)
+
+    @pytest.mark.parametrize("negated", [False, True])
+    @given(
+        xs=st.sets(st.tuples(st.integers(0, 4), st.integers(0, 3)), max_size=8),
+        ys=st.sets(st.integers(0, 4), max_size=4),
+        bound=st.integers(-1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pushed_conjunct_matches_interpreter_on_unrewritten_query(
+        self, negated, xs, ys, bound
+    ):
+        # small domains on purpose: empty Y, dangling x, and `r` false on
+        # rows with and without a partner all occur
+        db = MemoryDatabase({
+            "X": [VTuple(a=a, b=b) for a, b in xs],
+            "Y": [VTuple(d=d) for d in ys],
+        })
+        local = B.gt(B.attr(B.var("x"), "b"), bound)
+        quantified = B.exists("y", B.extent("Y"), CORR)
+        if negated:
+            quantified = B.neg(quantified)
+        before = B.sel("x", B.conj(local, quantified), B.extent("X"))
+        expected = Interpreter(db).eval(before)
+        after = rule1_conjunct.apply(before, CTX)
+        assert isinstance(after, A.AntiJoin if negated else A.SemiJoin)
+        assert Interpreter(db).eval(after) == expected
+        optimized = Optimizer().optimize(before).expr
+        assert Executor(db).execute(optimized) == expected
 
     def test_multiple_quantified_conjuncts_peel_one_at_a_time(self, db):
         q1 = B.exists("y", B.extent("Y"), CORR)

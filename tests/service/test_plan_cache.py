@@ -111,6 +111,35 @@ def test_literal_differences_are_different_shapes():
     assert s1 != s2
 
 
+def test_shape_is_remembered_per_raw_text_not_per_shape():
+    # the memo sits in front of the parser: equal texts share one result
+    # object, other spellings of the same shape parse once each
+    text = "select x.a from x in X where x.a = $memo_probe"
+    first = normalize_shape(text)
+    assert normalize_shape(text) is first
+    respelled = normalize_shape("SELECT x.a FROM x IN X WHERE (x.a = $memo_probe)")
+    assert respelled == first and respelled is not first
+
+
+def test_syntax_error_raises_on_every_call():
+    from repro.datamodel.errors import ReproError
+
+    for _ in range(3):
+        with pytest.raises(ReproError):
+            normalize_shape("select x.a from x in")
+
+
+def test_prepared_statement_is_unaffected_by_the_shape_memo():
+    db = _db()
+    with QueryService(db) as svc:
+        session = svc.session()
+        stmt = session.prepare(QUERY)
+        assert stmt.shape == normalize_shape(QUERY)[0] and stmt.param_names == ("k",)
+        assert stmt.execute(k=3).rows == _oracle(db, 3)
+        assert session.execute("SELECT x.b FROM x IN X WHERE (x.a = $k)", {"k": 3}).cache_hit
+        assert stmt.execute({"k": 4}).rows == _oracle(db, 4)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end invalidation through the service
 # ---------------------------------------------------------------------------

@@ -147,6 +147,65 @@ class TestProcessPool:
             assert executor.pool_rebuilds == 2
         assert after[0][0] == db.extent("R")
 
+    def test_alternating_shapes_share_one_pool(self):
+        """Shapes over different extents must not re-fork each other out:
+        an extent the forking batch did not read is in the fork image as
+        long as the store's epoch has not moved since the fork."""
+        db = MemoryDatabase({
+            "X": [VTuple(a=i % 10, i=i) for i in range(40)],
+            "R": [VTuple(d=1, w=1)],
+        })
+        catalog = Catalog(db)
+        catalog.partition("X", "a", 2)
+        r_specs = [FragmentSpec.make("__r__", {"__r__": ShardRef("R")}) for _ in range(2)]
+        with ParallelExecutor(db, catalog, workers=2, mode="process") as executor:
+            for _ in range(3):
+                x_rows = executor.run_fragments(scan_specs(2))
+                r_rows = executor.run_fragments(r_specs)
+            assert executor.pool_rebuilds == 1
+            assert executor.runs == 6
+        assert frozenset().union(*(rows for rows, _ in x_rows)) == db.extent("X")
+        assert r_rows[0][0] == db.extent("R")
+
+    def test_unrecorded_extent_mutated_since_the_fork_reforks(self):
+        """The epoch proves coverage, so a moved epoch must not: R changed
+        after the fork and before its first use — the workers' image has
+        the old R, and the batch must see the new one."""
+        db = MemoryDatabase({
+            "X": [VTuple(a=i % 10, i=i) for i in range(40)],
+            "R": [VTuple(d=1, w=1)],
+        })
+        catalog = Catalog(db)
+        catalog.partition("X", "a", 2)
+        r_specs = [FragmentSpec.make("__r__", {"__r__": ShardRef("R")}) for _ in range(2)]
+        with ParallelExecutor(db, catalog, workers=2, mode="process") as executor:
+            executor.run_fragments(scan_specs(2))  # forks; records X only
+            db.insert_rows("R", [VTuple(d=2, w=2)])
+            after = executor.run_fragments(r_specs)
+            assert executor.pool_rebuilds == 2
+            executor.run_fragments(scan_specs(2))  # X was not touched: recorded anew, no fork
+            assert executor.pool_rebuilds == 2
+        assert after[0][0] == db.extent("R") and VTuple(d=2, w=2) in after[0][0]
+
+    def test_epochless_store_reforks_for_an_unrecorded_extent(self):
+        class Epochless:
+            """The interpreter protocol only: no epoch to vouch for the image."""
+
+            def __init__(self, base):
+                self._base = base
+
+            def extent(self, name):
+                return self._base.extent(name)
+
+        base = MemoryDatabase({"X": [VTuple(a=1, i=1)], "R": [VTuple(d=1, w=1)]})
+        db = Epochless(base)
+        x_specs = [FragmentSpec.make("__x__", {"__x__": ShardRef("X")})]
+        r_specs = [FragmentSpec.make("__r__", {"__r__": ShardRef("R")})]
+        with ParallelExecutor(db, workers=1, mode="process") as executor:
+            assert executor.run_fragments(x_specs)[0][0] == base.extent("X")
+            assert executor.run_fragments(r_specs)[0][0] == base.extent("R")
+            assert executor.pool_rebuilds == 2
+
     def test_refresh_forces_refork(self):
         db = make_db()
         catalog = Catalog(db)

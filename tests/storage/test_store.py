@@ -140,3 +140,42 @@ class TestMemoryDatabase:
         db.set_extent("X", [VTuple(a=1)])
         db.set_extent("X", [VTuple(a=2)])
         assert db.extent("X") == frozenset({VTuple(a=2)})
+
+    def test_deleted_object_is_no_longer_dereferenceable(self):
+        keep, gone = VTuple(oid=Oid("C", 1), a=5), VTuple(oid=Oid("C", 2), a=6)
+        db = MemoryDatabase({"X": [keep, gone]})
+        db.delete_rows("X", [VTuple(oid=Oid("C", 2), a=6)])  # an equal copy, not the stored object
+        with pytest.raises(StorageError):
+            db.deref(Oid("C", 2))
+        assert db.deref(Oid("C", 1)) == keep
+
+    def test_reinserted_oid_resolves_to_the_new_row(self):
+        old, new = VTuple(oid=Oid("C", 1), a=5), VTuple(oid=Oid("C", 1), a=7)
+        db = MemoryDatabase({"X": [old]})
+        db.delete_rows("X", [old])
+        db.insert_rows("X", [new])
+        assert db.deref(Oid("C", 1)) == new
+        # deleting a row that is not there (any more) leaves the newer object alone
+        db.delete_rows("X", [old])
+        assert db.deref(Oid("C", 1)) == new
+
+    def test_overwritten_oid_survives_the_old_rows_delete(self):
+        old, new = VTuple(oid=Oid("C", 1), a=5), VTuple(oid=Oid("C", 1), a=7)
+        db = MemoryDatabase({"X": [old]})
+        db.insert_rows("X", [new])  # same oid, new state; both rows in the extent
+        db.delete_rows("X", [old])
+        assert db.deref(Oid("C", 1)) == new
+
+    def test_insert_rows_registers_only_object_rows(self):
+        db = MemoryDatabase({"X": [VTuple(a=1)]})
+        db.insert_rows("X", [VTuple(a=2), VTuple(oid=Oid("C", 3), a=3), VTuple(oid=4, a=4)])
+        assert db.deref(Oid("C", 3)) == VTuple(oid=Oid("C", 3), a=3)
+        assert len(db.extent("X")) == 4
+
+    def test_set_extent_keeps_whole_extent_registration(self):
+        rows = [VTuple(oid=Oid("C", i), a=i) for i in range(3)]
+        db = MemoryDatabase()
+        db.set_extent("X", rows)
+        db.set_extent("Y", [VTuple(oid=Oid("D", 0), a=9)])
+        assert [db.deref(Oid("C", i)) for i in range(3)] == rows
+        assert db.deref(Oid("D", 0))["a"] == 9
