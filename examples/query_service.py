@@ -14,9 +14,10 @@ Walks through:
    version; the replanned statement switches from a scan to an index
    probe, visible in ``explain()``.
 4. **Concurrent sessions with per-session stats** — four sessions issue
-   interleaved parameterized queries through the bounded worker pool;
-   results stay oracle-consistent and every session reports its own
-   counters.
+   interleaved parameterized queries with ``execute_async`` (the worker
+   pool; a plain ``execute`` runs on the caller's thread under the same
+   admission limits); results stay oracle-consistent and every session
+   reports its own counters.
 
 Run:  PYTHONPATH=src python examples/query_service.py
 """

@@ -254,7 +254,7 @@ class Compiler:
         #: identity).  A predicate like ``x.a*3 - x.a < x.a + 7`` extracts
         #: the ``a`` column once per batch instead of once per reference.
         #: Single-threaded by design — one compiler per ExecRuntime, one
-        #: runtime per run.
+        #: run at a time per runtime (which clears it between runs).
         self._col_cache: Dict[str, tuple] = {}
 
     # -- public API ---------------------------------------------------------

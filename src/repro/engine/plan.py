@@ -232,6 +232,43 @@ class ExecRuntime:
         self._batch_fns: Dict[Tuple[int, str], Tuple[A.Expr, BatchKernel]] = {}
         self._batch_preds: Dict[Tuple[int, str], Tuple[A.Expr, BatchKernel]] = {}
 
+    # -- reuse --------------------------------------------------------------
+    # A runtime may serve many runs of the *same plan*, one at a time: what
+    # survives is what is expensive and run-independent — the compiled
+    # closures and batch kernels, which hold ``db``, ``stats`` and
+    # ``params`` by reference, so all three change *in place*.  The owner
+    # calls ``release`` when a run ends cleanly and ``rebind`` before the
+    # next; a traced runtime is never reused (its recorder is per run).
+
+    def release(self) -> None:
+        """Forget the finished run: counters, bindings, fault events,
+        transient indexes, cached columns.  An idle runtime holds none of
+        its last run's data (read :attr:`stats` before calling this)."""
+        self.stats.reset()
+        self.params.clear()
+        self.fault_events = {}
+        self._transient_indexes.clear()
+        self.compiler._col_cache.clear()
+
+    def rebind(
+        self,
+        params: Dict[str, Value],
+        *,
+        deadline: Optional[float] = None,
+        epoch: Optional[int] = None,
+        parallel=None,
+    ) -> None:
+        """Arm a released runtime for its next run: bindings, deadline,
+        parallel executor, and the epoch its
+        :class:`~repro.storage.store.EpochView` reads at.  The caller owns
+        the runtime exclusively from here until the run ends."""
+        self.params.update(params)
+        self.deadline = deadline
+        self.parallel = parallel
+        if epoch is not None:
+            self.db.rebind(epoch)
+        self.pinned_epoch = epoch
+
     # -- cancellation -------------------------------------------------------
     def check_deadline(self) -> None:
         """Raise :class:`~repro.datamodel.errors.QueryTimeoutError` when

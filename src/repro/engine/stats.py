@@ -28,7 +28,7 @@ claim; these counters make it measurable without real I/O hardware:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 
 @dataclass
@@ -48,12 +48,16 @@ class Stats:
     batches_emitted: int = 0
     vector_fallbacks: int = 0
 
+    # ``reset`` / ``snapshot`` / ``merge`` run per query (``reset`` per batch
+    # kernel call), so none of them walks ``dataclasses.fields()``: the
+    # instance dict of this plain dataclass *is* the counter set, in field
+    # order — nothing ever sets another attribute on a ``Stats``.
+
     def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
+        self.__init__()
 
     def snapshot(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return vars(self).copy()
 
     def total_work(self) -> int:
         """A single scalar summarizing operator effort, for quick ratios."""
@@ -67,16 +71,20 @@ class Stats:
             + self.oid_derefs
         )
 
+    def merge(self, other: "Stats") -> None:
+        """Add ``other``'s counters into this bundle, in place."""
+        mine = vars(self)
+        for name, value in vars(other).items():
+            if value:
+                mine[name] += value
+
     def __add__(self, other: "Stats") -> "Stats":
         if not isinstance(other, Stats):
             return NotImplemented
-        merged = Stats()
-        for f in fields(self):
-            setattr(merged, f.name, getattr(self, f.name) + getattr(other, f.name))
+        merged = Stats(**vars(self))
+        merged.merge(other)
         return merged
 
     def __repr__(self) -> str:
-        parts = ", ".join(
-            f"{f.name}={getattr(self, f.name)}" for f in fields(self) if getattr(self, f.name)
-        )
+        parts = ", ".join(f"{name}={value}" for name, value in vars(self).items() if value)
         return f"Stats({parts})"

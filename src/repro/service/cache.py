@@ -25,10 +25,14 @@ raw-text executions still parse once per call to compute the shape key
   drops the entry (counted in :attr:`PlanCache.invalidations`), so a
   stale plan is never handed out after a catalog change.
 
-**Concurrency.**  One lock around the LRU map; entries are immutable
-after insertion (the plan tree is stateless — all mutable execution state
-lives in the per-execution ``ExecRuntime``), so any number of concurrent
-executions may share one entry.
+**Concurrency.**  One lock around the LRU map; an entry's plan and
+metadata are immutable after insertion (the plan tree is stateless — all
+mutable execution state lives in an ``ExecRuntime``), so any number of
+concurrent executions may share one entry.  The one mutable member is the
+entry's free-list of *idle* runtimes (:attr:`CachedPlan.idle_runtimes`):
+an execution pops one — or builds one — and owns it exclusively until its
+run ends, so the closures compiled for a plan survive between runs without
+ever being shared by two runs at once.
 """
 
 from __future__ import annotations
@@ -36,18 +40,18 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.adl import ast as A
-from repro.engine.plan import PlanNode
+from repro.engine.plan import ExecRuntime, PlanNode
 
 
 @dataclass(frozen=True)
 class CachedPlan:
     """One compiled query shape: rewritten ADL + physical plan + metadata.
 
-    Immutable and shareable across sessions and threads; parameter values
-    never appear here (they bind per execution).
+    Shareable across sessions and threads; parameter values never appear
+    here (they bind per execution).
     """
 
     shape: str
@@ -71,6 +75,17 @@ class CachedPlan:
     #: the planner's output-cardinality estimate at compile time, the
     #: baseline the epoch-mismatch delta is computed against
     est_rows: Optional[float] = None
+    #: idle :class:`~repro.engine.plan.ExecRuntime`\ s holding this plan's
+    #: compiled closures and batch kernels (and, once released, nothing of
+    #: the run that used them).  Checkout is ``pop()``, return is
+    #: ``append()`` after a clean untraced run — each atomic, so no
+    #: runtime is ever held twice.  A runtime is built only when the list
+    #: is empty and only inside an execution slot, so the list never holds
+    #: more than ``max_in_flight``; it dies with the entry, so a plan the
+    #: catalog retired takes its runtimes with it.
+    idle_runtimes: List[ExecRuntime] = field(
+        default_factory=list, compare=False, repr=False
+    )
 
 
 @dataclass

@@ -3,8 +3,8 @@
 A prepared statement is the client-side face of the plan cache: preparing
 parses + normalizes the text, compiles (or cache-hits) the plan, and
 records the declared ``$name`` parameters; executing validates a binding
-against those names and runs the cached physical plan with a fresh
-per-execution runtime.
+against those names and runs the cached physical plan on a runtime the
+execution owns exclusively.
 
 Binding validation is strict in both directions — a missing parameter
 would raise :class:`~repro.datamodel.errors.UnboundParameterError` deep

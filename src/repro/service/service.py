@@ -7,7 +7,7 @@ optimization tax on every call and supports exactly one caller.  This
 module adds the missing layer:
 
 * :class:`QueryService` owns a database + catalog and serves many logical
-  :class:`Session`\\ s concurrently over one bounded worker pool;
+  :class:`Session`\\ s concurrently under one set of admission limits;
 * **prepared statements** (``$name`` placeholders, see
   :mod:`repro.service.prepared`) bind parameters at execution time, so
   repeated query *shapes* share one plan;
@@ -39,12 +39,29 @@ module adds the missing layer:
   pin and reclaim event is counted in :meth:`QueryService.stats` — PR
   6's "every event is counted, never silent", applied to admission.
 
-Isolation contract: *all mutable execution state is per-execution*.
-Every query run gets a fresh :class:`~repro.engine.stats.Stats` and a
-fresh :class:`~repro.engine.plan.ExecRuntime` (hence its own interpreter,
-compiler, closure caches and parameter bindings); the shared pieces — the
-database extents, catalog snapshots, cached :class:`CachedPlan` trees —
-are immutable or internally locked.  That is what makes "8 concurrent
+Who runs a query: :meth:`Session.execute` runs it **on the caller's
+thread** — admission, then one of the ``max_in_flight`` execution slots
+(waiting for it at most until the query's ``timeout`` / the service's
+``queue_wait_s``), then the plan, then release; :meth:`Session.execute_async`
+is the *same* admit → slot → run → release sequence with the run handed to
+the worker pool, so ``max_workers`` is the number of threads serving
+``execute_async`` and nothing else.  Both drivers draw on the same slots,
+the same outstanding bound and the same counters.
+
+Isolation contract: *all mutable execution state is exclusively owned for
+the duration of one execution*.  Every query run owns one
+:class:`~repro.engine.plan.ExecRuntime` (hence its own
+:class:`~repro.engine.stats.Stats`, interpreter, compiler, closure caches,
+parameter bindings and epoch view) from checkout to the end of the run, and
+no other run can reach it meanwhile.  Between runs an idle runtime waits on
+its :class:`CachedPlan`'s free-list with its compiled closures and batch
+kernels intact and nothing else: a clean, untraced run releases it
+(counters, bindings, fault events, transient indexes, cached columns) and
+the next run of that plan rebinds it in place (bindings, deadline, epoch)
+instead of recompiling.  A run that raised drops its runtime;
+``analyze=True`` / ``REPRO_TRACE`` runs always build their own.  The
+shared pieces — the database extents, catalog snapshots, cached plan trees
+— are immutable or internally locked.  That is what makes "8 concurrent
 sessions return exactly the serial results" hold by construction; the
 epoch pin extends it from "no shared mutable state" to "no observable
 intermediate state" under concurrent writers.
@@ -72,7 +89,13 @@ from repro.datamodel.values import Value
 from repro.engine.plan import ExecRuntime
 from repro.engine.planner import Planner
 from repro.engine.stats import Stats
-from repro.obs import MetricsRegistry, MisestimateStore, SlowQueryLog, TraceRecorder
+from repro.obs import (
+    MetricsRegistry,
+    MisestimateStore,
+    SlowQueryLog,
+    TraceRecorder,
+    q_error,
+)
 from repro.rewrite.strategy import Optimizer
 from repro.service.cache import CachedPlan, PlanCache
 from repro.service.prepared import (
@@ -170,9 +193,15 @@ class Session:
     ) -> QueryResult:
         """Run a query (text or prepared statement), waiting for the result.
 
-        ``timeout`` (seconds) bounds the query's *total* latency — queue
-        wait included — enforced within the engine's polling granularity;
-        past it the execution raises
+        The query runs **on the calling thread**: admission (slot,
+        session cap, epoch pin) happens here, then the caller itself
+        takes one of the ``max_in_flight`` execution slots — waiting for
+        it, bounded by ``timeout`` / ``queue_wait_s``, if none is free —
+        and executes the plan.  No worker-pool hand-off.
+
+        ``timeout`` (seconds) bounds the query's *total* latency — the
+        wait for a slot included — enforced within the engine's polling
+        granularity; past it the execution raises
         :class:`~repro.datamodel.errors.QueryTimeoutError` and any worker
         pool it was driving is reclaimed.
 
@@ -183,9 +212,7 @@ class Session:
         the service's q-error threshold land in
         ``QueryService.misestimates``.
         """
-        return self.execute_async(
-            query, params, timeout=timeout, analyze=analyze
-        ).result()
+        return self._submit(query, params, timeout, analyze, on_pool=False)
 
     def execute_async(
         self,
@@ -195,13 +222,17 @@ class Session:
         timeout: Optional[float] = None,
         analyze: bool = False,
     ) -> "Future[QueryResult]":
-        """Submit a query to the service's worker pool.
+        """:meth:`execute`, with the run handed to the service's worker pool.
 
-        Raises :class:`AdmissionError` immediately when the service is at
-        its in-flight + queue-depth limit.  The deadline implied by
-        ``timeout`` starts *now*, at submission — a query that sits in the
-        queue spends its budget there too.
+        Same admission, same limits, same errors — only the thread
+        differs.  Raises :class:`AdmissionError` immediately when the
+        service is at its in-flight + queue-depth limit.  The deadline
+        implied by ``timeout`` starts *now*, at submission — a query that
+        sits in the queue spends its budget there too.
         """
+        return self._submit(query, params, timeout, analyze, on_pool=True)
+
+    def _submit(self, query, params, timeout, analyze: bool, on_pool: bool):
         self._check_open()
         if isinstance(query, PreparedStatement):
             shape, param_names = query.shape, query.param_names
@@ -212,7 +243,7 @@ class Session:
             raise ServiceError(f"timeout must be >= 0 seconds, got {timeout}")
         deadline = time.monotonic() + timeout if timeout is not None else None
         return self.service._submit(
-            self, shape, param_names, bindings, deadline, analyze=analyze
+            self, shape, param_names, bindings, deadline, analyze=analyze, on_pool=on_pool
         )
 
     # -- snapshot isolation (PR 7) ------------------------------------------
@@ -275,7 +306,7 @@ class Session:
         if self._closed:
             raise ServiceError(f"session {self.id!r} is closed")
 
-    def _record(self, result: Optional[QueryResult], work: Stats) -> None:
+    def _record(self, result: Optional[QueryResult], work: Optional[Stats] = None) -> None:
         with self._lock:
             self._stats.queries += 1
             if result is None:
@@ -283,11 +314,11 @@ class Session:
                 return
             self._stats.cache_hits += int(result.cache_hit)
             self._stats.wall_s += result.wall_s
-            self._stats.work = self._stats.work + work
+            self._stats.work.merge(work)
 
 
 class QueryService:
-    """Owns one database + catalog; serves sessions through a worker pool.
+    """Owns one database + catalog; serves sessions under admission control.
 
     Parameters
     ----------
@@ -302,10 +333,12 @@ class QueryService:
         planning and index access paths.  Its monotonic ``version`` is
         part of every plan-cache key.
     max_workers / max_in_flight:
-        Worker threads in the pool / concurrently executing queries
-        (default: equal; ``max_in_flight`` may be lower but never higher —
-        the pool could not honor it).  ``queue_depth`` more submissions
-        may wait; beyond that :class:`AdmissionError` is raised
+        Threads serving :meth:`Session.execute_async` / concurrently
+        executing queries, whichever thread runs them —
+        :meth:`Session.execute` runs on its caller's (default: equal;
+        ``max_in_flight`` may be lower but never higher — the pool could
+        not honor it).  ``queue_depth`` more submissions may wait for a
+        slot; beyond that :class:`AdmissionError` is raised
         (back-pressure).
     cache_size:
         Plan-cache capacity in distinct query shapes; ``0`` disables
@@ -335,7 +368,7 @@ class QueryService:
         without epochs.
     queue_wait_s:
         Overload shed deadline (PR 7): a submission that waited longer
-        than this in the admission queue is shed with
+        than this for an execution slot is shed with
         :class:`~repro.datamodel.errors.OverloadError` (retry-after =
         this value) instead of executing arbitrarily late.  ``None``
         disables the shed (queued work runs whenever a worker frees up,
@@ -402,9 +435,9 @@ class QueryService:
         if self.max_in_flight < 1:
             raise ServiceError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
         if self.max_in_flight > max_workers:
-            # the pool can never run more than max_workers at once; a larger
-            # in-flight limit would just be a hidden extra queue and make
-            # every admission number a lie
+            # execute_async can never run more than max_workers at once; a
+            # larger in-flight limit would just be a hidden extra queue and
+            # make every admission number a lie
             raise ServiceError(
                 f"max_in_flight ({self.max_in_flight}) cannot exceed "
                 f"max_workers ({max_workers})"
@@ -416,9 +449,6 @@ class QueryService:
             max_workers=min(max_workers, self.max_in_flight),
             thread_name_prefix="repro-query",
         )
-        # admission: in-flight executions + queued submissions together may
-        # not exceed max_in_flight + queue_depth
-        self._slots = threading.Semaphore(self.max_in_flight + self.queue_depth)
         # compilation serializes *per shape* (no duplicate compiles of one
         # shape; distinct shapes compile concurrently).  Entries are
         # refcounted [lock, waiters] pairs so the registry stays bounded
@@ -432,11 +462,20 @@ class QueryService:
         self._parallel = None
         self._parallel_guard = threading.Lock()
         self._state_lock = threading.Lock()
+        #: an execution slot was released (waiters: queries in ``_enter``)
+        self._slot_free = threading.Condition(self._state_lock)
+        #: the last outstanding query was released (waiter: ``close``)
+        self._drained = threading.Condition(self._state_lock)
         self._session_ids = itertools.count(1)
         self._closed = False
         self.executed = 0
         self.rejected = 0
         self.compilations = 0
+        # admission, all under _state_lock: admitted-but-unreleased queries
+        # (waiting for a slot or executing, on either driver) may not exceed
+        # max_in_flight + queue_depth; executing ones may not exceed
+        # max_in_flight
+        self._outstanding = 0
         self._in_flight = 0
         self.peak_in_flight = 0
         # -- fault-tolerance accounting (PR 6), under _state_lock
@@ -768,6 +807,11 @@ class QueryService:
             return self._parallel
 
     # -- execution -------------------------------------------------------------
+    # One sequence serves both drivers: ``_submit`` admits (closed check,
+    # session cap, outstanding cap, epoch pin — all at submission), then
+    # ``_run`` takes an execution slot, executes, and releases everything
+    # it and the admission took.  ``Session.execute`` calls ``_run`` on the
+    # caller's thread; ``execute_async`` hands the same call to the pool.
     def _submit(
         self,
         session: Session,
@@ -776,81 +820,162 @@ class QueryService:
         bindings: Dict[str, Value],
         deadline: Optional[float] = None,
         analyze: bool = False,
-    ) -> "Future[QueryResult]":
-        if self._closed:
-            raise ServiceError("service is closed")
+        on_pool: bool = False,
+    ) -> Union[QueryResult, "Future[QueryResult]"]:
         retry_after = self.queue_wait_s if self.queue_wait_s is not None else 0.05
-        # per-session fairness cap first: a capped session is shed without
-        # consuming a global slot, so it cannot crowd out other sessions
-        if self.session_max_in_flight is not None:
-            with self._state_lock:
-                outstanding = self._session_outstanding.get(session.id, 0)
-                if outstanding >= self.session_max_in_flight:
-                    self.shed_fairness += 1
-                    self.rejected += 1
-                    raise OverloadError(
-                        f"session {session.id!r} already has {outstanding} "
-                        f"queries outstanding (cap {self.session_max_in_flight})",
-                        retry_after_s=retry_after,
-                    )
-        if not self._slots.acquire(blocking=False):
-            with self._state_lock:
+        with self._state_lock:
+            if self._closed:
+                raise ServiceError("service is closed")
+            # per-session fairness cap first: a capped session is shed
+            # without consuming a global slot, so it cannot crowd out others
+            outstanding = self._session_outstanding.get(session.id, 0)
+            if (
+                self.session_max_in_flight is not None
+                and outstanding >= self.session_max_in_flight
+            ):
+                self.shed_fairness += 1
                 self.rejected += 1
-            raise AdmissionError(
-                f"service saturated: {self.max_in_flight} in flight plus "
-                f"{self.queue_depth} queued",
-                retry_after_s=retry_after,
-            )
+                raise OverloadError(
+                    f"session {session.id!r} already has {outstanding} "
+                    f"queries outstanding (cap {self.session_max_in_flight})",
+                    retry_after_s=retry_after,
+                )
+            if self._outstanding >= self.max_in_flight + self.queue_depth:
+                self.rejected += 1
+                raise AdmissionError(
+                    f"service saturated: {self.max_in_flight} in flight plus "
+                    f"{self.queue_depth} queued",
+                    retry_after_s=retry_after,
+                )
+            self._outstanding += 1
+            self._session_outstanding[session.id] = outstanding + 1
+            if self._epochs_enabled:
+                self.pins_taken += 1
         # pin the query's visibility epoch *now*, at submission: the state
         # a client observes is the state that existed when it asked, no
-        # matter how long the query queues (a session snapshot re-pins its
-        # own epoch so the pin survives queue + execution independently)
+        # matter how long the query waits (a session snapshot re-pins its
+        # own epoch so the pin survives wait + execution independently)
         pinned: Optional[int] = None
-        incremented = False
         submitted_at = time.monotonic()
         try:
             if self._epochs_enabled:
-                pinned = self._pin_epoch(session._snapshot_epoch)
-            with self._state_lock:
-                self._session_outstanding[session.id] = (
-                    self._session_outstanding.get(session.id, 0) + 1
-                )
-            incremented = True
-            future = self._pool.submit(
-                self._run,
-                session,
-                shape,
-                param_names,
-                bindings,
-                deadline,
-                pinned,
-                submitted_at,
-                analyze,
+                pinned = self.db.pin_epoch(session._snapshot_epoch)
+            args = (
+                session, shape, param_names, bindings,
+                deadline, pinned, submitted_at, analyze,
             )
+            if on_pool:
+                return self._pool.submit(self._run, *args)
         except BaseException:
-            self._slots.release()
-            if incremented:
-                with self._state_lock:
-                    count = self._session_outstanding.get(session.id, 0) - 1
-                    if count > 0:
-                        self._session_outstanding[session.id] = count
-                    else:
-                        self._session_outstanding.pop(session.id, None)
-            if pinned is not None:
-                self._unpin_epoch(pinned)
+            # never reached _run: undo the admission here (and the count
+            # of a pin that was never taken)
+            unpinned = self._epochs_enabled and pinned is None
+            self._leave(session, pinned, {"pins_taken": -1} if unpinned else {})
             raise
+        return self._run(*args)
 
-        def _release(_f) -> None:
-            self._slots.release()
-            with self._state_lock:
-                count = self._session_outstanding.get(session.id, 0) - 1
-                if count > 0:
-                    self._session_outstanding[session.id] = count
-                else:
-                    self._session_outstanding.pop(session.id, None)
+    def _enter(self, deadline: Optional[float], submitted_at: float) -> float:
+        """Take one of the ``max_in_flight`` execution slots, waiting for
+        one until the query's deadline or the shed deadline, whichever
+        comes first; returns the seconds waited since submission."""
+        shed_at = submitted_at + self.queue_wait_s if self.queue_wait_s is not None else None
+        give_up = min((t for t in (deadline, shed_at) if t is not None), default=None)
+        with self._slot_free:
+            now = time.monotonic()
+            while self._in_flight >= self.max_in_flight and (
+                give_up is None or now < give_up
+            ):
+                self._slot_free.wait(None if give_up is None else give_up - now)
+                now = time.monotonic()
+            if (
+                self._in_flight >= self.max_in_flight
+                or (shed_at is not None and now > shed_at)
+                or (deadline is not None and now >= deadline)
+            ):
+                # giving up: if a release woke this waiter, the slot it
+                # declines must wake the next one instead of going unnoticed
+                self._slot_free.notify()
+                if shed_at is not None and now >= shed_at:
+                    # overload shed (PR 7): the wait alone blew the shed
+                    # deadline — executing now would serve a client that
+                    # has likely given up, at the expense of fresher work
+                    self.shed_queue_wait += 1
+                    raise OverloadError(
+                        f"query shed after waiting {now - submitted_at:.3f}s for an "
+                        f"execution slot (queue_wait_s={self.queue_wait_s})",
+                        retry_after_s=self.queue_wait_s,
+                    )
+                # the budget was spent waiting
+                raise QueryTimeoutError("query deadline expired before execution")
+            self._in_flight += 1
+            if self._in_flight > self.peak_in_flight:
+                self.peak_in_flight = self._in_flight
+        return now - submitted_at
 
-        future.add_done_callback(_release)
-        return future
+    def _leave(
+        self,
+        session: Session,
+        pinned: Optional[int],
+        counts: Dict[str, int],
+        held_slot: bool = False,
+    ) -> None:
+        """Release what one admitted query holds — epoch pin, execution
+        slot, session and service outstanding counts — and fold its
+        counter increments in, all in one ``_state_lock`` round."""
+        if pinned is not None:
+            self._unpin_epoch(pinned)
+        with self._state_lock:
+            for name, n in counts.items():
+                setattr(self, name, getattr(self, name) + n)
+            if held_slot:
+                self._in_flight -= 1
+                self._slot_free.notify()
+            left = self._session_outstanding[session.id] - 1
+            if left:
+                self._session_outstanding[session.id] = left
+            else:
+                del self._session_outstanding[session.id]
+            self._outstanding -= 1
+            if not self._outstanding:
+                self._drained.notify_all()
+
+    def _runtime_for(
+        self,
+        entry: CachedPlan,
+        bindings: Dict[str, Value],
+        deadline: Optional[float],
+        pinned: Optional[int],
+        analyze: bool,
+    ) -> ExecRuntime:
+        """An :class:`ExecRuntime` this execution owns exclusively: an idle
+        one of ``entry``'s (closures and kernels already compiled), rebound
+        in place, else a new one.  Traced runs always get a new one."""
+        parallel = self._parallel_handle() if entry.parallel else None
+        if not (analyze or os.environ.get("REPRO_TRACE")):
+            try:
+                runtime = entry.idle_runtimes.pop()
+            except IndexError:
+                pass
+            else:
+                runtime.rebind(bindings, deadline=deadline, epoch=pinned, parallel=parallel)
+                return runtime
+        return ExecRuntime(
+            # every read of this execution resolves through the pinned
+            # epoch's view (PR 7) — the runtime picks the epoch up and
+            # threads it into every shipped fragment
+            EpochView(self.db, pinned) if pinned is not None else self.db,
+            Stats(),
+            catalog=self.catalog,
+            params=bindings,
+            parallel=parallel,
+            deadline=deadline,
+            batch_size=self.batch_size,
+            trace=(
+                TraceRecorder(q_error_threshold=self.q_error_threshold)
+                if analyze
+                else None
+            ),
+        )
 
     def _run(
         self,
@@ -858,97 +983,62 @@ class QueryService:
         shape: str,
         param_names: Tuple[str, ...],
         bindings: Dict[str, Value],
-        deadline: Optional[float] = None,
-        pinned: Optional[int] = None,
-        submitted_at: Optional[float] = None,
-        analyze: bool = False,
+        deadline: Optional[float],
+        pinned: Optional[int],
+        submitted_at: float,
+        analyze: bool,
     ) -> QueryResult:
-        with self._state_lock:
-            self._in_flight += 1
-            self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
-        work = Stats()
+        #: service counter → increment, folded in by the one exit round
+        counts: Dict[str, int] = {}
+        held_slot = False
         try:
-            now = time.monotonic()
-            if (
-                self.queue_wait_s is not None
-                and submitted_at is not None
-                and now - submitted_at > self.queue_wait_s
-            ):
-                # overload shed (PR 7): the queue wait alone blew the
-                # shed deadline — executing now would serve a client that
-                # has likely given up, at the expense of fresher work
-                with self._state_lock:
-                    self.shed_queue_wait += 1
-                raise OverloadError(
-                    f"query shed after waiting {now - submitted_at:.3f}s in the "
-                    f"admission queue (queue_wait_s={self.queue_wait_s})",
-                    retry_after_s=self.queue_wait_s,
-                )
-            if deadline is not None and now >= deadline:
-                # the budget was spent waiting in the queue
-                raise QueryTimeoutError("query deadline expired before execution")
-            queue_wait = now - submitted_at if submitted_at is not None else 0.0
+            queue_wait = self._enter(deadline, submitted_at)
+            held_slot = True
             entry, cache_hit = self._lookup_or_compile(shape, param_names)
-            recorder = (
-                TraceRecorder(q_error_threshold=self.q_error_threshold)
-                if analyze
-                else None
-            )
-            # every read of this execution resolves through the pinned
-            # epoch's view (PR 7) — the runtime picks the epoch up and
-            # threads it into every shipped fragment
-            exec_db = EpochView(self.db, pinned) if pinned is not None else self.db
-            # all mutable execution state is local to this runtime: stats,
-            # interpreter, compiled closures, parameter bindings — and the
-            # deadline the engine polls per batch
-            runtime = ExecRuntime(
-                exec_db,
-                work,
-                catalog=self.catalog,
-                params=bindings,
-                parallel=self._parallel_handle() if entry.parallel else None,
-                deadline=deadline,
-                batch_size=self.batch_size,
-                trace=recorder,
-            )
+            runtime = self._runtime_for(entry, bindings, deadline, pinned, analyze)
+            work = runtime.stats
             start = time.perf_counter()
             rows = entry.plan.execute(runtime)
             wall = time.perf_counter() - start
-            faults = dict(runtime.fault_events)
+            faults = runtime.fault_events
             if faults:
-                with self._state_lock:
-                    self.retries += int(faults.get("retries", 0) or 0)
-                    self.degraded_runs += int(bool(faults.get("degraded")))
+                counts["retries"] = int(faults.get("retries", 0) or 0)
+                counts["degraded_runs"] = int(bool(faults.get("degraded")))
             if (
                 pinned is not None
                 and entry.epoch is not None
                 and entry.epoch != pinned
             ):
                 # the plan was priced at a different epoch than it ran at
-                # (allowed — the catalog-version gate bounds the staleness)
-                # but never silently: record the estimate-vs-actual delta
-                # on the misestimate store (PR 10 — one feedback surface)
-                with self._state_lock:
-                    self.epoch_mismatch_runs += 1
-                    self.misestimates.record(
-                        shape,
-                        kind="epoch-mismatch",
-                        planned_epoch=entry.epoch,
-                        executed_epoch=pinned,
-                        est_rows=entry.est_rows,
-                        actual_rows=len(rows),
-                    )
+                # (allowed — the catalog-version gate bounds the staleness):
+                # every such run is counted, and the ones whose row count
+                # actually misses the estimate (or that have none to check)
+                # land on the misestimate store (PR 10 — one feedback
+                # surface).  After the first write this is every cached-plan
+                # read, so the record is the exception, not the rule.
+                counts["epoch_mismatch_runs"] = 1
+                q = q_error(entry.est_rows, len(rows))
+                if q is None or q > self.q_error_threshold:
+                    with self._state_lock:
+                        self.misestimates.record(
+                            shape,
+                            kind="epoch-mismatch",
+                            planned_epoch=entry.epoch,
+                            executed_epoch=pinned,
+                            est_rows=entry.est_rows,
+                            actual_rows=len(rows),
+                        )
             analyze_text = None
             trace_summary = None
             tracer = runtime.trace  # the analyze recorder, or REPRO_TRACE's
             if tracer is not None:
                 misses = tracer.misestimates(entry.plan)
-                with self._state_lock:
-                    if analyze:
-                        self.analyzed_runs += 1
-                    for miss in misses:
-                        self.misestimates.record(shape, kind="operator", **miss)
+                if misses:
+                    with self._state_lock:
+                        for miss in misses:
+                            self.misestimates.record(shape, kind="operator", **miss)
                 if analyze:
+                    counts["analyzed_runs"] = 1
                     analyze_text = tracer.render(entry.plan)
                     trace_summary = tracer.summary(entry.plan)
             self._latency_hist.observe(wall)
@@ -974,24 +1064,24 @@ class QueryService:
                 trace=trace_summary,
             )
             session._record(result, work)
-            with self._state_lock:
-                self.executed += 1
-                if runtime.batch_size:
-                    self.batch_runs += 1
-                    self.batches_emitted += work.batches_emitted
-                    self.vector_fallbacks += work.vector_fallbacks
+            counts["executed"] = 1
+            if runtime.batch_size:
+                counts["batch_runs"] = 1
+                counts["batches_emitted"] = work.batches_emitted
+                counts["vector_fallbacks"] = work.vector_fallbacks
+            if tracer is None:
+                # a clean run's closures are worth keeping; a run that
+                # raised never gets here, so its runtime is dropped
+                runtime.release()
+                entry.idle_runtimes.append(runtime)
             return result
         except BaseException as exc:
             if isinstance(exc, QueryTimeoutError):
-                with self._state_lock:
-                    self.timeouts += 1
-            session._record(None, work)
+                counts["timeouts"] = 1
+            session._record(None)
             raise
         finally:
-            if pinned is not None:
-                self._unpin_epoch(pinned)
-            with self._state_lock:
-                self._in_flight -= 1
+            self._leave(session, pinned, counts, held_slot)
 
     # -- reporting / lifecycle ---------------------------------------------------
     def stats(self) -> dict:
@@ -1154,7 +1244,14 @@ class QueryService:
                 self.warm_dropped += 1
 
     def close(self, wait: bool = True) -> None:
-        self._closed = True
+        """Refuse new submissions; with ``wait``, let every admitted query
+        — on a pool thread or on its caller's — finish before the plan
+        cache is persisted and the parallel executor closed (a query that
+        outlives a ``wait=False`` close degrades to inline fragments)."""
+        with self._drained:
+            self._closed = True
+            while wait and self._outstanding:
+                self._drained.wait()
         self._pool.shutdown(wait=wait)
         if self.cache_persist_path:
             self._persist_plan_cache(self.cache_persist_path)

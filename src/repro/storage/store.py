@@ -331,6 +331,15 @@ class EpochView:
         self._base = base
         self.pinned_epoch = epoch
 
+    def rebind(self, epoch: int) -> None:
+        """Point this view at another pinned epoch, in place.
+
+        For the one owner of a view between two of its runs (a reused
+        :class:`~repro.engine.plan.ExecRuntime`, whose compiled closures
+        hold the view by reference) — never while a read is in progress.
+        """
+        self.pinned_epoch = epoch
+
     def extent(self, name: str) -> frozenset:
         return self._base.extent_at(name, self.pinned_epoch)
 

@@ -182,6 +182,34 @@ def test_epoch_mismatch_records_estimate_delta():
         assert rec["actual_rows"] == len(r.rows)
 
 
+def test_epoch_mismatch_is_recorded_only_when_the_estimate_misses():
+    """After the first write *every* cached-plan read runs at a newer
+    epoch than its plan was priced at: all are counted, but only a run
+    whose row count misses the estimate by more than the q-error
+    threshold lands on the misestimate store."""
+    from repro.storage import Catalog
+
+    db = _db()
+    catalog = Catalog(db)
+    catalog.analyze()
+    with QueryService(db, catalog=catalog) as svc:
+        first = svc.execute(SIMPLE, {"k": 1})  # priced at rows≈10, returns 10
+        db.insert_rows("X", [VTuple(a=1, b=999)])  # epoch moves, version doesn't
+        for _ in range(5):
+            assert svc.execute(SIMPLE, {"k": 1}).cache_hit
+        stats = svc.stats()
+        assert stats["epoch_mismatch_runs"] == 5
+        assert stats["misestimates"] == 0
+        # the same plan, but the data has left the estimate behind
+        db.insert_rows("X", [VTuple(a=2, b=2000 + i) for i in range(100)])
+        skewed = svc.execute(SIMPLE, {"k": 2})
+        assert skewed.cache_hit and len(skewed.rows) == 110
+        (rec,) = svc.misestimates.records("epoch-mismatch")
+        assert rec["actual_rows"] == 110 and rec["est_rows"] < 110 / svc.q_error_threshold
+        assert rec["planned_epoch"] == first.epoch < rec["executed_epoch"] == skewed.epoch
+        assert svc.stats()["epoch_mismatch_runs"] == 6
+
+
 # ---------------------------------------------------------------------------
 # overload shedding
 # ---------------------------------------------------------------------------
