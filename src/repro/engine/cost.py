@@ -87,6 +87,50 @@ def _equi_attr_pairs(pred: A.Expr, lvar: str, rvar: str):
     return []
 
 
+def fragment_base(operand: A.Expr) -> Optional[str]:
+    """The unique base extent of a fragment-shippable operand (a bare
+    extent, or *selections* over one), else ``None``.
+
+    Maps are deliberately excluded: a map can rename or recompute
+    attributes, so a join key named after the map's output would be
+    shard-routed against base-extent rows carrying different attributes —
+    a crash at best, silently wrong routing at worst.  Selections leave
+    attributes untouched, so routing by the join attribute against base
+    rows is sound.
+    """
+    node = operand
+    while isinstance(node, A.Select):
+        node = node.source
+    return node.name if isinstance(node, A.ExtentRef) else None
+
+
+def shard_balance(*partitionings) -> Optional[float]:
+    """Largest-shard row fraction over the given registered
+    partitionings' per-shard statistics (the most skewed one wins), or
+    ``None`` when all are empty — how stored skew reaches
+    :meth:`CostModel.parallel_join_cost`."""
+    balances = []
+    for pe in partitionings:
+        total = sum(pe.cardinalities)
+        if total:
+            balances.append(max(pe.cardinalities) / total)
+    return max(balances) if balances else None
+
+
+def co_partitioned(lp, rp, key_pairs) -> bool:
+    """Are two operands' registered partitionings ``lp`` / ``rp`` aligned
+    on one of the join's directly-bound ``(left_attr, right_attr)`` key
+    pairs — same part count, each side split on its key?  The
+    partition-wise test both the stitch estimate and the physical
+    planner's candidate enumeration apply."""
+    if lp is None or rp is None or lp.parts != rp.parts:
+        return False
+    return any(
+        l_attr and r_attr and l_attr == lp.attr and r_attr == rp.attr
+        for l_attr, r_attr in key_pairs
+    )
+
+
 def flat_join(expr: A.Expr) -> Optional[A.NestJoin]:
     """``⊔(α[z : z.as](L ⊣⟨x,y : p ; f ; as⟩ R))`` → the nestjoin, else ``None``.
 
@@ -453,15 +497,6 @@ class CardinalityEstimator:
         stitch_cost = pair_rows * HASH_INSERT_COST + left.cost + left.rows * TUPLE_COST
         return Estimate(left.rows, join_cost + stitch_cost, left.extent)
 
-    @staticmethod
-    def _select_base(operand: A.Expr) -> Optional[str]:
-        """The base extent under a chain of selections (the same
-        fragment-shippable shapes the physical planner accepts)."""
-        node = operand
-        while isinstance(node, A.Select):
-            node = node.source
-        return node.name if isinstance(node, A.ExtentRef) else None
-
     def _parallel_stitch_join_cost(
         self, expr, left: Estimate, right: Estimate, out_rows: float
     ) -> Optional[float]:
@@ -473,25 +508,14 @@ class CardinalityEstimator:
         """
         if self.catalog is None:
             return None
-        l_ext = self._select_base(expr.left)
-        r_ext = self._select_base(expr.right)
+        l_ext = fragment_base(expr.left)
+        r_ext = fragment_base(expr.right)
         if l_ext is None or r_ext is None:
             return None
         lp = self.catalog.partitioning(l_ext)
         rp = self.catalog.partitioning(r_ext)
-        if lp is None or rp is None or lp.parts != rp.parts:
+        if not co_partitioned(lp, rp, _equi_attr_pairs(expr.pred, expr.lvar, expr.rvar)):
             return None
-        if not any(
-            l_attr == lp.attr and r_attr == rp.attr
-            for l_attr, r_attr in _equi_attr_pairs(expr.pred, expr.lvar, expr.rvar)
-        ):
-            return None
-
-        def balance(pe) -> Optional[float]:
-            total = sum(pe.cardinalities)
-            return max(pe.cardinalities) / total if total else None
-
-        balances = [b for b in (balance(lp), balance(rp)) if b]
         model = CostModel(self.catalog)
         return model.parallel_join_cost(
             "partition-wise",
@@ -500,7 +524,7 @@ class CardinalityEstimator:
             out_rows,
             lp.parts,
             self.parallel_workers,
-            balance=max(balances) if balances else None,
+            balance=shard_balance(lp, rp),
         )
 
     # -- selectivity ---------------------------------------------------------

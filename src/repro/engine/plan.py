@@ -192,8 +192,8 @@ class ExecRuntime:
         #: nothing — the check branch is hoisted out of every hot loop.
         self.deadline = deadline
         #: fault-tolerance events of this run (retries, degradation,
-        #: breaker state) — filled by the gather's ``run_fragments`` call
-        #: and surfaced on ``QueryResult.faults`` by the service
+        #: breaker state, attempts) — every gather's batch report folded
+        #: in, surfaced on ``QueryResult.faults`` by the service
         self.fault_events: Dict[str, object] = {}
         #: prepared-statement parameter bindings for this run; ``Param``
         #: expressions resolve against it in both evaluation engines

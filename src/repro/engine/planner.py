@@ -52,7 +52,10 @@ from repro.adl.builders import conjoin, conjuncts
 from repro.adl.freevars import free_vars
 from repro.adl.subst import substitute
 from repro.engine import plan as P
-from repro.engine.cost import CostModel, Estimate, PREDICATE_COST, _bound_attr, flat_join
+from repro.engine.cost import (
+    CostModel, Estimate, PREDICATE_COST, _bound_attr, co_partitioned, flat_join,
+    fragment_base, shard_balance,
+)
 from repro.engine.joinorder import JoinOrderDecision, reorder_joins
 from repro.engine.plan import ExecRuntime, PlanNode
 from repro.engine.stats import Stats
@@ -471,23 +474,6 @@ class Planner:
         return (lambda m, l, r, rows: m.index_join_cost(l, named, pair_conjuncts), build)
 
     # -- partition-parallel candidates (PR 5) --------------------------------
-    @staticmethod
-    def _fragment_base(operand: A.Expr) -> Optional[str]:
-        """The unique base extent of a fragment-shippable operand (a bare
-        extent, or *selections* over one), else ``None``.
-
-        Maps are deliberately excluded: a map can rename or recompute
-        attributes, so a join key named after the map's output would be
-        shard-routed against base-extent rows carrying different
-        attributes — a crash at best, silently wrong routing at worst.
-        Selections leave attributes untouched, so routing by the join
-        attribute against base rows is sound.
-        """
-        node = operand
-        while isinstance(node, A.Select):
-            node = node.source
-        return node.name if isinstance(node, A.ExtentRef) else None
-
     def _operand_chain(self, operand: A.Expr, base: PlanNode) -> PlanNode:
         """Rebuild an operand's filter chain over ``base`` — the
         per-partition input description ``explain()`` renders."""
@@ -525,8 +511,8 @@ class Planner:
 
         model = self.cost_model
         workers = self.parallel_workers
-        l_ext = self._fragment_base(expr.left)
-        r_ext = self._fragment_base(expr.right)
+        l_ext = fragment_base(expr.left)
+        r_ext = fragment_base(expr.right)
         if l_ext is None or r_ext is None:
             return []
         template = dataclasses.replace(
@@ -540,12 +526,6 @@ class Planner:
         ]
         lp = self.catalog.partitioning(l_ext)
         rp = self.catalog.partitioning(r_ext)
-
-        def shard_balance(pe) -> Optional[float]:
-            """Largest-shard row fraction from the per-shard statistics —
-            how the registered partitioning's skew reaches the cost."""
-            total = sum(pe.cardinalities)
-            return max(pe.cardinalities) / total if total else None
 
         def candidate(strategy, parts, bindings, left_node_fn, right_node_fn,
                       balance=None):
@@ -568,29 +548,26 @@ class Planner:
 
         candidates: List[Tuple[float, object]] = []
 
-        if lp is not None and rp is not None and lp.parts == rp.parts:
-            for l_attr, r_attr in key_pairs:
-                if l_attr == lp.attr and r_attr == rp.attr and l_attr and r_attr:
-                    parts = lp.parts
-                    bindings = [
-                        {
-                            LEFT_PLACEHOLDER: ShardRef(l_ext, lp.attr, parts, i),
-                            RIGHT_PLACEHOLDER: ShardRef(r_ext, rp.attr, parts, i),
-                        }
-                        for i in range(parts)
-                    ]
-                    balances = [b for b in (shard_balance(lp), shard_balance(rp)) if b]
-                    candidates.append(candidate(
-                        "partition-wise", parts, bindings,
-                        lambda: self._operand_chain(
-                            expr.left, self._annotate(
-                                PartitionedScan(l_ext, lp.attr, lp.parts), l_ext)),
-                        lambda: self._operand_chain(
-                            expr.right, self._annotate(
-                                PartitionedScan(r_ext, rp.attr, rp.parts), r_ext)),
-                        balance=max(balances) if balances else None,
-                    ))
-                    break
+        def left_shards() -> PlanNode:
+            scan = PartitionedScan(l_ext, lp.attr, lp.parts)
+            return self._operand_chain(expr.left, self._annotate(scan, l_ext))
+
+        if co_partitioned(lp, rp, key_pairs):
+            parts = lp.parts
+            bindings = [
+                {
+                    LEFT_PLACEHOLDER: ShardRef(l_ext, lp.attr, parts, i),
+                    RIGHT_PLACEHOLDER: ShardRef(r_ext, rp.attr, parts, i),
+                }
+                for i in range(parts)
+            ]
+            candidates.append(candidate(
+                "partition-wise", parts, bindings, left_shards,
+                lambda: self._operand_chain(
+                    expr.right, self._annotate(
+                        PartitionedScan(r_ext, rp.attr, rp.parts), r_ext)),
+                balance=shard_balance(lp, rp),
+            ))
 
         if lp is not None:
             parts = lp.parts
@@ -602,10 +579,7 @@ class Planner:
                 for i in range(parts)
             ]
             candidates.append(candidate(
-                "broadcast", parts, bindings,
-                lambda: self._operand_chain(
-                    expr.left, self._annotate(
-                        PartitionedScan(l_ext, lp.attr, lp.parts), l_ext)),
+                "broadcast", parts, bindings, left_shards,
                 lambda: Exchange("broadcast", self._plan(expr.right), parts),
                 balance=shard_balance(lp),
             ))

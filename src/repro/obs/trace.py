@@ -111,8 +111,8 @@ class TraceRecorder:
         self._nodes: Dict[int, object] = {}
         #: per-gather-node fragment span records shipped back from workers
         self.fragment_spans: Dict[int, List[dict]] = {}
-        #: per-gather-node run_fragments event dict (mode, retries,
-        #: degraded, breaker, attempts log)
+        #: per-gather-node batch report from ``run_fragments`` (mode,
+        #: retries, degraded, breaker, attempts, per-fragment work)
         self.gather_events: Dict[int, dict] = {}
 
     # -- recording ----------------------------------------------------------

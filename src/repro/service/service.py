@@ -104,7 +104,35 @@ from repro.service.prepared import (
     normalize_shape,
     schema_fingerprint,
 )
+from repro.shard.executor import COUNTERS as PARALLEL_COUNTERS
+from repro.shard.nodes import Exchange
 from repro.storage.store import EpochView
+
+#: The service's own counters, each named once: ``(attribute, stats()
+#: section, metric name, help)``.  ``__init__`` zeroes them,
+#: ``_wire_metrics`` exposes each as a gauge and :meth:`QueryService.stats`
+#: reports each under its attribute name (inside the section, when one is
+#: given).  Once the service is constructed they change only under
+#: ``_state_lock``.
+_COUNTERS = (
+    ("executed", None, "repro_queries_executed", "completed executions"),
+    ("rejected", None, "repro_queries_rejected", "admission rejections"),
+    ("compilations", None, "repro_compilations", "plan compilations"),
+    ("peak_in_flight", None, "repro_peak_in_flight", "most executions running at once"),
+    ("timeouts", None, "repro_timeouts", "deadline expiries"),
+    ("retries", None, "repro_retries", "fragment batch retries"),
+    ("degraded_runs", None, "repro_degraded_runs", "runs degraded to inline"),
+    ("pins_taken", None, "repro_pins_taken", "epoch pins taken"),
+    ("shed_queue_wait", None, "repro_shed_queue_wait", "queries shed on queue wait"),
+    ("shed_fairness", None, "repro_shed_fairness", "queries shed on session cap"),
+    ("epoch_mismatch_runs", None, "repro_epoch_mismatch_runs", "plan/execution epoch mismatches"),
+    ("analyzed_runs", None, "repro_analyzed_runs", "EXPLAIN ANALYZE executions"),
+    ("warm_restored", None, "repro_warm_restored", "plan-cache entries restored at start"),
+    ("warm_dropped", None, "repro_warm_dropped", "plan-cache entries dropped at start"),
+    ("batch_runs", "batch", "repro_batch_runs", "batch-mode executions"),
+    ("batches_emitted", "batch", "repro_batches_emitted", "batches emitted by batch-mode runs"),
+    ("vector_fallbacks", "batch", "repro_vector_fallbacks", "tuple-wise fallbacks inside batches"),
+)
 
 
 @dataclass(frozen=True)
@@ -118,9 +146,9 @@ class QueryResult:
     session_id: str
     shape: str
     option: str                      # winning rewrite pipeline
-    #: fault-tolerance record of this execution (empty when nothing
-    #: happened): retries, degraded, mode, breaker state — forwarded from
-    #: the parallel executor's per-run events (PR 6)
+    #: fault-tolerance record of this execution (empty when no gather ran):
+    #: retries, degraded, mode, breaker state and every attempt — each
+    #: gather's batch report folded in (``repro.shard.executor.fold_report``)
     faults: dict = field(default_factory=dict)
     #: the visibility epoch every read of this execution resolved against
     #: (PR 7), or ``None`` when the store has no epochs / isolation is off
@@ -468,20 +496,14 @@ class QueryService:
         self._drained = threading.Condition(self._state_lock)
         self._session_ids = itertools.count(1)
         self._closed = False
-        self.executed = 0
-        self.rejected = 0
-        self.compilations = 0
+        for name, *_ in _COUNTERS:
+            setattr(self, name, 0)
         # admission, all under _state_lock: admitted-but-unreleased queries
         # (waiting for a slot or executing, on either driver) may not exceed
         # max_in_flight + queue_depth; executing ones may not exceed
         # max_in_flight
         self._outstanding = 0
         self._in_flight = 0
-        self.peak_in_flight = 0
-        # -- fault-tolerance accounting (PR 6), under _state_lock
-        self.timeouts = 0
-        self.retries = 0
-        self.degraded_runs = 0
         # -- snapshot isolation + overload shedding (PR 7)
         if queue_wait_s is not None and queue_wait_s < 0:
             raise ServiceError(f"queue_wait_s must be >= 0, got {queue_wait_s}")
@@ -495,11 +517,6 @@ class QueryService:
         self.cache_persist_path = cache_persist_path
         #: the store supports the epoch protocol *and* isolation is on
         self._epochs_enabled = snapshot_isolation and hasattr(db, "pin_epoch")
-        # counters below are under _state_lock
-        self.pins_taken = 0
-        self.shed_queue_wait = 0
-        self.shed_fairness = 0
-        self.epoch_mismatch_runs = 0
         # -- observability (PR 10), see _wire_metrics
         #: bounded per-shape estimate-vs-actual misses — operator-level
         #: q-error records from traced runs *and* the PR-7 epoch-mismatch
@@ -508,18 +525,12 @@ class QueryService:
         self.q_error_threshold = q_error_threshold
         self.slow_log = SlowQueryLog(slow_query_s)
         self.metrics = MetricsRegistry()
-        self.analyzed_runs = 0
         #: session id → outstanding submissions (queued or executing)
         self._session_outstanding: Dict[str, int] = {}
-        self.warm_restored = 0
-        self.warm_dropped = 0
-        # -- vectorized batch execution (PR 8), under _state_lock
+        # -- vectorized batch execution (PR 8)
         if batch_size is not None and batch_size < 1:
             raise ServiceError(f"batch_size must be >= 1 or None, got {batch_size}")
         self.batch_size = batch_size
-        self.batch_runs = 0
-        self.batches_emitted = 0
-        self.vector_fallbacks = 0
         self._wire_metrics()
         if cache_persist_path:
             self._restore_plan_cache(cache_persist_path)
@@ -527,7 +538,7 @@ class QueryService:
     def _wire_metrics(self) -> None:
         """Register the unified metrics surface (PR 10).
 
-        Histograms are owned by the registry and observed by ``_run``;
+        Histograms are owned by the registry and observed by ``_leave``;
         everything that already has an authoritative counter elsewhere
         (service state, plan cache, catalog, store epochs, the parallel
         executor) is exposed as a callable-backed gauge sampled at
@@ -539,25 +550,15 @@ class QueryService:
         self._queue_wait_hist = m.histogram(
             "repro_queue_wait_seconds", "submission-to-execution queue wait"
         )
+        for attr, _, name, help_text in _COUNTERS:
+            m.gauge(name, help_text, lambda a=attr: getattr(self, a))
         for name, help_text, fn in (
-            ("repro_queries_executed", "completed executions", lambda: self.executed),
-            ("repro_queries_rejected", "admission rejections", lambda: self.rejected),
             ("repro_queries_in_flight", "executions running now", lambda: self._in_flight),
-            ("repro_compilations", "plan compilations", lambda: self.compilations),
-            ("repro_timeouts", "deadline expiries", lambda: self.timeouts),
-            ("repro_retries", "fragment batch retries", lambda: self.retries),
-            ("repro_degraded_runs", "runs degraded to inline", lambda: self.degraded_runs),
-            ("repro_shed_queue_wait", "queries shed on queue wait", lambda: self.shed_queue_wait),
-            ("repro_shed_fairness", "queries shed on session cap", lambda: self.shed_fairness),
-            ("repro_pins_taken", "epoch pins taken", lambda: self.pins_taken),
             ("repro_cache_hits", "plan cache hits", lambda: self.cache.stats.hits),
             ("repro_cache_misses", "plan cache misses", lambda: self.cache.stats.misses),
             ("repro_cached_shapes", "shapes in the plan cache", lambda: len(self.cache)),
             ("repro_catalog_version", "catalog version", self._catalog_version),
-            ("repro_batch_runs", "batch-mode executions", lambda: self.batch_runs),
-            ("repro_analyzed_runs", "EXPLAIN ANALYZE executions", lambda: self.analyzed_runs),
             ("repro_misestimates", "recorded estimate misses", lambda: self.misestimates.recorded),
-            ("repro_epoch_mismatch_runs", "plan/execution epoch mismatches", lambda: self.epoch_mismatch_runs),
             ("repro_slow_queries", "slow-query log entries", lambda: self.slow_log.logged),
         ):
             m.gauge(name, help_text, fn)
@@ -595,15 +596,7 @@ class QueryService:
                     f"store epoch_stats {key}",
                     lambda k=key: self.db.epoch_stats().get(k),
                 )
-        for attr in (
-            "runs",
-            "pool_rebuilds",
-            "retries",
-            "degraded_runs",
-            "timeouts",
-            "pool_deaths",
-            "transient_faults",
-        ):
+        for attr in PARALLEL_COUNTERS:
             m.gauge(
                 f"repro_parallel_{attr}",
                 f"parallel executor {attr}",
@@ -749,28 +742,40 @@ class QueryService:
             parallel_workers=self.parallel_workers,
         )
         chosen = optimizer.optimize(adl)
-        planner = Planner(
+        entry = self._cached_plan(
+            shape, version, chosen.expr, param_names, chosen.option, chosen.set_oriented
+        )
+        with self._state_lock:
+            self.compilations += 1
+        return entry
+
+    def _cached_plan(
+        self,
+        shape: str,
+        version: int,
+        expr,
+        param_names: Tuple[str, ...],
+        option: str,
+        set_oriented: bool,
+    ) -> CachedPlan:
+        """Plan the chosen rewritten ``expr`` and wrap it as a cache entry —
+        the one builder a compile and a warm-start restore share."""
+        plan = Planner(
             self.catalog,
             reorder=self.reorder,
             bushy=self.bushy,
             parallel_workers=self.parallel_workers,
-        )
-        plan = planner.plan(chosen.expr)
-        from repro.shard.nodes import Exchange
-
-        parallel = any(isinstance(op, Exchange) for op in plan.operators())
-        with self._state_lock:
-            self.compilations += 1
+        ).plan(expr)
         return CachedPlan(
             shape=shape,
             catalog_version=version,
-            expr=chosen.expr,
+            expr=expr,
             plan=plan,
             param_names=param_names,
-            option=chosen.option,
+            option=option,
             explain=plan.explain(),
-            set_oriented=chosen.set_oriented,
-            parallel=parallel,
+            set_oriented=set_oriented,
+            parallel=any(isinstance(op, Exchange) for op in plan.operators()),
             epoch=getattr(self.db, "epoch", None),
             est_rows=getattr(plan, "est_rows", None),
         )
@@ -792,17 +797,14 @@ class QueryService:
                 # falls back to inline fragment execution
                 return None
             if self._parallel is None:
-                kwargs = {}
-                if self.fault_plan is not None:
-                    kwargs["fault_plan"] = self.fault_plan
-                if self.retry_policy is not None:
-                    kwargs["retry_policy"] = self.retry_policy
+                # ``None`` knobs take the executor's own defaults
                 self._parallel = ParallelExecutor(
                     self.db,
                     self.catalog,
                     workers=self.parallel_workers,
                     mode=self.parallel_mode,
-                    **kwargs,
+                    fault_plan=self.fault_plan,
+                    retry_policy=self.retry_policy,
                 )
             return self._parallel
 
@@ -918,15 +920,21 @@ class QueryService:
         pinned: Optional[int],
         counts: Dict[str, int],
         held_slot: bool = False,
+        timings: Optional[Tuple[float, float]] = None,
     ) -> None:
         """Release what one admitted query holds — epoch pin, execution
         slot, session and service outstanding counts — and fold its
-        counter increments in, all in one ``_state_lock`` round."""
+        counter increments and, for a completed run, its ``(wall,
+        queue_wait)`` histogram observations in, all in one
+        ``_state_lock`` round."""
         if pinned is not None:
             self._unpin_epoch(pinned)
         with self._state_lock:
             for name, n in counts.items():
                 setattr(self, name, getattr(self, name) + n)
+            if timings is not None:
+                self._latency_hist.observe(timings[0])
+                self._queue_wait_hist.observe(timings[1])
             if held_slot:
                 self._in_flight -= 1
                 self._slot_free.notify()
@@ -991,6 +999,7 @@ class QueryService:
         #: service counter → increment, folded in by the one exit round
         counts: Dict[str, int] = {}
         held_slot = False
+        timings: Optional[Tuple[float, float]] = None
         try:
             queue_wait = self._enter(deadline, submitted_at)
             held_slot = True
@@ -1041,8 +1050,6 @@ class QueryService:
                     counts["analyzed_runs"] = 1
                     analyze_text = tracer.render(entry.plan)
                     trace_summary = tracer.summary(entry.plan)
-            self._latency_hist.observe(wall)
-            self._queue_wait_hist.observe(queue_wait)
             self.slow_log.maybe_log(
                 shape=shape,
                 wall_s=wall,
@@ -1065,6 +1072,7 @@ class QueryService:
             )
             session._record(result, work)
             counts["executed"] = 1
+            timings = (wall, queue_wait)
             if runtime.batch_size:
                 counts["batch_runs"] = 1
                 counts["batches_emitted"] = work.batches_emitted
@@ -1081,56 +1089,32 @@ class QueryService:
             session._record(None)
             raise
         finally:
-            self._leave(session, pinned, counts, held_slot)
+            self._leave(session, pinned, counts, held_slot, timings)
 
     # -- reporting / lifecycle ---------------------------------------------------
     def stats(self) -> dict:
         with self._state_lock:
             out = {
-                "executed": self.executed,
-                "rejected": self.rejected,
-                "compilations": self.compilations,
                 "in_flight": self._in_flight,
-                "peak_in_flight": self.peak_in_flight,
                 "catalog_version": self._catalog_version(),
                 "cache": self.cache.stats.snapshot(),
                 "cached_shapes": len(self.cache),
-                "timeouts": self.timeouts,
-                "retries": self.retries,
-                "degraded_runs": self.degraded_runs,
-                "pins_taken": self.pins_taken,
-                "shed_queue_wait": self.shed_queue_wait,
-                "shed_fairness": self.shed_fairness,
-                "epoch_mismatch_runs": self.epoch_mismatch_runs,
                 "misestimates": self.misestimates.recorded,
-                "analyzed_runs": self.analyzed_runs,
                 "slow_queries": self.slow_log.logged,
-                "warm_restored": self.warm_restored,
-                "warm_dropped": self.warm_dropped,
-                "batch": {
-                    "batch_size": self.batch_size,
-                    "batch_runs": self.batch_runs,
-                    "batches_emitted": self.batches_emitted,
-                    "vector_fallbacks": self.vector_fallbacks,
-                },
+                "batch": {"batch_size": self.batch_size},
             }
+            for name, section, _, _ in _COUNTERS:
+                target = out[section] if section else out
+                target[name] = getattr(self, name)
         if hasattr(self.db, "epoch_stats"):
             out["epochs"] = self.db.epoch_stats()
         with self._parallel_guard:
-            if self._parallel is not None:
-                out["parallel"] = {
-                    "workers": self._parallel.workers,
-                    "mode": self._parallel.mode,
-                    "runs": self._parallel.runs,
-                    "pool_rebuilds": self._parallel.pool_rebuilds,
-                    "retries": self._parallel.retries,
-                    "degraded_runs": self._parallel.degraded_runs,
-                    "timeouts": self._parallel.timeouts,
-                    "pool_deaths": self._parallel.pool_deaths,
-                    "transient_faults": self._parallel.transient_faults,
-                    "extent_lookup_failures": self._parallel.extent_lookup_failures,
-                    "breaker": self._parallel.breaker.snapshot(),
-                }
+            parallel = self._parallel
+            if parallel is not None:
+                out["parallel"] = {"workers": parallel.workers, "mode": parallel.mode}
+                for name in PARALLEL_COUNTERS:
+                    out["parallel"][name] = getattr(parallel, name)
+                out["parallel"]["breaker"] = parallel.breaker.snapshot()
         return out
 
     # -- plan-cache warm start (PR 7) ------------------------------------------
@@ -1189,7 +1173,6 @@ class QueryService:
         entries that fail to re-plan are dropped and counted
         (``warm_dropped``) without poisoning the rest."""
         from repro.adl.parser import parse_adl
-        from repro.shard.nodes import Exchange
 
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -1214,29 +1197,14 @@ class QueryService:
             return
         for raw in entries:
             try:
-                expr = parse_adl(raw["adl"])
-                planner = Planner(
-                    self.catalog,
-                    reorder=self.reorder,
-                    bushy=self.bushy,
-                    parallel_workers=self.parallel_workers,
-                )
-                plan = planner.plan(expr)
                 self.cache.put(
-                    CachedPlan(
-                        shape=raw["shape"],
-                        catalog_version=version,
-                        expr=expr,
-                        plan=plan,
-                        param_names=tuple(raw["param_names"]),
-                        option=raw["option"],
-                        explain=plan.explain(),
-                        set_oriented=bool(raw["set_oriented"]),
-                        parallel=any(
-                            isinstance(op, Exchange) for op in plan.operators()
-                        ),
-                        epoch=getattr(self.db, "epoch", None),
-                        est_rows=getattr(plan, "est_rows", None),
+                    self._cached_plan(
+                        raw["shape"],
+                        version,
+                        parse_adl(raw["adl"]),
+                        tuple(raw["param_names"]),
+                        raw["option"],
+                        bool(raw["set_oriented"]),
                     )
                 )
                 self.warm_restored += 1

@@ -93,19 +93,22 @@ Fault tolerance (PR 6)
   the inline path after repeated pool failures until a cooldown expires
   (half-open probe, then close on success).
 
-Every event lands in counters (:attr:`retries`, :attr:`degraded_runs`,
-:attr:`timeouts`, :attr:`pool_deaths`, :attr:`transient_faults`,
-:attr:`extent_lookup_failures`, breaker state) and on
-:attr:`last_report`; the service mirrors them onto ``QueryResult`` and
-its own stats.
+Every event lands in counters (:data:`COUNTERS`, plus breaker state)
+and in **one per-batch report**: ``run_fragments`` builds a single dict
+per batch — fragment count, final mode, per-fragment work, its sum and
+the critical path (the largest single fragment, the number the PR-5
+benchmark's checked speedup is built from), gathered rows, retries,
+degradation, breaker state, and one record per attempt.  That dict is
+:attr:`last_report`, it is what a traced gather records, and
+:func:`fold_report` folds it into the run's fault record
+(``ExecRuntime.fault_events``, which the service returns as
+``QueryResult.faults`` and adds to its own ``retries`` /
+``degraded_runs``) — so a run with several gathers counts every batch.
 
 ``mode="inline"`` runs fragments in-process through the identical
-:func:`~repro.shard.fragment.execute_fragment` path (no pool, fully
-deterministic) — the fallback when ``fork`` is unavailable and the
-default engine for tests.  Per-run accounting lands in
-:attr:`last_report`: per-fragment work snapshots, their sum, and the
-critical path (the largest single fragment) — the number the PR-5
-benchmark's checked speedup is built from.
+:func:`~repro.shard.fragment.run_inline` path a gather without an
+executor streams (no pool, fully deterministic) — the fallback when
+``fork`` is unavailable and the default engine for tests.
 """
 
 from __future__ import annotations
@@ -126,7 +129,34 @@ from repro.shard.fragment import (
     FragmentSpec,
     execute_fragment,
     fragment_stats_total,
+    run_inline,
 )
+
+#: The executor's monotonic counters, named once: ``__init__`` zeroes
+#: them and the service exposes each as a gauge and in its ``stats()``.
+COUNTERS = (
+    "runs",
+    "pool_rebuilds",
+    "retries",
+    "degraded_runs",
+    "timeouts",
+    "pool_deaths",
+    "transient_faults",
+    "extent_lookup_failures",
+)
+
+
+def fold_report(events: dict, report: dict) -> None:
+    """Fold one batch's report into a run's fault record: retries add up,
+    attempts append, ``degraded`` sticks, and the mode, breaker state and
+    error are the latest batch's."""
+    events["retries"] = events.get("retries", 0) + report["retries"]
+    events["degraded"] = events.get("degraded", False) or report["degraded"]
+    events["attempts"] = events.get("attempts", []) + report["attempts"]
+    for key in ("mode", "breaker", "error"):
+        if key in report:
+            events[key] = report[key]
+
 
 #: Worker-process state: ``(db, partitions)`` installed by the pool
 #: initializer (inherited via fork, never pickled).
@@ -212,17 +242,10 @@ class ParallelExecutor:
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.poll_interval_s = poll_interval_s
-        #: accounting of the most recent :meth:`run_fragments` call
+        #: the report of the most recent successful :meth:`run_fragments`
         self.last_report: Optional[dict] = None
-        self.runs = 0
-        self.pool_rebuilds = 0
-        # -- fault-tolerance counters (monotonic, exposed via service stats)
-        self.retries = 0
-        self.degraded_runs = 0
-        self.timeouts = 0
-        self.pool_deaths = 0
-        self.transient_faults = 0
-        self.extent_lookup_failures = 0
+        for name in COUNTERS:
+            setattr(self, name, 0)
         self._pool = None
         self._pool_version: Optional[int] = None
         #: the store's visibility epoch at fork time (PR 7); a batch
@@ -451,9 +474,9 @@ class ParallelExecutor:
         ``deadline`` is an absolute ``time.monotonic()`` bound; past it
         the batch raises :class:`QueryTimeoutError` (within the polling
         granularity) with the pool reliably reclaimed.  ``events``, when
-        given, receives this run's fault-tolerance record (retries,
-        degradation, breaker state) — the service forwards it onto
-        ``QueryResult.faults``.
+        given, receives this batch's report — success or failure — which
+        a gather records for its trace and folds into the run's fault
+        record with :func:`fold_report`.
 
         Failure handling: transient errors retry with backoff; a worker
         death degrades the batch to the inline path (same rows by
@@ -465,125 +488,75 @@ class ParallelExecutor:
         """
         specs = list(specs)
         policy = self.retry_policy
+        #: the batch's one report; ``attempts`` gets a record per attempt,
+        #: failed or successful (PR 10), so a traced run can show the
+        #: crashed pool attempt next to the degraded inline re-run
+        report = {"fragments": len(specs), "retries": 0, "degraded": False, "attempts": []}
         with self._run_lock:
-            attempt = 0
-            retries = 0
-            degraded = False  # this run was forced inline by a failure
-            breaker_blocked = False
-            mode = "inline"
-            #: per-attempt span events (PR 10): every attempt — failed or
-            #: successful — leaves a record, so a traced run can show the
-            #: crashed pool attempt next to the degraded inline re-run
-            attempts_log: List[dict] = []
             try:
                 if deadline is not None and time.monotonic() >= deadline:
                     raise QueryTimeoutError("deadline expired before the batch started")
+                forced_inline = False  # a worker death degraded this batch
                 while True:
-                    want_pool = self.mode == "process" and not self.degraded and not degraded
+                    want_pool = self.mode == "process" and not self.degraded and not forced_inline
                     if want_pool and not self.breaker.allows():
                         want_pool = False
-                        breaker_blocked = True
+                        report["degraded"] = True
+                    attempt = len(report["attempts"])
+                    record = {
+                        "attempt": attempt,
+                        "mode": "process" if want_pool else "inline",
+                        "status": "failed",
+                    }
+                    report["attempts"].append(record)
                     try:
                         results, mode = self._attempt_batch(specs, attempt, deadline, want_pool)
-                        attempts_log.append(
-                            {"attempt": attempt, "mode": mode, "status": "ok"}
-                        )
-                        if mode == "process":
-                            self.breaker.record_success()
                         break
-                    except QueryTimeoutError:
-                        attempts_log.append(
-                            {
-                                "attempt": attempt,
-                                "mode": "process" if want_pool else "inline",
-                                "status": "failed",
-                                "error": "QueryTimeoutError",
-                            }
-                        )
-                        raise  # counted in the outer handler, never retried
-                    except WorkerCrashError:
-                        attempts_log.append(
-                            {
-                                "attempt": attempt,
-                                "mode": "process" if want_pool else "inline",
-                                "status": "failed",
-                                "error": "WorkerCrashError",
-                            }
-                        )
-                        self.pool_deaths += 1
-                        if want_pool:
-                            self.breaker.record_failure()
-                            self._refork_in_background(specs)
-                        degraded = True
-                        attempt += 1
-                        retries += 1
-                        self.retries += 1
-                        if attempt >= policy.max_attempts:
-                            raise
-                        policy.sleep_backoff(attempt, deadline)
                     except Exception as exc:
-                        attempts_log.append(
-                            {
-                                "attempt": attempt,
-                                "mode": "process" if want_pool else "inline",
-                                "status": "failed",
-                                "error": type(exc).__name__,
-                            }
-                        )
-                        if policy.classify(exc) != "transient":
-                            raise
-                        self.transient_faults += 1
-                        attempt += 1
-                        retries += 1
+                        record["error"] = type(exc).__name__
+                        if isinstance(exc, WorkerCrashError):
+                            self.pool_deaths += 1
+                            if want_pool:
+                                self.breaker.record_failure()
+                                self._refork_in_background(specs)
+                            forced_inline = report["degraded"] = True
+                        elif policy.classify(exc) == "transient":
+                            self.transient_faults += 1
+                        else:
+                            raise  # timeouts and fatal errors never retry
+                        report["retries"] += 1
                         self.retries += 1
-                        if attempt >= policy.max_attempts:
+                        if attempt + 1 >= policy.max_attempts:
                             raise
-                        policy.sleep_backoff(attempt, deadline)
+                        policy.sleep_backoff(attempt + 1, deadline)
+                record.update(mode=mode, status="ok")
+                if mode == "process":
+                    self.breaker.record_success()
+                if report["degraded"]:
+                    self.degraded_runs += 1
+                per_fragment = [fragment_stats_total(snapshot) for _, snapshot in results]
+                report.update(
+                    mode=mode,
+                    per_fragment_work=per_fragment,
+                    total_work=sum(per_fragment),
+                    critical_path_work=max(per_fragment, default=0),
+                    result_rows=sum(len(rows) for rows, _ in results),
+                )
+                self.runs += 1
+                self.last_report = report
+                return results
             except BaseException as exc:
                 # one place counts timeouts so the pre-batch check, the
                 # poll loop, worker-side deadline hits and backoff sleeps
                 # that would outlive the deadline all land in the counter
                 if isinstance(exc, QueryTimeoutError):
                     self.timeouts += 1
-                if events is not None:
-                    events.update(
-                        {
-                            "error": type(exc).__name__,
-                            "retries": retries,
-                            "degraded": degraded or breaker_blocked,
-                            "breaker": self.breaker.state,
-                            "attempts": attempts_log,
-                        }
-                    )
+                report["error"] = type(exc).__name__
                 raise
-            was_degraded = degraded or breaker_blocked
-            if was_degraded:
-                self.degraded_runs += 1
-            per_fragment = [fragment_stats_total(snapshot) for _, snapshot in results]
-            self.runs += 1
-            self.last_report = {
-                "fragments": len(specs),
-                "mode": mode,
-                "per_fragment_work": per_fragment,
-                "total_work": sum(per_fragment),
-                "critical_path_work": max(per_fragment) if per_fragment else 0,
-                "result_rows": sum(len(rows) for rows, _ in results),
-                "attempts": attempt + 1,
-                "retries": retries,
-                "degraded": was_degraded,
-                "breaker": self.breaker.state,
-            }
-            if events is not None:
-                events.update(
-                    {
-                        "mode": mode,
-                        "retries": retries,
-                        "degraded": was_degraded,
-                        "breaker": self.breaker.state,
-                        "attempts": attempts_log,
-                    }
-                )
-            return results
+            finally:
+                report["breaker"] = self.breaker.state
+                if events is not None:
+                    events.update(report)
 
     def _attempt_batch(
         self,
@@ -596,8 +569,8 @@ class ParallelExecutor:
 
         Pool path: ``map_async`` + a poll loop watching the deadline and
         worker health; both failure modes reclaim the pool before
-        raising.  Inline path: the same ``execute_fragment`` per spec,
-        with the executor's fault plan applied coordinator-side.
+        raising.  Inline path: :func:`~repro.shard.fragment.run_inline`
+        drained, with the executor's fault plan applied coordinator-side.
         """
         pool = None
         pids = frozenset()
@@ -611,21 +584,15 @@ class ParallelExecutor:
                 )
                 pids = self._pool_pids
         if pool is None:
-            partitions = self._snapshot()
-            results = []
-            for i, spec in enumerate(specs):
-                results.append(
-                    execute_fragment(
-                        self.db,
-                        partitions,
-                        spec,
-                        index=i,
-                        attempt=attempt,
-                        deadline=deadline,
-                        fault_plan=self.fault_plan,
-                    )
-                )
-            return results, "inline"
+            inline = run_inline(
+                self.db,
+                self.catalog,
+                specs,
+                attempt=attempt,
+                deadline=deadline,
+                fault_plan=self.fault_plan,
+            )
+            return list(inline), "inline"
 
         payloads = [(i, attempt, deadline, spec) for i, spec in enumerate(specs)]
         try:

@@ -19,7 +19,8 @@ expressed as data that can cross a process boundary:
 :func:`execute_fragment` is the single execution path for fragments —
 the coordinator's inline fallback and the pool workers run the *same
 function*, which is what makes parallel/serial parity hold by
-construction.
+construction.  In-process, every caller drives it through the one
+:func:`run_inline` loop.
 
 Shard resolution (:class:`ShardView`) has two speeds:
 
@@ -304,6 +305,51 @@ def execute_fragment(
     return rows, snapshot
 
 
+def run_inline(
+    db,
+    catalog,
+    specs,
+    *,
+    attempt: int = 0,
+    deadline: Optional[float] = None,
+    fault_plan=None,
+):
+    """Run ``specs`` in this process, one fragment at a time: yield
+    ``(rows, stats)`` per spec — the shape the pool path returns.
+
+    The one inline fragment path: a gather without an executor streams
+    it, and :class:`~repro.shard.executor.ParallelExecutor` drains it as
+    one batch attempt.  Shards resolve through ``catalog``'s registered
+    partitionings of the extents the fragments route by (the staleness
+    handshake runs per lookup); the deadline is checked before each
+    fragment as well as inside it.
+    """
+    import time
+
+    from repro.datamodel.errors import QueryTimeoutError
+
+    partitions: Dict[str, object] = {}
+    if catalog is not None:
+        for spec in specs:
+            for _, ref in spec.shards:
+                if ref.attr is not None and ref.extent not in partitions:
+                    pe = catalog.partitioning(ref.extent)
+                    if pe is not None:
+                        partitions[ref.extent] = pe
+    for i, spec in enumerate(specs):
+        if deadline is not None and time.monotonic() >= deadline:
+            raise QueryTimeoutError("query exceeded its deadline")
+        yield execute_fragment(
+            db,
+            partitions,
+            spec,
+            index=i,
+            attempt=attempt,
+            deadline=deadline,
+            fault_plan=fault_plan,
+        )
+
+
 def merge_stats_snapshot(stats: Stats, snapshot: Mapping[str, int]) -> None:
     """Fold one fragment's counter snapshot into a live ``Stats``.
 
@@ -332,7 +378,7 @@ def rebind_extent(operand: A.Expr, placeholder: str) -> A.Expr:
     base extent — such operands are not fragment-shippable.  Maps are
     rejected like any other shape: they can rename attributes, which
     would break shard routing by attribute name (see
-    ``Planner._fragment_base``).
+    :func:`repro.engine.cost.fragment_base`).
     """
     if isinstance(operand, A.ExtentRef):
         return A.ExtentRef(placeholder)

@@ -20,10 +20,11 @@ A parallel region always looks like::
 The :class:`Exchange` gather node *drives* the region: when the runtime
 carries a :class:`~repro.shard.executor.ParallelExecutor`
 (``rt.parallel``), it ships the join's fragments to the worker pool and
-merges partial results + per-worker statistics; without one it falls
-back to the child's inline iteration, which runs the *same*
-:func:`~repro.shard.fragment.execute_fragment` per partition in-process
-— parity between the two paths holds by construction.  Either way the
+merges partial results + per-worker statistics; without one it runs them
+lazily in-process through :func:`~repro.shard.fragment.run_inline`, the
+same path the executor's inline mode drains — parity between the two
+paths holds by construction.  Both go through one loop, ``_gathered``;
+row and batch gathers differ only in what they emit.  Either way the
 gather materializes its input and counts one ``pipeline_breaks`` (plus
 whatever breaks the fragments themselves report), consistent with every
 other breaker.
@@ -41,49 +42,16 @@ from typing import Dict, Iterator, List, Optional, Sequence
 from repro.adl import ast as A
 from repro.datamodel.values import Value
 from repro.engine.plan import DEFAULT_BATCH_SIZE, Batch, ExecRuntime, PlanNode
+from repro.shard.executor import fold_report
 from repro.shard.fragment import (
     FragmentSpec,
     ShardRef,
-    execute_fragment,
     merge_stats_snapshot,
+    run_inline,
 )
 
 #: The parallel join strategies the planner enumerates.
 STRATEGIES = ("partition-wise", "broadcast", "repartition")
-
-
-def _partition_lookup(rt: ExecRuntime, specs: Sequence[FragmentSpec]) -> Dict[str, object]:
-    """A lock-consistent ``{extent: PartitionedExtent}`` snapshot for the
-    extents the fragments reference (inline execution path; the pool path
-    snapshots at pool creation instead)."""
-    out: Dict[str, object] = {}
-    if rt.catalog is None:
-        return out
-    for spec in specs:
-        for _, ref in spec.shards:
-            if ref.attr is not None and ref.extent not in out:
-                pe = rt.catalog.partitioning(ref.extent)
-                if pe is not None:
-                    out[ref.extent] = pe
-    return out
-
-
-def _inline_results(rt: ExecRuntime, specs: Sequence[FragmentSpec]):
-    """Inline fragment execution: yield ``(rows, snapshot)`` per spec —
-    the same shape ``ParallelExecutor.run_fragments`` returns."""
-    partitions = _partition_lookup(rt, specs)
-    for i, spec in enumerate(specs):
-        rt.check_deadline()
-        yield execute_fragment(rt.db, partitions, spec, index=i, deadline=rt.deadline)
-
-
-def _run_inline(
-    rt: ExecRuntime, specs: Sequence[FragmentSpec], node: Optional[PlanNode] = None
-) -> Iterator[Value]:
-    for rows, snapshot in _inline_results(rt, specs):
-        _collect_span(rt, node, snapshot)
-        merge_stats_snapshot(rt.stats, snapshot)
-        yield from rows
 
 
 def _trace_id(rt: ExecRuntime) -> Optional[str]:
@@ -93,14 +61,42 @@ def _trace_id(rt: ExecRuntime) -> Optional[str]:
     return trace.trace_id if trace is not None else None
 
 
-def _collect_span(rt: ExecRuntime, node, snapshot) -> None:
-    """Hand a fragment's piggybacked span record to the recorder."""
+def _specs(text: str, bindings, params, epoch, batch_size, trace) -> List[FragmentSpec]:
+    """One shippable spec per shard-binding dict, every other part of the
+    contract shared."""
+    return [
+        FragmentSpec.make(text, b, params, epoch=epoch, batch_size=batch_size, trace=trace)
+        for b in bindings
+    ]
+
+
+def _gathered(rt: ExecRuntime, node: PlanNode, specs, parallel) -> Iterator:
+    """The shard tier's one fragment-results loop: yield each fragment's
+    rows (a frozenset, or :class:`~repro.shard.fragment.ChunkedRows` for
+    batch-mode specs) after handing its span to the recorder and folding
+    its counters into ``rt.stats``.
+
+    With ``parallel`` (a :class:`~repro.shard.executor.ParallelExecutor`)
+    the batch runs there, and its one report is recorded for ``node``'s
+    trace and folded into ``rt.fault_events``; without one the fragments
+    run lazily in-process, one at a time.
+    """
     trace = rt.trace
-    if trace is None or node is None:
-        return
-    span = snapshot.get("_span")
-    if span is not None:
-        trace.add_fragment_span(node, span)
+    if parallel is not None:
+        report: dict = {}
+        results = parallel.run_fragments(specs, deadline=rt.deadline, events=report)
+        fold_report(rt.fault_events, report)
+        if trace is not None:
+            trace.add_events(node, report)
+    else:
+        results = run_inline(rt.db, rt.catalog, specs, deadline=rt.deadline)
+    for rows, snapshot in results:
+        if trace is not None:
+            span = snapshot.get("_span")
+            if span is not None:
+                trace.add_fragment_span(node, span)
+        merge_stats_snapshot(rt.stats, snapshot)
+        yield rows
 
 
 class PartitionedScan(PlanNode):
@@ -147,18 +143,12 @@ class PartitionedScan(PlanNode):
         from repro.adl.pretty import pretty
         from repro.shard.fragment import SCAN_PLACEHOLDER
 
-        text = pretty(A.ExtentRef(SCAN_PLACEHOLDER))
-        return [
-            FragmentSpec.make(
-                text,
-                {SCAN_PLACEHOLDER: ShardRef(self.extent, self.attr, self.parts, i)},
-                params,
-                epoch=epoch,
-                batch_size=batch_size,
-                trace=trace,
-            )
+        bindings = [
+            {SCAN_PLACEHOLDER: ShardRef(self.extent, self.attr, self.parts, i)}
             for i in range(self.parts)
         ]
+        text = pretty(A.ExtentRef(SCAN_PLACEHOLDER))
+        return _specs(text, bindings, params, epoch, batch_size, trace)
 
 
 class Exchange(PlanNode):
@@ -205,25 +195,20 @@ class Exchange(PlanNode):
             return f"on {self.key_attr}, {self.parts} parts"
         return f"{self.parts} parts"
 
+    def _gather(self, rt: ExecRuntime, batch_size: Optional[int] = None) -> Iterator:
+        rt.stats.pipeline_breaks += 1
+        specs = self.child.payloads(
+            rt.params, epoch=rt.pinned_epoch, batch_size=batch_size, trace=_trace_id(rt)
+        )
+        return _gathered(rt, self, specs, rt.parallel)
+
     def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
         if self.kind == "gather":
-            rt.stats.pipeline_breaks += 1
-            payloads = getattr(self.child, "payloads", None)
-            if payloads is not None:
-                specs = payloads(rt.params, epoch=rt.pinned_epoch, trace=_trace_id(rt))
-                if rt.parallel is not None:
-                    batch = rt.parallel.run_fragments(
-                        specs, deadline=rt.deadline, events=rt.fault_events
-                    )
-                    if rt.trace is not None:
-                        rt.trace.add_events(self, rt.fault_events)
-                    for rows, snapshot in batch:
-                        _collect_span(rt, self, snapshot)
-                        merge_stats_snapshot(rt.stats, snapshot)
-                        yield from rows
-                    return
-                yield from _run_inline(rt, specs, node=self)
+            if getattr(self.child, "payloads", None) is not None:
+                for rows in self._gather(rt):
+                    yield from rows
                 return
+            rt.stats.pipeline_breaks += 1
             yield from self.child.stream(rt)
             return
         # broadcast / repartition: moving tuples between partitions is the
@@ -232,31 +217,13 @@ class Exchange(PlanNode):
         yield from self._consume(self.child, rt)
 
     def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
-        payloads = getattr(self.child, "payloads", None)
-        if self.kind != "gather" or payloads is None:
+        if self.kind != "gather" or getattr(self.child, "payloads", None) is None:
             yield from PlanNode.iterate_batches(self, rt)
             return
         # batched gather: fragments run batch-at-a-time and ship their
         # results as ChunkedRows, re-emitted here chunk-for-chunk
-        rt.stats.pipeline_breaks += 1
-        size = rt.batch_size or DEFAULT_BATCH_SIZE
-        specs = payloads(
-            rt.params, epoch=rt.pinned_epoch, batch_size=size, trace=_trace_id(rt)
-        )
         stats = rt.stats
-        if rt.parallel is not None:
-            results = iter(
-                rt.parallel.run_fragments(
-                    specs, deadline=rt.deadline, events=rt.fault_events
-                )
-            )
-            if rt.trace is not None:
-                rt.trace.add_events(self, rt.fault_events)
-        else:
-            results = _inline_results(rt, specs)
-        for rows, snapshot in results:
-            _collect_span(rt, self, snapshot)
-            merge_stats_snapshot(stats, snapshot)
+        for rows in self._gather(rt, rt.batch_size or DEFAULT_BATCH_SIZE):
             for chunk in rows.chunks:
                 if chunk:
                     stats.batches_emitted += 1
@@ -282,8 +249,8 @@ class PartitionedHashJoin(PlanNode):
 
     The node carries its fragments as canonical ADL text + shard
     bindings (:meth:`payloads`); executing the node inline runs them
-    one-by-one through :func:`~repro.shard.fragment.execute_fragment` —
-    the same path pool workers run.  ``left``/``right`` children are the
+    one-by-one through :func:`~repro.shard.fragment.run_inline` — the
+    same ``execute_fragment`` pool workers run.  ``left``/``right`` children are the
     per-partition input descriptions ``explain()`` renders.
     """
 
@@ -338,21 +305,9 @@ class PartitionedHashJoin(PlanNode):
         batch_size: Optional[int] = None,
         trace: Optional[str] = None,
     ) -> List[FragmentSpec]:
-        return [
-            FragmentSpec.make(
-                self.fragment_text,
-                bindings,
-                params,
-                epoch=epoch,
-                batch_size=batch_size,
-                trace=trace,
-            )
-            for bindings in self.shard_bindings
-        ]
+        return _specs(self.fragment_text, self.shard_bindings, params, epoch, batch_size, trace)
 
     def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
-        yield from _run_inline(
-            rt,
-            self.payloads(rt.params, epoch=rt.pinned_epoch, trace=_trace_id(rt)),
-            node=self,
-        )
+        specs = self.payloads(rt.params, epoch=rt.pinned_epoch, trace=_trace_id(rt))
+        for rows in _gathered(rt, self, specs, None):
+            yield from rows

@@ -3,6 +3,8 @@
 epoch-mismatch records on the misestimate store."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -144,6 +146,61 @@ def test_service_metrics_surface():
         stats = svc.stats()
         assert stats["slow_queries"] == 2
         assert stats["misestimates"] == 0
+
+
+def test_histograms_count_every_concurrent_run():
+    """Caller threads observe both histograms inside the release's one
+    ``_state_lock`` round, so no observation is lost to a racing one."""
+    threads, per_thread = 8, 60
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often: races surface
+    try:
+        with QueryService(_db(), max_workers=threads) as svc:
+            sessions = [svc.session() for _ in range(threads)]
+            start = threading.Barrier(threads)
+
+            def client(session):
+                start.wait(timeout=30)
+                for _ in range(per_thread):
+                    session.execute(QUERY)
+
+            workers = [threading.Thread(target=client, args=(s,)) for s in sessions]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+            snap = svc.metrics_snapshot()
+            executed = svc.stats()["executed"]
+            hists = (svc._latency_hist, svc._queue_wait_hist)
+    finally:
+        sys.setswitchinterval(interval)
+    assert executed == threads * per_thread
+    assert snap["repro_query_latency_seconds"]["count"] == executed
+    assert snap["repro_queue_wait_seconds"]["count"] == executed
+    for hist in hists:
+        assert sum(hist.counts) == hist.count  # no bucket increment lost
+
+
+def test_every_counter_has_a_gauge_and_a_stats_key():
+    """One table names each counter: every service and executor counter
+    is both a registry gauge and a ``stats()`` entry with the same value."""
+    from repro.service.service import _COUNTERS
+    from repro.shard.executor import COUNTERS as PARALLEL_COUNTERS
+
+    db = _db()
+    catalog = Catalog(db)
+    catalog.analyze()
+    with QueryService(db, catalog=catalog, parallel_workers=2,
+                      parallel_mode="inline") as svc:
+        svc.execute(QUERY)
+        svc._parallel_handle()
+        snap, stats = svc.metrics_snapshot(), svc.stats()
+        for attr, section, metric, _ in _COUNTERS:
+            assert snap[metric] == (stats[section] if section else stats)[attr]
+        for attr in PARALLEL_COUNTERS:
+            assert snap[f"repro_parallel_{attr}"] == stats["parallel"][attr]
+        assert "repro_parallel_extent_lookup_failures" in snap
 
 
 def test_epoch_mismatch_lands_on_misestimate_store():

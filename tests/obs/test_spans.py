@@ -71,11 +71,14 @@ def _oracle(db):
 
 def test_fault_free_process_spans():
     """Baseline: one ok pool attempt, one span per fragment, every span
-    from a worker process."""
+    from a worker process.  The empty fault plan keeps it fault-free
+    whatever ``$REPRO_FAULT_PLAN`` says."""
     db, catalog = make_db()
     plan = gather_plan()
     recorder = TraceRecorder()
-    with ParallelExecutor(db, catalog, workers=PARTS, mode="process") as parallel:
+    with ParallelExecutor(
+        db, catalog, workers=PARTS, mode="process", fault_plan=FaultPlan()
+    ) as parallel:
         rt = ExecRuntime(db, Stats(), catalog=catalog, parallel=parallel, trace=recorder)
         rows = plan.execute(rt)
     assert rows == _oracle(db)

@@ -27,11 +27,13 @@ from repro.datamodel.errors import (
     TransientFaultError,
     WorkerCrashError,
 )
-from repro.engine.plan import ExecRuntime
+from repro.engine.plan import ExecRuntime, SetOp
 from repro.engine.planner import Executor
 from repro.engine.stats import Stats
 from repro.faults import CircuitBreaker, FaultPlan, FaultSpec, RetryPolicy
 from repro.faults import runtime as faults_runtime
+from repro.obs import TraceRecorder
+from repro.service import QueryService
 from repro.shard import (
     Exchange,
     ParallelExecutor,
@@ -270,6 +272,91 @@ class TestFaultMatrix:
                               retry_policy=FAST) as parallel:
             _, stats, _ = _run(db, catalog, plan, parallel)
         assert stats.snapshot() == baseline.snapshot()
+
+
+def two_gathers():
+    """A union of two partition-wise gathers over co-partitioned X, Y:
+    one run, two fragment batches."""
+    db, catalog, first = co_partitioned()
+    _, _, second = co_partitioned()
+    return db, catalog, SetOp("union", first, second), (first, second)
+
+
+class TestOneReportPerBatch:
+    """Every batch of a run is counted: each gather's report is folded
+    into the run's fault record, not written over the previous one."""
+
+    @pytest.mark.parametrize("preset", ["transient-once", "crash-once"])
+    @pytest.mark.parametrize("batch_size", [None, 256])
+    @mode_param
+    def test_two_gathers_fold_into_one_run_record(self, mode, batch_size, preset):
+        db, catalog, plan, gathers = two_gathers()
+        oracle = Executor(db, catalog=catalog).execute(B.union(JOIN, JOIN))
+        recorder = TraceRecorder()
+        with ParallelExecutor(db, catalog, workers=PARTS, mode=mode,
+                              fault_plan=FaultPlan.parse(preset),
+                              retry_policy=FAST) as parallel:
+            rt = ExecRuntime(db, Stats(), catalog=catalog, parallel=parallel,
+                             batch_size=batch_size, trace=recorder)
+            rows = plan.execute(rt)
+            assert rows == oracle
+            events = rt.fault_events
+            assert parallel.retries == 2
+            assert events["retries"] == parallel.retries
+            assert [a["attempt"] for a in events["attempts"]] == [0, 1, 0, 1]
+            assert [a["status"] for a in events["attempts"]] == ["failed", "ok"] * 2
+            assert events["degraded"] == (preset == "crash-once")
+        for gather in gathers:
+            own = recorder.gather_events[id(gather)]
+            assert own["retries"] == 1
+            assert [a["attempt"] for a in own["attempts"]] == [0, 1]
+            assert own["fragments"] == PARTS
+
+    @pytest.mark.parametrize("batch_size", [None, 256])
+    def test_gather_without_executor_is_lazy(self, monkeypatch, batch_size):
+        """With no executor a gather runs one fragment per pull, and its
+        rows and counters are an inline executor's."""
+        import repro.shard.fragment as fragment
+
+        db, catalog, plan = co_partitioned()
+        ran = []
+        real = fragment.execute_fragment
+
+        def counting(*args, **kwargs):
+            ran.append(kwargs["index"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fragment, "execute_fragment", counting)
+        rt = ExecRuntime(db, Stats(), catalog=catalog, batch_size=batch_size)
+        stream = plan.stream_batches(rt) if batch_size else plan.stream(rt)
+        first = next(stream)
+        assert ran == [0]
+        rows = set(first.rows if batch_size else [first])
+        for item in stream:
+            rows.update(item.rows if batch_size else [item])
+        assert ran == list(range(PARTS))
+        with ParallelExecutor(db, catalog, workers=PARTS, mode="inline",
+                              fault_plan=FaultPlan()) as parallel:
+            shipped, stats, _ = _run(db, catalog, plan, parallel, batch_size=batch_size)
+        assert rows == shipped
+        assert rt.stats.snapshot() == stats.snapshot()
+
+    def test_service_faults_match_executor_retry_delta(self):
+        db, catalog, _ = co_partitioned(n=2500, keys=2500)
+        text = "select x.i from x in X where exists y in Y : x.a = y.d and y.w < $m"
+        with QueryService(db, catalog=catalog) as serial:
+            want = serial.execute(text, {"m": 2000}).rows
+        with QueryService(db, catalog=catalog, parallel_workers=PARTS,
+                          parallel_mode="inline",
+                          fault_plan=FaultPlan.parse("transient-once"),
+                          retry_policy=FAST) as svc:
+            assert "Exchange(gather)" in svc.explain(text)
+            before = svc._parallel_handle().retries
+            res = svc.execute(text, {"m": 2000})
+            assert res.rows == want
+            delta = svc._parallel_handle().retries - before
+            assert delta >= 1
+            assert res.faults["retries"] == delta == svc.stats()["retries"]
 
 
 class TestCircuitBreaker:
