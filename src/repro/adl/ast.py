@@ -20,14 +20,18 @@ whole tree stays immutable.
 Generic traversal: :meth:`Expr.child_exprs` yields every sub-expression and
 :meth:`Expr.map_children` rebuilds a node with transformed children — the
 rewrite engine is written entirely against these two methods, so adding a
-node type never requires touching the engine.
+node type never requires touching the engine.  Both read the node class's
+child-field names from :func:`child_fields`, computed once per class (every
+field not annotated ``str``); ``map_children`` returns the node itself
+when no child changed and otherwise rebuilds only that node, so the
+siblings of a rewritten child keep their identity.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.datamodel.errors import DataModelError
 from repro.datamodel.values import Value, format_value
@@ -63,6 +67,20 @@ SET_COMPARE_OPS = (
 AGGREGATE_FUNCS = ("count", "sum", "min", "max", "avg")
 
 
+_CHILD_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+
+def child_fields(cls: type) -> Tuple[str, ...]:
+    """Names of the fields of node class ``cls`` that may hold
+    sub-expressions (all but those annotated ``str``), in field order."""
+    names = _CHILD_FIELDS.get(cls)
+    if names is None:
+        names = _CHILD_FIELDS[cls] = tuple(
+            f.name for f in dataclasses.fields(cls) if f.type not in ("str", str)
+        )
+    return names
+
+
 class Expr:
     """Base class of all ADL expression nodes."""
 
@@ -71,8 +89,8 @@ class Expr:
     # -- generic traversal --------------------------------------------------
     def child_exprs(self) -> Iterator["Expr"]:
         """Yield every direct sub-expression, in field order."""
-        for field in dataclasses.fields(self):  # type: ignore[arg-type]
-            value = getattr(self, field.name)
+        for name in child_fields(type(self)):
+            value = getattr(self, name)
             if isinstance(value, Expr):
                 yield value
             elif isinstance(value, tuple):
@@ -93,12 +111,12 @@ class Expr:
         lets the rewrite engine detect fixpoints cheaply.
         """
         changes = {}
-        for field in dataclasses.fields(self):  # type: ignore[arg-type]
-            value = getattr(self, field.name)
+        for name in child_fields(type(self)):
+            value = getattr(self, name)
             if isinstance(value, Expr):
                 new = fn(value)
                 if new is not value:
-                    changes[field.name] = new
+                    changes[name] = new
             elif isinstance(value, tuple):
                 new_items = []
                 dirty = False
@@ -118,7 +136,7 @@ class Expr:
                     else:
                         new_items.append(item)
                 if dirty:
-                    changes[field.name] = tuple(new_items)
+                    changes[name] = tuple(new_items)
         if not changes:
             return self
         return dataclasses.replace(self, **changes)  # type: ignore[arg-type]

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from repro.oosql import ast as Q
 
-_KEYWORD_OPS = frozenset(
-    {"and", "or", "in", "not in", "subset", "subseteq", "superset",
-     "superseteq", "contains", "disjoint", "union", "intersect", "minus", "mod"}
-)
+#: set operators whose ``select`` operands must be parenthesised: a bare
+#: one would end in ``where … union …`` and swallow the operator
+_SET_OPS = frozenset({"union", "intersect", "minus"})
 
 
 def pretty(node: Q.Node) -> str:
@@ -35,8 +34,9 @@ def _p(node: Q.Node) -> str:
     if isinstance(node, Q.SetCons):
         return "{" + ", ".join(_p(e) for e in node.elements) + "}"
     if isinstance(node, Q.BinOp):
-        op = node.op if node.op in _KEYWORD_OPS or node.op in ("=", "!=", "<", "<=", ">", ">=") else node.op
-        return f"({_p(node.left)} {op} {_p(node.right)})"
+        if node.op in _SET_OPS:
+            return f"({_p_atomic(node.left)} {node.op} {_p_atomic(node.right)})"
+        return f"({_p(node.left)} {node.op} {_p(node.right)})"
     if isinstance(node, Q.Not):
         return f"not ({_p(node.operand)})"
     if isinstance(node, Q.Neg):

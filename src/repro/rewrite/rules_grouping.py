@@ -98,7 +98,7 @@ def unnest_by_grouping(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return _plan(expr, ctx, use_outerjoin=False)
 
 
-@rule("grouping-unnest-safe")
+@rule("grouping-unnest-safe", on=(A.Select,))
 def grouping_safe(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """Grouping, guarded by Table 3: fire only when ``P(x, ∅)`` is
     statically **false** — then dangling-tuple loss is exactly the intended
@@ -113,7 +113,7 @@ def grouping_safe(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return _plan(expr, ctx, use_outerjoin=False)
 
 
-@rule("grouping-outerjoin")
+@rule("grouping-outerjoin", on=(A.Select,))
 def grouping_outerjoin(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """Grouping over a left outerjoin — the [GaWo87] COUNT-bug repair.
 

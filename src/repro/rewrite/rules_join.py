@@ -44,7 +44,7 @@ def _match_quantified(pred: A.Expr, outer_var: str) -> Optional[Tuple[bool, A.Ex
     return negated, node
 
 
-@rule("rule1-semijoin-antijoin")
+@rule("rule1-semijoin-antijoin", on=(A.Select,))
 def rule1(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """Rule 1 with the whole predicate a (negated) existential quantifier."""
     if not isinstance(expr, A.Select):
@@ -62,7 +62,7 @@ def _is_local(part: A.Expr) -> bool:
     return not bound_vars(part) and not mentions_extent(part)
 
 
-@rule("rule1-conjunct")
+@rule("rule1-conjunct", on=(A.Select,))
 def rule1_conjunct(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """Peel one quantified conjunct off a mixed selection predicate, and
     leave the plain conjuncts on the operand they test:
@@ -100,7 +100,7 @@ def rule1_conjunct(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return None
 
 
-@rule("rule2-map-join")
+@rule("rule2-map-join", on=(A.Flatten,))
 def rule2(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """Rule 2: a flattened nested map that concatenates its two variables
     is a join.  Accepts an optional selection under the inner map."""
@@ -128,7 +128,7 @@ def rule2(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return A.Join(outer.source, source, outer.var, inner.var, pred)
 
 
-@rule("push-right-selection")
+@rule("push-right-selection", on=(A.Join, A.SemiJoin, A.AntiJoin, A.NestJoin))
 def push_right_selection(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """Move right-operand-only conjuncts of a join predicate into a
     selection on the right operand::

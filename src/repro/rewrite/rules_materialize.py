@@ -144,7 +144,7 @@ def _obj_attr_name(ref: str, element: TupleType) -> str:
     return name
 
 
-@rule("materialize-select")
+@rule("materialize-select", on=(A.Select,))
 def materialize_select(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """Introduce assembly under a selection that follows a reference."""
     if not isinstance(expr, A.Select):
@@ -167,7 +167,7 @@ def materialize_select(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     )
 
 
-@rule("materialize-map")
+@rule("materialize-map", on=(A.Map,))
 def materialize_map(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """Introduce assembly under a map that follows a reference."""
     if not isinstance(expr, A.Map):

@@ -72,7 +72,7 @@ def _build_nestjoin(
     return z, x_attrs, nestjoin, rewritten
 
 
-@rule("nestjoin-where")
+@rule("nestjoin-where", on=(A.Select,))
 def nestjoin_where(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """Where-clause nesting → nestjoin + selection + projection."""
     if not isinstance(expr, A.Select):
@@ -87,7 +87,7 @@ def nestjoin_where(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return A.Project(A.Select(z, new_pred, nestjoin), tuple(x_attrs))
 
 
-@rule("nestjoin-select-clause")
+@rule("nestjoin-select-clause", on=(A.Map,))
 def nestjoin_select_clause(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """Select-clause nesting → nestjoin + map (no projection needed: the
     map body already produces the requested shape)."""

@@ -42,7 +42,7 @@ def _fold_range_select(var: str, inner: A.Select):
     return inner.source, pred
 
 
-@rule("range-select-into-exists")
+@rule("range-select-into-exists", on=(A.Exists,))
 def range_select_into_exists(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """∃y ∈ σ[y' : q](Y) • p  ≡  ∃y ∈ Y • q[y'↦y] ∧ p."""
     if isinstance(expr, A.Exists) and isinstance(expr.source, A.Select):
@@ -54,7 +54,7 @@ def range_select_into_exists(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Ex
     return None
 
 
-@rule("range-select-into-forall")
+@rule("range-select-into-forall", on=(A.Forall,))
 def range_select_into_forall(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """∀y ∈ σ[y' : q](Y) • p  ≡  ∀y ∈ Y • ¬q[y'↦y] ∨ p."""
     if isinstance(expr, A.Forall) and isinstance(expr.source, A.Select):
@@ -66,7 +66,7 @@ def range_select_into_forall(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Ex
     return None
 
 
-@rule("range-map")
+@rule("range-map", on=(A.Exists, A.Forall))
 def range_map(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """Q y ∈ α[w : f](Y) • p  ≡  Q w ∈ Y • p[y↦f]  (Q ∈ {∃, ∀}).
 
@@ -88,7 +88,7 @@ def range_map(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return cls(w, inner.source, new_pred)
 
 
-@rule("range-flatten")
+@rule("range-flatten", on=(A.Exists, A.Forall))
 def range_flatten(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """∃y ∈ ⊔(E) • p ≡ ∃S ∈ E • ∃y ∈ S • p  (and the ∀/∀ dual)."""
     if not isinstance(expr, (A.Exists, A.Forall)):
@@ -100,7 +100,7 @@ def range_flatten(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return cls(outer_set, expr.source.source, cls(expr.var, A.Var(outer_set), expr.pred))
 
 
-@rule("forall-to-not-exists")
+@rule("forall-to-not-exists", on=(A.Forall,))
 def forall_to_not_exists(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """∀y ∈ Y • p  ≡  ¬∃y ∈ Y • ¬p — push through negation.
 
@@ -113,7 +113,7 @@ def forall_to_not_exists(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return None
 
 
-@rule("not-forall-to-exists-not")
+@rule("not-forall-to-exists-not", on=(A.Not,))
 def not_forall(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """¬∀y ∈ Y • p  ≡  ∃y ∈ Y • ¬p (unguarded — always simplifies)."""
     if isinstance(expr, A.Not) and isinstance(expr.operand, A.Forall):
@@ -131,7 +131,7 @@ def _exchangeable(outer_source: A.Expr, inner: A.Expr, outer_var: str) -> bool:
     )
 
 
-@rule("exchange-quantifiers")
+@rule("exchange-quantifiers", on=(A.Exists, A.Forall))
 def exchange_quantifiers(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """Same-kind quantifier exchange, oriented base-table-outward.
 

@@ -97,7 +97,7 @@ def expand_setcompare(expr: A.SetCompare) -> A.Expr:
     raise AssertionError(f"unhandled set comparison {op!r}")
 
 
-@rule("table1-expand-set-comparison")
+@rule("table1-expand-set-comparison", on=(A.SetCompare,))
 def expand_guarded(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """Table 1/2 expansion, guarded: a base table must be involved.
 
@@ -117,7 +117,7 @@ def expand_guarded(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return expand_setcompare(expr)
 
 
-@rule("table2-empty-test")
+@rule("table2-empty-test", on=(A.IsEmpty, A.SetCompare))
 def empty_test(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """``Y' = ∅  ≡  ¬∃y ∈ Y' • true`` (Table 2, rows 1).
 
@@ -140,7 +140,7 @@ def empty_test(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return exists if negated else A.Not(exists)
 
 
-@rule("table2-count-zero")
+@rule("table2-count-zero", on=(A.Compare,))
 def count_zero(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """``count(Y') = 0 ≡ ¬∃y ∈ Y' • true`` (Table 2, row 2) and the
     natural companions ``count(Y') > 0 / != 0 / >= 1 ≡ ∃y ∈ Y' • true``."""

@@ -23,7 +23,7 @@ TRUE = A.Literal(True)
 FALSE = A.Literal(False)
 
 
-@rule("double-negation")
+@rule("double-negation", on=(A.Not,))
 def double_negation(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """¬¬p ≡ p."""
     if isinstance(expr, A.Not) and isinstance(expr.operand, A.Not):
@@ -31,7 +31,7 @@ def double_negation(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return None
 
 
-@rule("boolean-constants")
+@rule("boolean-constants", on=(A.Not, A.And, A.Or))
 def boolean_constants(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """Fold ``true``/``false`` through ¬ ∧ ∨."""
     if isinstance(expr, A.Not):
@@ -56,7 +56,7 @@ def boolean_constants(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return None
 
 
-@rule("select-true")
+@rule("select-true", on=(A.Select,))
 def select_true(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """σ[x : true](X) ≡ X — a missing where-clause."""
     if isinstance(expr, A.Select) and expr.pred == TRUE:
@@ -64,7 +64,7 @@ def select_true(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return None
 
 
-@rule("select-false")
+@rule("select-false", on=(A.Select,))
 def select_false(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """σ[x : false](X) ≡ ∅."""
     if isinstance(expr, A.Select) and expr.pred == FALSE:
@@ -72,7 +72,7 @@ def select_false(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return None
 
 
-@rule("map-identity")
+@rule("map-identity", on=(A.Map,))
 def map_identity(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """α[x : x](X) ≡ X — a ``select x from x in X`` projection."""
     if isinstance(expr, A.Map) and expr.body == A.Var(expr.var):
@@ -80,7 +80,7 @@ def map_identity(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return None
 
 
-@rule("select-fusion")
+@rule("select-fusion", on=(A.Select,))
 def select_fusion(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """σ[x : p](σ[y : q](X)) ≡ σ[x : p ∧ q[y↦x]](X).
 
@@ -98,7 +98,7 @@ def select_fusion(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return None
 
 
-@rule("select-over-map")
+@rule("select-over-map", on=(A.Select,))
 def select_over_map(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """σ[x : p](α[y : f](X)) ≡ α[y : f](σ[y : p[x↦f]](X)).
 
@@ -116,7 +116,7 @@ def select_over_map(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return None
 
 
-@rule("map-fusion")
+@rule("map-fusion", on=(A.Map,))
 def map_fusion(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """α[x : f](α[y : g](X)) ≡ α[y : f[x↦g]](X)."""
     if isinstance(expr, A.Map) and isinstance(expr.source, A.Map):
@@ -128,7 +128,7 @@ def map_fusion(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return None
 
 
-@rule("subscript-access")
+@rule("subscript-access", on=(A.AttrAccess,))
 def subscript_access(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """(e[a1..an]).ai ≡ e.ai — cleans up after nestjoin substitutions."""
     if (
@@ -140,7 +140,7 @@ def subscript_access(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return None
 
 
-@rule("tuple-field-access")
+@rule("tuple-field-access", on=(A.AttrAccess,))
 def tuple_field_access(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """(a = e, ...).a ≡ e."""
     if isinstance(expr, A.AttrAccess) and isinstance(expr.base, A.TupleExpr):
@@ -155,7 +155,7 @@ _SETCMP_NEGATION = {"in": "notin", "notin": "in", "ni": "notni", "notni": "ni",
                     "seteq": "setneq", "setneq": "seteq"}
 
 
-@rule("push-negation")
+@rule("push-negation", on=(A.Not,))
 def push_negation(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """Move ¬ toward the leaves: De Morgan over ∧/∨ and complement
     operators for comparisons (``¬(a = b) ≡ a != b`` etc.).
@@ -177,7 +177,7 @@ def push_negation(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return None
 
 
-@rule("empty-quantifiers")
+@rule("empty-quantifiers", on=(A.Exists, A.Forall))
 def empty_quantifiers(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """∃x ∈ ∅ • p ≡ false;  ∀x ∈ ∅ • p ≡ true."""
     empty = A.SetExpr(())
@@ -188,7 +188,7 @@ def empty_quantifiers(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     return None
 
 
-@rule("exists-eq-to-membership")
+@rule("exists-eq-to-membership", on=(A.Exists,))
 def exists_eq_to_membership(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """∃x ∈ S • (x = e ∧ r)  ≡  e ∈ S ∧ r[x↦e]   when x ∉ fv(e).
 

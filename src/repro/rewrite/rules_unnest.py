@@ -61,7 +61,7 @@ def _uses_only_attrs(pred: A.Expr, var: str, forbidden_attr: str) -> bool:
     return rec(pred, False)
 
 
-@rule("unnest-attribute")
+@rule("unnest-attribute", on=(A.Project,))
 def unnest_attribute(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """``π_A(σ[x : ∃w ∈ x.c • p](X)) ≡ π_A(σ[u : p'](μ_c(X)))``."""
     if not isinstance(expr, A.Project):

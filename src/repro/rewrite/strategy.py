@@ -41,8 +41,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.adl import ast as A
 from repro.adl.typecheck import TypeChecker
 from repro.datamodel.schema import Schema
-from repro.rewrite.common import RewriteContext, is_set_oriented, nested_extent_count
-from repro.rewrite.engine import RewriteEngine, Rule
+from repro.rewrite.common import RewriteContext, nested_extent_count
+from repro.rewrite.engine import NormalForms, RewriteEngine, Rule
 from repro.rewrite.rules_grouping import GROUPING_SAFE_RULES
 from repro.rewrite.rules_join import JOIN_RULES, push_right_selection
 from repro.rewrite.rules_materialize import MATERIALIZE_RULES
@@ -62,6 +62,11 @@ RELATIONAL_RULES: Tuple[Rule, ...] = tuple(
 #: Final polish: cleanup plus right-operand selection pushdown, safe after
 #: every pipeline (it is what gives Example Query 5 its paper-exact shape).
 POLISH_RULES: Tuple[Rule, ...] = tuple(list(CLEANUP_RULES) + [push_right_selection])
+
+#: The combined pipeline's nestjoin phase: the nestjoin rules with cleanup
+#: interleaved.  A module constant, like every rule set, because the
+#: engine's dispatch tables and normal-form memo are per rule-set object.
+NESTJOIN_CLEANUP_RULES: Tuple[Rule, ...] = NESTJOIN_RULES + CLEANUP_RULES
 
 #: The paper's priority order (Section 4 + the Section 5 summary: "use
 #: relational join operators whenever possible" — pure quantifier rewriting
@@ -87,6 +92,19 @@ class Attempt:
     set_oriented: bool
     nested_extents: int
     est_cost: Optional[float] = None
+
+    @classmethod
+    def of(
+        cls,
+        option: str,
+        expr: A.Expr,
+        trace: RewriteTrace,
+        est_cost: Optional[float] = None,
+    ) -> "Attempt":
+        """An attempt judged by one walk: set-oriented iff no base table
+        is left inside an iterator parameter."""
+        count = nested_extent_count(expr)
+        return cls(option, expr, trace, count == 0, count, est_cost)
 
 
 @dataclass
@@ -154,38 +172,55 @@ class Optimizer:
             raise ValueError(f"unknown optimization options: {sorted(unknown)}")
 
     # -- pipelines -------------------------------------------------------------
-    def _run_relational(self, expr: A.Expr, trace: RewriteTrace) -> A.Expr:
-        out = self.engine.run(expr, RELATIONAL_RULES, trace, "relational")
-        return self.engine.run(out, POLISH_RULES, trace, "cleanup")
+    # Each pipeline runs from the normalized query; ``memo`` is the
+    # optimize() call's record of subtrees already normal per rule set.
+    def _run_relational(
+        self, expr: A.Expr, trace: RewriteTrace, memo: NormalForms
+    ) -> A.Expr:
+        run = self.engine.run
+        out = run(expr, RELATIONAL_RULES, trace, "relational", memo)
+        return run(out, POLISH_RULES, trace, "cleanup", memo)
 
-    def _run_grouping(self, expr: A.Expr, trace: RewriteTrace) -> A.Expr:
+    def _run_grouping(
+        self, expr: A.Expr, trace: RewriteTrace, memo: NormalForms
+    ) -> A.Expr:
         """Table-3-guarded [GaWo87] grouping, applied *before* quantifier
         expansion can destroy the query-block shape, then relational rules
         for whatever remains."""
-        out = self.engine.run(expr, GROUPING_SAFE_RULES, trace, "grouping")
-        out = self.engine.run(out, RELATIONAL_RULES, trace, "relational")
-        return self.engine.run(out, POLISH_RULES, trace, "cleanup")
+        run = self.engine.run
+        out = run(expr, GROUPING_SAFE_RULES, trace, "grouping", memo)
+        out = run(out, RELATIONAL_RULES, trace, "relational", memo)
+        return run(out, POLISH_RULES, trace, "cleanup", memo)
 
-    def _run_unnest(self, expr: A.Expr, trace: RewriteTrace) -> A.Expr:
-        out = self.engine.run(expr, UNNEST_RULES, trace, "unnest")
-        out = self.engine.run(out, RELATIONAL_RULES, trace, "relational")
-        return self.engine.run(out, POLISH_RULES, trace, "cleanup")
+    def _run_unnest(
+        self, expr: A.Expr, trace: RewriteTrace, memo: NormalForms
+    ) -> A.Expr:
+        run = self.engine.run
+        out = run(expr, UNNEST_RULES, trace, "unnest", memo)
+        out = run(out, RELATIONAL_RULES, trace, "relational", memo)
+        return run(out, POLISH_RULES, trace, "cleanup", memo)
 
-    def _run_nestjoin(self, expr: A.Expr, trace: RewriteTrace) -> A.Expr:
-        out = self.engine.run(expr, NESTJOIN_RULES, trace, "nestjoin")
-        return self.engine.run(out, POLISH_RULES, trace, "cleanup")
+    def _run_nestjoin(
+        self, expr: A.Expr, trace: RewriteTrace, memo: NormalForms
+    ) -> A.Expr:
+        run = self.engine.run
+        out = run(expr, NESTJOIN_RULES, trace, "nestjoin", memo)
+        return run(out, POLISH_RULES, trace, "cleanup", memo)
 
-    def _run_combined(self, expr: A.Expr, trace: RewriteTrace) -> A.Expr:
+    def _run_combined(
+        self, expr: A.Expr, trace: RewriteTrace, memo: NormalForms
+    ) -> A.Expr:
         """Mixed queries: some subqueries need the nestjoin, others are
         Rule-1 material.  The nestjoin must go first — quantifier expansion
         would otherwise destroy the query-block shapes it matches on — and
         the relational rules then unnest the remaining quantified
         conjuncts over the nestjoin result."""
-        out = self.engine.run(expr, NESTJOIN_RULES + CLEANUP_RULES, trace, "nestjoin")
-        out = self.engine.run(out, RELATIONAL_RULES, trace, "relational")
-        out = self.engine.run(out, NESTJOIN_RULES + CLEANUP_RULES, trace, "nestjoin")
-        out = self.engine.run(out, RELATIONAL_RULES, trace, "relational")
-        return self.engine.run(out, POLISH_RULES, trace, "cleanup")
+        run = self.engine.run
+        out = run(expr, NESTJOIN_CLEANUP_RULES, trace, "nestjoin", memo)
+        out = run(out, RELATIONAL_RULES, trace, "relational", memo)
+        out = run(out, NESTJOIN_CLEANUP_RULES, trace, "nestjoin", memo)
+        out = run(out, RELATIONAL_RULES, trace, "relational", memo)
+        return run(out, POLISH_RULES, trace, "cleanup", memo)
 
     _PIPELINES = {
         "relational": _run_relational,
@@ -195,25 +230,18 @@ class Optimizer:
         "combined": _run_combined,
     }
 
-    def _finalize(self, attempt: Attempt) -> Attempt:
+    def _finalize(self, attempt: Attempt, memo: NormalForms) -> Attempt:
         """Optional post-pass: make path expressions explicit ([BlMG93])
         so the planner can use the assembly algorithm.  Purely physical —
         it never changes set-orientation or semantics."""
         if not self.introduce_materialize:
             return attempt
         rewritten = self.engine.run(
-            attempt.expr, MATERIALIZE_RULES, attempt.trace, "materialize"
+            attempt.expr, MATERIALIZE_RULES, attempt.trace, "materialize", memo
         )
         if rewritten is attempt.expr:
             return attempt
-        return Attempt(
-            attempt.option,
-            rewritten,
-            attempt.trace,
-            is_set_oriented(rewritten),
-            nested_extent_count(rewritten),
-            attempt.est_cost,
-        )
+        return Attempt.of(attempt.option, rewritten, attempt.trace, attempt.est_cost)
 
     def _candidate_cost(self, expr: A.Expr) -> float:
         """Price a rewrite candidate with the PR-2/PR-3 cost model, after
@@ -255,14 +283,7 @@ class Optimizer:
         shred_cost = self._candidate_cost(shredded)
         trace = RewriteTrace(chosen.expr)
         trace.steps.extend(chosen.trace.steps)
-        attempt = Attempt(
-            "shredded",
-            shredded,
-            trace,
-            is_set_oriented(shredded),
-            nested_extent_count(shredded),
-            shred_cost,
-        )
+        attempt = Attempt.of("shredded", shredded, trace, shred_cost)
         attempts.append(attempt)
         verdict = (
             f"shredding priced: {chosen.option}≈{base_cost:.0f} vs "
@@ -278,15 +299,21 @@ class Optimizer:
 
     # -- the strategy ------------------------------------------------------------
     def optimize(self, expr: A.Expr) -> OptimizationResult:
+        # one memo per call: the context is fixed and nodes are immutable,
+        # so a subtree found normal for a rule set stays normal throughout
+        memo = NormalForms()
         normalize_trace = RewriteTrace(expr)
-        normalized = self.engine.run(expr, SIMPLIFY_RULES, normalize_trace, "normalize")
+        normalized = self.engine.run(
+            expr, SIMPLIFY_RULES, normalize_trace, "normalize", memo
+        )
+        normal_count = nested_extent_count(normalized)
 
         attempts: List[Attempt] = []
-        if is_set_oriented(normalized):
+        if normal_count == 0:
             # already meets the goal (e.g. only set-valued-attribute nesting,
             # which the paper deliberately leaves nested)
             chosen = self._finalize(
-                Attempt("none-needed", normalized, normalize_trace, True, 0)
+                Attempt("none-needed", normalized, normalize_trace, True, 0), memo
             )
             # a directly-authored nestjoin arrives here already set-oriented;
             # shredding still competes as a priced alternative (PR 9)
@@ -297,33 +324,25 @@ class Optimizer:
         for option in self.priority:
             trace = RewriteTrace(expr)
             trace.steps.extend(normalize_trace.steps)
-            candidate = self._PIPELINES[option](self, normalized, trace)
-            attempt = Attempt(
-                option,
-                candidate,
-                trace,
-                is_set_oriented(candidate),
-                nested_extent_count(candidate),
-            )
+            candidate = self._PIPELINES[option](self, normalized, trace, memo)
+            attempt = Attempt.of(option, candidate, trace)
             attempts.append(attempt)
             # the paper's strategy: first success wins.  With a catalog we
             # keep going — every successful pipeline becomes a candidate.
             if attempt.set_oriented and self.catalog is None:
                 return OptimizationResult(
-                    expr, normalized, self._finalize(attempt), attempts
+                    expr, normalized, self._finalize(attempt, memo), attempts
                 )
 
         if self.catalog is not None:
             chosen = self._pick_cheapest(attempts)
             if chosen is not None:
-                chosen = self._maybe_shred(self._finalize(chosen), attempts)
+                chosen = self._maybe_shred(self._finalize(chosen, memo), attempts)
                 return OptimizationResult(expr, normalized, chosen, attempts)
 
         # option 4: nested loops — keep the best partial unnesting (fewest
         # base tables left inside iterators; ties: fewest rewrite steps)
-        fallback = Attempt(
-            "nested-loop", normalized, normalize_trace, False, nested_extent_count(normalized)
-        )
+        fallback = Attempt("nested-loop", normalized, normalize_trace, False, normal_count)
         attempts.append(fallback)
         chosen = min(attempts, key=lambda a: (a.nested_extents, len(a.trace.steps)))
         if chosen.nested_extents == fallback.nested_extents:

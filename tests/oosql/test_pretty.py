@@ -21,7 +21,13 @@ ROUNDTRIP_QUERIES = [
     "select x from x in X where x.a not in {1}",
     "select -x.a from x in X",
     "select x from x in X where x.s disjoint y.s",
+    "(select x.a from x in X where x.a > 1) union (select y.d from y in Y)",
+    "(select x.a from x in X) intersect (select y.d from y in Y where y.e < 5)",
+    "(select x.a from x in X where x.a > 1) minus {1, 2}",
+    "select z from z in (select x.a from x in X where x.a > 1) union (select y.d from y in Y)",
 ]
+
+SET_OP_QUERY = "(select x.a from x in X where x.a > 1) union (select y.d from y in Y)"
 
 
 @pytest.mark.parametrize("text", ROUNDTRIP_QUERIES)
@@ -40,3 +46,33 @@ def test_example_queries_roundtrip():
     for name, text in OOSQL_EXAMPLES.items():
         node = parse(text)
         assert parse(pretty(node)) == node, name
+
+
+def test_select_operands_of_set_operators_keep_their_parentheses():
+    printed = pretty(parse(SET_OP_QUERY))
+    assert printed == (
+        "((select x.a from x in X where (x.a > 1)) union (select y.d from y in Y))"
+    )
+
+
+def test_set_operator_of_selects_through_the_service():
+    """The plan-cache shape key is the printed text, so a printer that
+    lets a ``where`` swallow ``union`` compiles a different query."""
+    from repro.datamodel import VTuple
+    from repro.engine.interpreter import evaluate
+    from repro.service import QueryService
+    from repro.storage import MemoryDatabase
+    from repro.translate.translator import compile_oosql
+
+    db = MemoryDatabase(
+        {
+            "X": [VTuple(a=i % 7, b=i) for i in range(40)],
+            "Y": [VTuple(d=10 + i % 5, e=i) for i in range(40)],
+        }
+    )
+    want = evaluate(compile_oosql(SET_OP_QUERY, db.schema), db)
+    assert len(want) == 5 + 5
+    with QueryService(db) as svc:
+        result = svc.session().execute(SET_OP_QUERY)
+    assert set(result.rows) == set(want)
+    assert len(result.rows) == len(want)
