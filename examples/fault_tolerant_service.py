@@ -12,12 +12,15 @@ Walks through:
    exponential backoff and *deterministic* jitter re-runs the batch;
    the retry stays on the pool and the query result is byte-identical.
 3. **Worker crashes degrade** — a killed worker (``os._exit`` mid-
-   fragment) is detected by PID/exitcode polling; the batch re-runs
-   inline through the *same* ``execute_fragment`` path, so the degraded
-   rows are provably the rows the pool would have produced.
+   fragment) is seen at once: the coordinator waits on every busy
+   worker's pipe *and* its process sentinel, and the sentinel fires when
+   the worker exits.  The batch re-runs inline through the *same*
+   ``execute_fragment`` path, so the degraded rows are provably the rows
+   the workers would have produced; the next batch forks a fresh set.
 4. **Deadlines bound everything** — ``execute(timeout=...)`` cancels a
-   hung parallel batch (and even a serial nested loop) within polling
-   granularity, reclaiming the worker pool on the way out.
+   hung parallel batch (the coordinator's wait times out at the deadline
+   and terminates the workers) and even a serial nested loop (polled
+   once per batch).
 5. **The breaker routes around repeated failure** — consecutive pool
    deaths open a circuit breaker that sends gather-bearing plans
    straight to the inline path until a cooldown expires; a half-open

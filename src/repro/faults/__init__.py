@@ -8,8 +8,8 @@ test harness:
   crash, hang, transient error, slow fragment) keyed on
   ``(fragment, attempt)``, installed per-process through
   :mod:`repro.faults.runtime` and fired by the hook in
-  :func:`repro.shard.fragment.execute_fragment` and the pool
-  initializer.  ``REPRO_FAULT_PLAN`` injects a plan from the
+  :func:`repro.shard.fragment.execute_fragment` and each worker
+  process's loop.  ``REPRO_FAULT_PLAN`` injects a plan from the
   environment, which is how CI replays the whole parallel-parity suite
   under a crash-once plan.
 * **Resilience** — :class:`RetryPolicy` (:mod:`repro.faults.retry`:

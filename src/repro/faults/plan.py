@@ -24,8 +24,9 @@ Fault kinds
     Sleep for ``delay_s`` (far past any test deadline).  The sleep is
     chunked and deadline-aware so an inline hang converts into
     :class:`~repro.datamodel.errors.QueryTimeoutError` at the deadline
-    instead of actually blocking the suite; a pool worker's hang is
-    additionally bounded by the coordinator's own deadline polling.
+    instead of actually blocking the suite; a worker process's hang is
+    additionally bounded by the coordinator's wait, which times out at
+    the deadline and terminates the workers.
 ``transient``
     Raise :class:`~repro.datamodel.errors.TransientFaultError` — the
     retryable failure mode the backoff policy exists for.
@@ -113,7 +114,7 @@ class FaultSpec:
 class FaultPlan:
     """An immutable, picklable script of injected faults.
 
-    Crosses the fork boundary inside the pool initializer's arguments;
+    Crosses the fork boundary in each worker process's fork image;
     consulted by the hook at the top of
     :func:`repro.shard.fragment.execute_fragment`.
     """

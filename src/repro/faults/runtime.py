@@ -3,8 +3,8 @@
 One slot per process: the :class:`~repro.faults.plan.FaultPlan` installed
 here is consulted by the hook in
 :func:`repro.shard.fragment.execute_fragment` whenever no plan is passed
-explicitly.  Pool workers get their plan through this slot — the pool
-initializer calls :func:`install` with ``in_worker=True`` — which is what
+explicitly.  Worker processes get their plan through this slot — each
+worker's loop calls :func:`install` with ``in_worker=True`` — which is what
 lets *crash* faults distinguish "kill this worker process" from "simulate
 a crash inline" (a real ``os._exit`` in the coordinator would take the
 whole test run down with it).
@@ -41,5 +41,5 @@ def current() -> Optional[object]:
 
 
 def in_worker() -> bool:
-    """True in a forked pool worker (set by the pool initializer)."""
+    """True in a forked worker process (set by its loop on start)."""
     return _IN_WORKER

@@ -17,8 +17,8 @@ level:
   (:class:`PartitionedScan`, :class:`Exchange`,
   :class:`PartitionedHashJoin`) that join the planner's candidate
   enumeration with real cost formulas;
-* :mod:`repro.shard.executor` — :class:`ParallelExecutor`, the
-  ``multiprocessing`` worker pool that fans fragments out and merges
+* :mod:`repro.shard.executor` — :class:`ParallelExecutor`, the forked
+  worker processes (one pipe each) that fan fragments out and merge
   partial results and per-worker statistics.
 """
 

@@ -1,29 +1,34 @@
-"""The process-pool fragment executor, with fault tolerance.
+"""The worker-process fragment executor, with fault tolerance.
 
-:class:`ParallelExecutor` fans plan fragments out to a
-``multiprocessing`` worker pool and merges partial results plus
-per-worker :class:`~repro.engine.stats.Stats` snapshots.  What crosses
-the process boundary is exactly the fragment-shipping contract of
-:mod:`repro.shard.fragment` — canonical ADL text, shard bindings,
-parameter bindings (plus the fragment index, batch attempt and deadline)
-out; row sets and counter snapshots back.
+:class:`ParallelExecutor` fans plan fragments out to ``workers``
+long-lived forked worker processes, one duplex pipe each, and merges
+partial results plus per-worker :class:`~repro.engine.stats.Stats`
+snapshots.  What crosses a pipe is exactly the fragment-shipping
+contract of :mod:`repro.shard.fragment` — canonical ADL text, shard
+bindings, parameter bindings (plus the fragment index, batch attempt and
+deadline) out; row sets and counter snapshots, or the exception the
+fragment raised, back.
 
-Pool lifecycle
-==============
+Worker lifecycle
+================
 
-Workers are forked with a point-in-time state: the database object, a
-plain ``{extent: PartitionedExtent}`` snapshot of the catalog's
-partitionings (never the live catalog — a forked child must not inherit
-or touch its locks), and the executor's
+Workers are forked (``multiprocessing.get_context("fork")``, so
+``multiprocessing.active_children()`` sees them) with a point-in-time
+state: the database object, a plain ``{extent: PartitionedExtent}``
+snapshot of the catalog's partitionings (never the live catalog — a
+forked child must not inherit or touch its locks), and the executor's
 :class:`~repro.faults.FaultPlan` (installed process-globally in each
-worker).  Staleness is caught on *four* triggers, checked per run
-before the pool is used:
+worker).  The state is the fork's copy-on-write image of the store, which
+is why the workers fork rather than spawn: nothing of it is pickled.
+Each worker then loops ``recv → execute_fragment → send`` until it is
+terminated.  Staleness is caught on *four* triggers, checked per run
+before the workers are used:
 
 * the snapshot itself performs the extent-identity handshake
   (``Catalog.partition_snapshot`` → ``partitioning()``), so stale
   shards re-derive before they are forked;
 * a catalog **version** move (ANALYZE / ``create_index`` /
-  ``partition()`` / statistics refresh) retires the pool the same way
+  ``partition()`` / statistics refresh) retires the workers the same way
   it retires cached plans;
 * the **identity of every extent the fragment batch reads** — including
   un-partitioned broadcast sides, which have no partitioning to
@@ -33,13 +38,13 @@ before the pool is used:
   image of the parent's pre-mutation heap.  An extent the forking batch
   did not read is recorded on first use while the store's epoch still
   equals the fork epoch (nothing was published since, so the image has
-  it) — alternating shapes over different extents keep one pool.  An
-  extent whose identity *cannot be read* (dropped/renamed extent, store
-  error) is classified, counted in :attr:`extent_lookup_failures`, and
-  recorded as a unique sentinel that can never match — a forced re-fork
-  instead of silently disabling the staleness trigger;
+  it) — alternating shapes over different extents keep one worker set.
+  An extent whose identity *cannot be read* (dropped/renamed extent,
+  store error) is classified, counted in :attr:`extent_lookup_failures`,
+  and recorded as a unique sentinel that can never match — a forced
+  re-fork instead of silently disabling the staleness trigger;
 * the **visibility epoch** a batch is pinned to (PR 7): a batch whose
-  fragments carry an epoch newer than the pool's fork epoch re-forks,
+  fragments carry an epoch newer than the workers' fork epoch re-forks,
   because snapshots preserved after the fork cannot be in its
   copy-on-write image.
 
@@ -48,14 +53,14 @@ new epoch and epoch-pinned fragments resolve historical snapshots
 through :meth:`~repro.storage.store.EpochStoreMixin.extent_at`, so the
 old footgun ("mutations that bypass the catalog need an explicit
 ``refresh()``") is gone; :meth:`refresh` remains as a manual
-pool-retirement lever.
+worker-retirement lever.
 
 Locking contract (PR 6)
 =======================
 
 Two locks with disjoint jobs:
 
-* ``_pool_lock`` — pool *lifecycle*: fork, terminate, plan/closed-flag
+* ``_pool_lock`` — worker *lifecycle*: fork, terminate, plan/closed-flag
   changes, and the identity bookkeeping.  Held only for short critical
   sections; :meth:`refresh` / :meth:`close` / :meth:`inject` take it and
   therefore return promptly even while a long batch is executing.
@@ -65,33 +70,38 @@ Two locks with disjoint jobs:
   critical sections longer than a handle lookup.
 
 Consequence: ``refresh()``/``close()`` during an in-flight batch
-terminate the pool *out from under it*.  That is deliberate — the
-batch's poll loop observes the dead pool, classifies it as a worker
+terminate the workers *out from under it*.  That is deliberate — the
+batch's wait sees the workers' sentinels fire, classifies it as a worker
 crash, and recovers inline; the caller still gets correct rows (parity
-by construction) while the lifecycle call returns immediately.
+by construction) while the lifecycle call returns immediately.  No lock
+or queue is shared with the workers, so terminating one mid-anything
+cannot wedge the coordinator.
 
 Fault tolerance (PR 6)
 ======================
 
-``run_fragments`` no longer assumes the pool is healthy:
+``run_fragments`` does not assume the workers are healthy:
 
-* the blocking ``pool.map`` became ``map_async`` + a poll loop that
-  watches the **deadline** (terminate + :class:`QueryTimeoutError`, the
-  pool reliably reclaimed) and **worker death** (PID-set/exitcode
-  changes — ``multiprocessing.Pool`` silently respawns dead workers and
-  loses their tasks, which classically presents as an unbounded hang);
-* a dead worker (or an injected inline crash) raises
-  :class:`~repro.datamodel.errors.WorkerCrashError`: the batch re-runs
+* each idle worker is handed the next fragment, then the coordinator
+  blocks in :func:`multiprocessing.connection.wait` over the busy
+  workers' pipes **and** their process sentinels, with the time left to
+  the **deadline** as its timeout.  A wait that times out terminates the
+  workers and raises :class:`QueryTimeoutError`;
+* a ready sentinel, or ``EOFError`` / ``OSError`` on a pipe, means a
+  worker died: the workers are terminated and the batch raises
+  :class:`~repro.datamodel.errors.WorkerCrashError`.  The batch re-runs
   **inline** through the identical ``execute_fragment`` path — parity by
-  construction makes the degraded rows provably the same — while the
-  breaker records the failure and a background thread re-forks a
-  replacement pool;
-* transient errors retry under the :class:`~repro.faults.RetryPolicy`
-  (bounded attempts, exponential backoff, deterministic jitter);
-  timeouts and fatal errors never retry;
+  construction makes the degraded rows provably the same — the breaker
+  records the failure, and the next batch forks a fresh worker set;
+* an exception a fragment raises in a worker crosses its pipe and is
+  raised in the coordinator once the other busy workers have answered,
+  so it is classified exactly as on the inline path: transient errors
+  retry under the :class:`~repro.faults.RetryPolicy` (bounded attempts,
+  exponential backoff, deterministic jitter); timeouts and fatal errors
+  never retry;
 * the :class:`~repro.faults.CircuitBreaker` routes batches straight to
-  the inline path after repeated pool failures until a cooldown expires
-  (half-open probe, then close on success).
+  the inline path after repeated worker failures until a cooldown
+  expires (half-open probe, then close on success).
 
 Every event lands in counters (:data:`COUNTERS`, plus breaker state)
 and in **one per-batch report**: ``run_fragments`` builds a single dict
@@ -107,14 +117,16 @@ degradation, breaker state, and one record per attempt.  That dict is
 
 ``mode="inline"`` runs fragments in-process through the identical
 :func:`~repro.shard.fragment.run_inline` path a gather without an
-executor streams (no pool, fully deterministic) — the fallback when
+executor streams (no workers, fully deterministic) — the fallback when
 ``fork`` is unavailable and the default engine for tests.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
+from multiprocessing.connection import wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.datamodel.errors import (
@@ -158,27 +170,31 @@ def fold_report(events: dict, report: dict) -> None:
             events[key] = report[key]
 
 
-#: Worker-process state: ``(db, partitions)`` installed by the pool
-#: initializer (inherited via fork, never pickled).
-_WORKER_STATE: Optional[Tuple[object, Dict[str, object]]] = None
+def _serve(conn, db, partitions, fault_plan) -> None:
+    """A worker process's whole life: receive ``(index, attempt,
+    deadline, spec)``, run :func:`execute_fragment`, send back
+    ``(True, (rows, stats))`` or ``(False, exception)``; return when the
+    pipe reports end-of-file.
 
-
-def _init_worker(state) -> None:
-    global _WORKER_STATE
-    db, partitions, fault_plan = state
-    _WORKER_STATE = (db, partitions)
-    # the worker's process-global fault plan: crash faults may hard-exit
-    # here (and only here — in_worker distinguishes the real thing from
-    # the coordinator's simulated inline crash)
+    ``db`` and ``partitions`` are the fork image, never pickled.  The
+    fault plan is installed with ``in_worker=True``, so a crash fault
+    really exits here.  An exception that cannot be pickled kills the
+    worker on ``send``; the coordinator sees a crash, and the inline
+    re-run raises the exception in-process.
+    """
     faults_runtime.install(fault_plan, in_worker=True)
-
-
-def _run_fragment(payload):
-    index, attempt, deadline, spec = payload
-    db, partitions = _WORKER_STATE
-    return execute_fragment(
-        db, partitions, spec, index=index, attempt=attempt, deadline=deadline
-    )
+    while True:
+        try:
+            index, attempt, deadline, spec = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, execute_fragment(
+                db, partitions, spec, index=index, attempt=attempt, deadline=deadline
+            ))
+        except Exception as exc:  # the fragment's failure is the coordinator's to classify
+            reply = (False, exc)
+        conn.send(reply)
 
 
 class _Unreadable:
@@ -187,7 +203,7 @@ class _Unreadable:
 
 
 class ParallelExecutor:
-    """Runs fragment batches, in a forked worker pool or inline.
+    """Runs fragment batches, on forked worker processes or inline.
 
     Parameters
     ----------
@@ -196,10 +212,10 @@ class ParallelExecutor:
         (and version) worker snapshots are derived from.  ``catalog``
         defaults to the store's own registered catalog.
     workers:
-        Pool size; also the effective-parallelism figure the planner's
-        cost formulas divide by.
+        Number of worker processes; also the effective-parallelism
+        figure the planner's cost formulas divide by.
     mode:
-        ``"process"`` (default) forks a pool; ``"inline"`` runs
+        ``"process"`` (default) forks the workers; ``"inline"`` runs
         fragments in-process.  Process mode degrades to inline (with
         :attr:`degraded` set) when ``fork`` is unavailable.
     fault_plan:
@@ -211,8 +227,6 @@ class ParallelExecutor:
         The transient-failure :class:`~repro.faults.RetryPolicy` and the
         parallel-path :class:`~repro.faults.CircuitBreaker`; defaults
         are production-shaped (3 attempts / threshold 3, 30 s cooldown).
-    poll_interval_s:
-        Deadline / worker-death polling granularity of the pool path.
     """
 
     def __init__(
@@ -225,14 +239,11 @@ class ParallelExecutor:
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
-        poll_interval_s: float = 0.015,
     ) -> None:
         if workers < 1:
             raise ServiceError(f"parallel workers must be >= 1, got {workers}")
         if mode not in ("process", "inline"):
             raise ServiceError(f"unknown parallel mode {mode!r}")
-        if poll_interval_s <= 0:
-            raise ServiceError(f"poll interval must be > 0, got {poll_interval_s}")
         self.db = db
         self.catalog = catalog if catalog is not None else getattr(db, "catalog", None)
         self.workers = workers
@@ -241,30 +252,26 @@ class ParallelExecutor:
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.poll_interval_s = poll_interval_s
         #: the report of the most recent successful :meth:`run_fragments`
         self.last_report: Optional[dict] = None
         for name in COUNTERS:
             setattr(self, name, 0)
-        self._pool = None
+        #: the live worker set: one ``(Process, Connection)`` per worker
+        self._pool: Optional[list] = None
         self._pool_version: Optional[int] = None
         #: the store's visibility epoch at fork time (PR 7); a batch
         #: pinned to a *newer* epoch re-forks, because the fork image
         #: cannot contain snapshots preserved after it was taken
         self._pool_epoch: Optional[int] = None
         #: extent-value identities observed at fork time; a changed
-        #: identity for any extent a batch reads re-forks the pool
+        #: identity for any extent a batch reads re-forks the workers
         self._pool_extents: Dict[str, object] = {}
-        #: worker PIDs at fork time — ``multiprocessing.Pool`` *respawns*
-        #: dead workers (losing their tasks forever), so death shows up as
-        #: a changed PID set or a non-zero exitcode, not a broken pool
-        self._pool_pids: frozenset = frozenset()
         self._closed = False
         # see "Locking contract" in the module docstring
         self._pool_lock = threading.Lock()
         self._run_lock = threading.Lock()
 
-    # -- pool lifecycle ------------------------------------------------------
+    # -- worker lifecycle ----------------------------------------------------
     def _catalog_version(self) -> int:
         return self.catalog.version if self.catalog is not None else 0
 
@@ -299,19 +306,19 @@ class ParallelExecutor:
 
     def _ensure_pool(
         self, identities: Dict[str, object], min_epoch: Optional[int] = None
-    ):
-        """The live pool, re-forked when any staleness trigger fires
-        (see the module docstring); ``None`` in inline/degraded mode.
-        Caller must hold ``_pool_lock``.
+    ) -> Optional[list]:
+        """The live worker set, re-forked when any staleness trigger
+        fires (see the module docstring); ``None`` in inline/degraded
+        mode.  Caller must hold ``_pool_lock``.
 
         The partition snapshot is taken *first*: its staleness handshake
-        may itself bump the catalog version, and the pool must be tagged
-        with the settled number.
+        may itself bump the catalog version, and the workers must be
+        tagged with the settled number.
 
         A **closed** executor never forks: a caller that captured this
         handle before its owner retired it (e.g. a service replacing the
         executor on a catalog bump mid-query) falls through to the
-        inline path — correct results, no orphaned worker pool.
+        inline path — correct results, no orphaned workers.
         """
         if self._closed or self.mode != "process" or self.degraded:
             return None
@@ -328,34 +335,38 @@ class ParallelExecutor:
         ):
             return self._pool
         self._close_pool()
-        import multiprocessing as mp
-
         try:
-            context = mp.get_context("fork")
+            context = multiprocessing.get_context("fork")
         except ValueError:
             self.degraded = True  # no fork (non-POSIX): run inline
             return None
-        state = (self.db, snapshot, self.fault_plan)
-        self._pool = context.Pool(
-            self.workers, initializer=_init_worker, initargs=(state,)
-        )
+        # registered before the first fork and tagged after the last: a
+        # set left partial by a failed fork is retired by the next call
+        self._pool = workers = []
+        for _ in range(self.workers):
+            conn, child = context.Pipe()
+            proc = context.Process(
+                target=_serve, args=(child, self.db, snapshot, self.fault_plan), daemon=True
+            )
+            proc.start()
+            child.close()  # the worker holds the only copy of its end
+            workers.append((proc, conn))
         self._pool_version = version
         self._pool_epoch = getattr(self.db, "epoch", None)
         self._pool_extents = dict(identities)
-        self._pool_pids = frozenset(p.pid for p in self._pool._pool)
         self.pool_rebuilds += 1
-        return self._pool
+        return workers
 
     def _fork_image_covers(self, identities: Dict[str, object]) -> bool:
         """Do the workers' copy-on-write images hold these extent values?
 
         An extent recorded at (or since) the fork must still have the
-        recorded identity.  One the pool has *not* recorded yet — the
+        recorded identity.  One the workers have *not* recorded yet — the
         forking batch did not read it — is in the image iff nothing was
         published since the fork: every mutation publishes an epoch, so
         an unmoved epoch (read *after* the identities were) proves the
         value the caller just read is the one that was forked.  It is
-        then recorded, so alternating query shapes share one pool.
+        then recorded, so alternating query shapes share one worker set.
         Epoch-less stores cannot prove it and re-fork.
         """
         fresh: Dict[str, object] = {}
@@ -376,7 +387,7 @@ class ParallelExecutor:
 
     def inject(self, fault_plan: Optional[FaultPlan]) -> None:
         """Install (or, with ``None``, clear) the fault plan.  Retires
-        the pool so the next fork ships the new plan to its workers."""
+        the workers so the next fork ships the new plan to them."""
         with self._pool_lock:
             self.fault_plan = fault_plan
             self._close_pool()
@@ -384,24 +395,29 @@ class ParallelExecutor:
     def refresh(self) -> None:
         """Force the next run to fork a fresh worker snapshot (for data
         mutations that bypass the catalog version).  Returns immediately
-        even mid-batch: an in-flight batch observes the terminated pool
-        and recovers inline (see the locking contract)."""
+        even mid-batch: an in-flight batch sees its workers die and
+        recovers inline (see the locking contract)."""
         with self._pool_lock:
             self._close_pool()
 
     def _close_pool(self) -> None:
-        """Caller must hold ``_pool_lock``."""
+        """Terminate the worker set.  Caller must hold ``_pool_lock``.
+
+        Pipes close with their last reference, not here: a batch still
+        waiting on them (``refresh()`` / ``close()`` mid-batch) sees the
+        sentinels fire instead of a descriptor closed under its wait."""
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
+            for proc, _ in self._pool:
+                proc.terminate()
+            for proc, _ in self._pool:
+                proc.join()
             self._pool = None
             self._pool_version = None
             self._pool_epoch = None
             self._pool_extents = {}
-            self._pool_pids = frozenset()
 
     def close(self) -> None:
-        """Shut the pool down for good: an in-flight batch recovers
+        """Shut the workers down for good: an in-flight batch recovers
         inline; later batches run inline too."""
         with self._pool_lock:
             self._closed = True
@@ -412,52 +428,6 @@ class ParallelExecutor:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # -- pool health ---------------------------------------------------------
-    def _pool_broken(self, pool, pids_at_fork: frozenset) -> bool:
-        """Did any worker of ``pool`` die since fork?  ``Pool`` respawns
-        dead workers (and loses their in-flight task), so the signal is a
-        PID-set change or a recorded non-zero exitcode."""
-        try:
-            procs = list(getattr(pool, "_pool", None) or ())
-            if not procs:
-                return True
-            if {p.pid for p in procs} != pids_at_fork:
-                return True
-            return any(p.exitcode not in (None, 0) for p in procs)
-        except Exception:
-            # the maintenance thread mutated under us; re-check next poll
-            return False
-
-    def _reclaim(self, pool) -> None:
-        """Terminate ``pool`` (timeout / worker death).  Reclaims through
-        :meth:`_close_pool` when we still own it, directly otherwise."""
-        with self._pool_lock:
-            if self._pool is pool:
-                self._close_pool()
-                return
-        try:
-            pool.terminate()
-            pool.join()
-        except Exception:
-            pass
-
-    def _refork_in_background(self, specs: Sequence[FragmentSpec]) -> None:
-        """Heal after a pool death without charging the current (already
-        degraded) run: fork a replacement pool on a daemon thread, tagged
-        with the failed batch's extent identities so the next identical
-        batch can use it without another re-fork."""
-
-        def work() -> None:
-            try:
-                identities = self._extent_identities(specs)
-                with self._pool_lock:
-                    if self._pool is None:
-                        self._ensure_pool(identities)
-            except Exception:
-                pass  # best-effort healing; the next run re-forks anyway
-
-        threading.Thread(target=work, daemon=True, name="repro-pool-refork").start()
 
     # -- execution -----------------------------------------------------------
     def run_fragments(
@@ -471,12 +441,11 @@ class ParallelExecutor:
         in fragment order.  One batch runs at a time (the batch itself is
         the unit of parallelism).
 
-        ``deadline`` is an absolute ``time.monotonic()`` bound; past it
-        the batch raises :class:`QueryTimeoutError` (within the polling
-        granularity) with the pool reliably reclaimed.  ``events``, when
-        given, receives this batch's report — success or failure — which
-        a gather records for its trace and folds into the run's fault
-        record with :func:`fold_report`.
+        ``deadline`` is an absolute ``time.monotonic()`` bound; at it the
+        batch raises :class:`QueryTimeoutError` with the workers
+        terminated.  ``events``, when given, receives this batch's report
+        — success or failure — which a gather records for its trace and
+        folds into the run's fault record with :func:`fold_report`.
 
         Failure handling: transient errors retry with backoff; a worker
         death degrades the batch to the inline path (same rows by
@@ -490,7 +459,7 @@ class ParallelExecutor:
         policy = self.retry_policy
         #: the batch's one report; ``attempts`` gets a record per attempt,
         #: failed or successful (PR 10), so a traced run can show the
-        #: crashed pool attempt next to the degraded inline re-run
+        #: crashed worker attempt next to the degraded inline re-run
         report = {"fragments": len(specs), "retries": 0, "degraded": False, "attempts": []}
         with self._run_lock:
             try:
@@ -518,7 +487,6 @@ class ParallelExecutor:
                             self.pool_deaths += 1
                             if want_pool:
                                 self.breaker.record_failure()
-                                self._refork_in_background(specs)
                             forced_inline = report["degraded"] = True
                         elif policy.classify(exc) == "transient":
                             self.transient_faults += 1
@@ -547,7 +515,7 @@ class ParallelExecutor:
                 return results
             except BaseException as exc:
                 # one place counts timeouts so the pre-batch check, the
-                # poll loop, worker-side deadline hits and backoff sleeps
+                # wait, worker-side deadline hits and backoff sleeps
                 # that would outlive the deadline all land in the counter
                 if isinstance(exc, QueryTimeoutError):
                     self.timeouts += 1
@@ -567,23 +535,24 @@ class ParallelExecutor:
     ) -> Tuple[List[Tuple[frozenset, dict]], str]:
         """One attempt at the whole batch; returns ``(results, mode)``.
 
-        Pool path: ``map_async`` + a poll loop watching the deadline and
-        worker health; both failure modes reclaim the pool before
-        raising.  Inline path: :func:`~repro.shard.fragment.run_inline`
+        Worker path: each idle worker gets the next fragment, and the
+        coordinator waits on the busy workers' pipes and sentinels until
+        the deadline (see "Fault tolerance" in the module docstring).
+        After a fragment fails, no new fragment is handed out, but the
+        busy workers' replies are still collected, so no stale reply is
+        left in a pipe.  Inline path: :func:`~repro.shard.fragment.run_inline`
         drained, with the executor's fault plan applied coordinator-side.
         """
-        pool = None
-        pids = frozenset()
+        workers = None
         if want_pool:
             batch_epoch = max(
                 (s.epoch for s in specs if s.epoch is not None), default=None
             )
             with self._pool_lock:
-                pool = self._ensure_pool(
+                workers = self._ensure_pool(
                     self._extent_identities(specs), min_epoch=batch_epoch
                 )
-                pids = self._pool_pids
-        if pool is None:
+        if workers is None:
             inline = run_inline(
                 self.db,
                 self.catalog,
@@ -594,33 +563,43 @@ class ParallelExecutor:
             )
             return list(inline), "inline"
 
-        payloads = [(i, attempt, deadline, spec) for i, spec in enumerate(specs)]
+        results: list = [None] * len(specs)
+        todo = list(reversed(range(len(specs))))
+        idle = list(workers)
+        busy: dict = {}  # pipe -> (process, fragment index)
+        failure: Optional[BaseException] = None
         try:
-            async_result = pool.map_async(_run_fragment, payloads, chunksize=1)
-        except Exception as exc:
-            # the pool was closed/terminated from under us (refresh()/
-            # close() mid-batch — the documented lifecycle race)
-            raise WorkerCrashError(f"worker pool unavailable: {exc}") from exc
-        while True:
-            if deadline is not None and time.monotonic() >= deadline:
-                self._reclaim(pool)
-                raise QueryTimeoutError(
-                    "parallel batch exceeded its deadline; worker pool reclaimed"
-                )
-            if self._pool_broken(pool, pids):
-                self._reclaim(pool)
-                raise WorkerCrashError(
-                    "worker process died mid-batch; its fragments are lost"
-                )
-            async_result.wait(self.poll_interval_s)
-            if async_result.ready():
-                break
-        try:
-            results = async_result.get()
-        except QueryTimeoutError:
-            # a worker hit the deadline inside its own hot loop; retire
-            # the pool anyway so a timed-out query never leaves workers
-            # mid-anything
-            self._reclaim(pool)
+            while busy or (todo and failure is None):
+                while idle and todo and failure is None:
+                    proc, conn = idle.pop()
+                    index = todo.pop()
+                    conn.send((index, attempt, deadline, specs[index]))
+                    busy[conn] = (proc, index)
+                timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
+                ready = wait([*busy, *(proc.sentinel for proc, _ in busy.values())], timeout)
+                if not ready:
+                    raise QueryTimeoutError(
+                        "parallel batch exceeded its deadline; workers terminated"
+                    )
+                for conn in [obj for obj in ready if obj in busy]:
+                    proc, index = busy.pop(conn)
+                    ok, value = conn.recv()
+                    idle.append((proc, conn))
+                    if ok:
+                        results[index] = value
+                    elif failure is None:
+                        failure = value
+                if any(proc.sentinel in ready for proc, _ in workers):
+                    raise WorkerCrashError("worker process died mid-batch; its fragment is lost")
+        except BaseException as exc:
+            # a worker may be mid-fragment or mid-message: never reuse the
+            # set.  One that is no longer ours was terminated when detached.
+            with self._pool_lock:
+                if self._pool is workers:
+                    self._close_pool()
+            if isinstance(exc, (EOFError, OSError)):
+                raise WorkerCrashError(f"lost a worker mid-batch: {exc!r}") from exc
             raise
+        if failure is not None:
+            raise failure
         return results, "process"

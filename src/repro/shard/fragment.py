@@ -235,7 +235,7 @@ def execute_fragment(
     Fault tolerance (PR 6): this is the single injection + cancellation
     site of the parallel tier.  ``index``/``attempt`` identify the
     fragment and the batch attempt for the fault plan (passed explicitly
-    by the inline path, or the process-global plan a pool initializer
+    by the inline path, or the process-global plan a worker process
     installed — see :mod:`repro.faults.runtime`); faults fire *before*
     any row is produced, so a failed attempt never leaks partial
     statistics into the attempt that succeeds.  ``deadline`` (absolute

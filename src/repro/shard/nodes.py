@@ -1,7 +1,7 @@
 """Parallel physical operators: partitioned scans, exchanges, joins.
 
 These nodes join the planner's candidate enumeration
-(:meth:`repro.engine.planner.Planner._plan_join_cost_based`) with real
+(:meth:`repro.engine.planner.Planner._parallel_candidates`) with real
 cost formulas (:meth:`repro.engine.cost.CostModel.parallel_join_cost`),
 so the cost model — not a flag — decides when a parallel plan beats the
 serial one.  ``explain()`` renders partition counts and exchange kinds
@@ -78,16 +78,20 @@ def _gathered(rt: ExecRuntime, node: PlanNode, specs, parallel) -> Iterator:
 
     With ``parallel`` (a :class:`~repro.shard.executor.ParallelExecutor`)
     the batch runs there, and its one report is recorded for ``node``'s
-    trace and folded into ``rt.fault_events``; without one the fragments
-    run lazily in-process, one at a time.
+    trace and folded into ``rt.fault_events`` — also when the batch
+    raises, so a timed-out or failed gather keeps its attempt records;
+    without one the fragments run lazily in-process, one at a time.
     """
     trace = rt.trace
     if parallel is not None:
         report: dict = {}
-        results = parallel.run_fragments(specs, deadline=rt.deadline, events=report)
-        fold_report(rt.fault_events, report)
-        if trace is not None:
-            trace.add_events(node, report)
+        try:
+            results = parallel.run_fragments(specs, deadline=rt.deadline, events=report)
+        finally:
+            if report:  # empty only if the call failed before its batch began
+                fold_report(rt.fault_events, report)
+                if trace is not None:
+                    trace.add_events(node, report)
     else:
         results = run_inline(rt.db, rt.catalog, specs, deadline=rt.deadline)
     for rows, snapshot in results:

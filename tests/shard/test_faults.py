@@ -246,19 +246,63 @@ class TestFaultMatrix:
             assert parallel.timeouts == 1
             assert _run(db, catalog, plan, parallel, batch_size=16)[0] == oracle
 
-    def test_deadline_expiring_mid_fragment_raises(self):
+    @mode_param
+    def test_deadline_expiring_mid_fragment_raises(self, mode):
         """No injected fault: the fragments' own work outlives the budget
-        (a 250k-pair join per fragment) and the per-batch polls stop it.
-        Inline only — on the pool the workers' own polls fire at the very
-        moment the coordinator terminates them."""
+        (a 250k-pair join per fragment) and the per-batch polls stop it —
+        in process mode, whichever of a worker's own poll and the
+        coordinator's wait fires first."""
         db, catalog, plan = co_partitioned(n=1500, keys=3)
-        with ParallelExecutor(db, catalog, workers=PARTS, mode="inline",
+        with ParallelExecutor(db, catalog, workers=PARTS, mode=mode,
                               retry_policy=FAST) as parallel:
             start = time.monotonic()
             with pytest.raises(QueryTimeoutError):
                 _run(db, catalog, plan, parallel, time.monotonic() + 0.02, 256)
             assert time.monotonic() - start < 5.0
             assert parallel.timeouts == 1
+
+    def test_unplanned_worker_death_degrades_then_reforks_lazily(self):
+        """A worker killed from outside — no crash fault planned — is a
+        lost batch: oracle rows from the inline re-run, one death, no
+        hang, and the next batch forks a fresh set on its own."""
+        import multiprocessing
+        import os
+        import signal
+
+        db, catalog, plan = co_partitioned()
+        oracle = Executor(db, catalog=catalog).execute(JOIN)
+        slow_workers = FaultPlan([FaultSpec("slow", None, (), delay_s=0.5,
+                                            where="worker")])
+        before = {p.pid for p in multiprocessing.active_children()}
+
+        def kill_one():
+            give_up = time.monotonic() + 5.0
+            while time.monotonic() < give_up:
+                ours = [p.pid for p in multiprocessing.active_children()
+                        if p.pid not in before]
+                if ours:
+                    os.kill(ours[0], signal.SIGKILL)
+                    return
+                time.sleep(0.01)
+
+        with ParallelExecutor(db, catalog, workers=PARTS, mode="process",
+                              fault_plan=slow_workers,
+                              retry_policy=FAST) as parallel:
+            killer = threading.Thread(target=kill_one)
+            killer.start()
+            start = time.monotonic()
+            rows, _, events = _run(db, catalog, plan, parallel)
+            killer.join(timeout=10)
+            assert not killer.is_alive()
+            assert time.monotonic() - start < 5.0
+            assert rows == oracle and events["degraded"]
+            assert events["mode"] == "inline"
+            assert parallel.pool_deaths == 1
+            forks = parallel.pool_rebuilds
+            rows, _, events = _run(db, catalog, plan, parallel)
+            assert rows == oracle
+            assert events["mode"] == "process" and not events["degraded"]
+            assert parallel.pool_rebuilds == forks + 1
 
     def test_crash_recovery_preserves_stats_accounting(self):
         """Failed attempts contribute zero statistics: a crash-recovered
@@ -311,6 +355,25 @@ class TestOneReportPerBatch:
             assert own["retries"] == 1
             assert [a["attempt"] for a in own["attempts"]] == [0, 1]
             assert own["fragments"] == PARTS
+
+    @mode_param
+    def test_timed_out_gather_keeps_its_attempt_records(self, mode):
+        """A batch that raises still reports: its failed attempt reaches
+        the run's fault record and the gather's trace events."""
+        db, catalog, plan = co_partitioned()
+        recorder = TraceRecorder()
+        with ParallelExecutor(db, catalog, workers=PARTS, mode=mode,
+                              fault_plan=FaultPlan.hang(fragment=0, delay_s=30.0),
+                              retry_policy=FAST) as parallel:
+            rt = ExecRuntime(db, Stats(), catalog=catalog, parallel=parallel,
+                             deadline=time.monotonic() + 0.3, trace=recorder)
+            with pytest.raises(QueryTimeoutError):
+                plan.execute(rt)
+        for events in (rt.fault_events, recorder.gather_events[id(plan)]):
+            (attempt,) = events["attempts"]
+            assert attempt["status"] == "failed"
+            assert attempt["error"] == "QueryTimeoutError"
+            assert events["error"] == "QueryTimeoutError"
 
     @pytest.mark.parametrize("batch_size", [None, 256])
     def test_gather_without_executor_is_lazy(self, monkeypatch, batch_size):
