@@ -53,7 +53,9 @@ class Oid:
         return self.class_name == other.class_name and self.number == other.number
 
     def __hash__(self) -> int:
-        return hash((Oid, self.class_name, self.number))
+        # strings and ints only: process-stable under a fixed
+        # PYTHONHASHSEED (a class object would hash by its address)
+        return hash((self.class_name, self.number))
 
     def __repr__(self) -> str:
         return f"@{self.class_name}:{self.number}"

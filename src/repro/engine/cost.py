@@ -48,7 +48,6 @@ cost, making every choice inspectable and testable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
@@ -193,17 +192,6 @@ EXCHANGE_TUPLE_COST = 0.5
 #: work is small against it prices serial plans cheaper, which is what
 #: keeps tiny queries off the pool (golden-tested).
 PARALLEL_FRAGMENT_OVERHEAD = 500.0
-
-# -- vectorized batch execution (PR 8) ---------------------------------------
-
-#: Fixed per-batch dispatch overhead of batch-at-a-time execution: one
-#: kernel invocation (and one chunk allocation) per batch instead of one
-#: closure call per tuple.  Deliberately small against per-tuple unit
-#: costs times any realistic batch size: batch mode changes the constant
-#: factor of a plan, not its asymptotics, so pricing it per batch (not
-#: per tuple) keeps the planner choosing the same plan *shapes* it
-#: chooses in tuple mode (regression-tested).
-BATCH_DISPATCH_COST = 2.0
 
 
 @dataclass(frozen=True)
@@ -616,32 +604,16 @@ class CardinalityEstimator:
 class CostModel:
     """Prices the planner's physical alternatives from child estimates.
 
-    ``batch_size`` (PR 8) prices batch-at-a-time execution: each priced
-    alternative additionally pays :data:`BATCH_DISPATCH_COST` per chunk
-    its inputs/outputs flow through (:meth:`_dispatch`).  The default
-    ``None`` charges nothing, so tuple-mode cost numbers — and every
-    golden explain — are bit-identical to before.
+    Batch and tuple execution are priced alike: batching changes a plan's
+    constant factor, not its shape.
     """
 
-    def __init__(
-        self,
-        catalog: Optional[Catalog],
-        batch_size: Optional[int] = None,
-        parallel_workers: int = 0,
-    ) -> None:
+    def __init__(self, catalog: Optional[Catalog], parallel_workers: int = 0) -> None:
         self.catalog = catalog
-        self.batch_size = batch_size
         self.estimator = CardinalityEstimator(catalog, parallel_workers=parallel_workers)
 
     def estimate(self, expr: A.Expr) -> Estimate:
         return self.estimator.estimate(expr)
-
-    def _dispatch(self, rows: float) -> float:
-        """Per-batch dispatch overhead for ``rows`` flowing through one
-        operator edge — zero in tuple mode."""
-        if not self.batch_size:
-            return 0.0
-        return BATCH_DISPATCH_COST * math.ceil(max(rows, 0.0) / self.batch_size)
 
     # -- join alternatives ---------------------------------------------------
     def hash_join_cost(
@@ -653,19 +625,12 @@ class CostModel:
             + build.rows * HASH_INSERT_COST
             + probe.rows * HASH_PROBE_COST
             + out_rows * TUPLE_COST
-            + self._dispatch(probe.rows)
-            + self._dispatch(out_rows)
         )
 
     def index_nl_join_cost(self, probe: Estimate, out_rows: float) -> float:
         # no build: the persistent index replaces scanning the indexed
         # side entirely, so only probes and fetched matches are charged
-        return (
-            probe.cost
-            + probe.rows * INDEX_PROBE_COST
-            + out_rows * TUPLE_COST
-            + self._dispatch(out_rows)
-        )
+        return probe.cost + probe.rows * INDEX_PROBE_COST + out_rows * TUPLE_COST
 
     def index_join_cost(
         self,
@@ -704,7 +669,6 @@ class CostModel:
             + right.cost
             + left.rows * right.rows * PREDICATE_COST
             + out_rows * TUPLE_COST
-            + self._dispatch(out_rows)
         )
 
     def parallel_join_cost(
@@ -772,10 +736,10 @@ class CostModel:
 
     # -- selection alternatives ----------------------------------------------
     def index_scan_cost(self, matching_rows: float) -> float:
-        return INDEX_PROBE_COST + matching_rows * TUPLE_COST + self._dispatch(matching_rows)
+        return INDEX_PROBE_COST + matching_rows * TUPLE_COST
 
     def filter_scan_cost(self, source: Estimate) -> float:
-        return source.cost + source.rows * PREDICATE_COST + self._dispatch(source.rows)
+        return source.cost + source.rows * PREDICATE_COST
 
 
 def format_estimate(rows: Optional[float], cost: Optional[float]) -> str:

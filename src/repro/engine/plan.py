@@ -68,6 +68,21 @@ the compiler delegates, a :class:`~repro.engine.compile.Compiler`, and the
 shared :class:`~repro.engine.stats.Stats` counters.  ``explain()`` renders
 the physical tree.
 
+The operator edge
+=================
+
+Operators never call a child's ``iterate`` directly: every consumer
+pulls through the child's :meth:`PlanNode.stream` /
+:meth:`PlanNode.stream_batches` (or ``_consume``, whose drain is
+:meth:`PlanNode.execute`), and that edge is the one place per-run policy
+is applied.  A run with neither a trace recorder nor a deadline gets the
+raw ``iterate`` generator back; otherwise the edge wraps it with a
+deadline poll (on open, then per batch or per 64 rows) and/or the trace
+meter.  So every operator is cancellable and traceable without a line of
+its own, and a deadline overshoots by at most one batch (or 64 rows) per
+edge.  The one operator-side poll left is :class:`NestedLoopJoin`'s, once
+per outer tuple: its inner loop walks a materialized list, not an edge.
+
 Vectorized batch execution (PR 8)
 =================================
 
@@ -155,6 +170,32 @@ class Batch:
         return col
 
 
+def _env_trace():
+    """A fresh :class:`~repro.obs.trace.TraceRecorder` when ``REPRO_TRACE``
+    is set, else ``None`` — the one reader of that variable: it traces
+    every run of the process, the CI trace-parity job's hook (mirroring
+    ``REPRO_FAULT_PLAN``)."""
+    if not os.environ.get("REPRO_TRACE"):
+        return None
+    from repro.obs.trace import TraceRecorder
+
+    return TraceRecorder()
+
+
+def _polled(it: Iterator, check: Callable[[], None], every: int) -> Iterator:
+    """``it``, with ``check()`` called on open and after every ``every``
+    items handed on — before the next is pulled, so an expired run pulls
+    at most ``every`` more items through this edge."""
+    check()
+    n = 0
+    for item in it:
+        yield item
+        n += 1
+        if n == every:
+            n = 0
+            check()
+
+
 class ExecRuntime:
     """Execution context shared by all operators of one plan run.
 
@@ -187,9 +228,9 @@ class ExecRuntime:
         #: instead of running them inline
         self.parallel = parallel
         #: absolute ``time.monotonic()`` deadline for this run, or ``None``.
-        #: Operators poll it once per batch (every 64 tuples in tuple
-        #: mode; see :meth:`check_deadline`); the fault-free path pays
-        #: nothing — the check branch is hoisted out of every hot loop.
+        #: Polled at the operator edge (:meth:`PlanNode.stream`: on open,
+        #: then once per batch or every 64 tuples) and once after the
+        #: final drain; a deadline-free run's edges are the raw generators.
         self.deadline = deadline
         #: fault-tolerance events of this run (retries, degradation,
         #: breaker state, attempts) — every gather's batch report folded
@@ -215,17 +256,10 @@ class ExecRuntime:
         self.batch_size = batch_size
         #: optional :class:`repro.obs.trace.TraceRecorder` — when set,
         #: every operator's stream is metered (rows/batches out, wall
-        #: time, fill time).  Follows the deadline discipline: operators
-        #: test ``rt.trace is None`` once per open (see
-        #: :meth:`PlanNode.stream`), so untraced hot loops are
-        #: byte-identical to the pre-tracing engine.  ``REPRO_TRACE=1``
-        #: in the environment auto-attaches a recorder to every runtime —
-        #: the CI trace-parity job's hook, mirroring ``REPRO_FAULT_PLAN``.
-        if trace is None and os.environ.get("REPRO_TRACE"):
-            from repro.obs.trace import TraceRecorder
-
-            trace = TraceRecorder()
-        self.trace = trace
+        #: time, fill time) at the operator edge (:meth:`PlanNode.stream`),
+        #: so untraced hot loops are the raw generators.  ``None`` falls
+        #: back to :func:`_env_trace`.
+        self.trace = trace if trace is not None else _env_trace()
         self.compiler = Compiler(db, self.stats, self.interpreter, self.params)
         self._compiled: Dict[int, Tuple[A.Expr, Callable]] = {}
         self._compiled_preds: Dict[int, Tuple[A.Expr, Callable]] = {}
@@ -238,17 +272,20 @@ class ExecRuntime:
     # closures and batch kernels, which hold ``db``, ``stats`` and
     # ``params`` by reference, so all three change *in place*.  The owner
     # calls ``release`` when a run ends cleanly and ``rebind`` before the
-    # next; a traced runtime is never reused (its recorder is per run).
+    # next; a recorder is per run, bound by ``rebind`` and dropped by
+    # ``release``.
 
     def release(self) -> None:
         """Forget the finished run: counters, bindings, fault events,
-        transient indexes, cached columns.  An idle runtime holds none of
-        its last run's data (read :attr:`stats` before calling this)."""
+        transient indexes, cached columns, recorder.  An idle runtime
+        holds none of its last run's data (read :attr:`stats` and
+        :attr:`trace` before calling this)."""
         self.stats.reset()
         self.params.clear()
         self.fault_events = {}
         self._transient_indexes.clear()
         self.compiler._col_cache.clear()
+        self.trace = None
 
     def rebind(
         self,
@@ -257,14 +294,17 @@ class ExecRuntime:
         deadline: Optional[float] = None,
         epoch: Optional[int] = None,
         parallel=None,
+        trace=None,
     ) -> None:
         """Arm a released runtime for its next run: bindings, deadline,
-        parallel executor, and the epoch its
+        parallel executor, recorder (``None`` falls back to
+        :func:`_env_trace`, as at construction), and the epoch its
         :class:`~repro.storage.store.EpochView` reads at.  The caller owns
         the runtime exclusively from here until the run ends."""
         self.params.update(params)
         self.deadline = deadline
         self.parallel = parallel
+        self.trace = trace if trace is not None else _env_trace()
         if epoch is not None:
             self.db.rebind(epoch)
         self.pinned_epoch = epoch
@@ -272,9 +312,9 @@ class ExecRuntime:
     # -- cancellation -------------------------------------------------------
     def check_deadline(self) -> None:
         """Raise :class:`~repro.datamodel.errors.QueryTimeoutError` when
-        this run's deadline has passed.  Cheap enough to call from gated
-        hot-loop sites (every N tuples); callers hoist the ``deadline is
-        None`` test so fault-free runs never reach it."""
+        this run's deadline has passed.  Called from the operator edge
+        (:meth:`PlanNode.stream`), which wraps a stream in the poll only
+        when a deadline is set."""
         if self.deadline is not None and time.monotonic() >= self.deadline:
             from repro.datamodel.errors import QueryTimeoutError
 
@@ -390,49 +430,43 @@ class PlanNode:
             yield Batch(rows)
 
     def stream(self, rt: ExecRuntime) -> Iterator[Value]:
-        """This operator's tuple stream, metered when the runtime traces.
-
-        The trace test runs once per operator *open*, never per row —
-        untraced runs get the raw ``iterate`` generator back, so the hot
-        loops are byte-identical to the pre-tracing engine (the PR-6
-        hoisted-check discipline applied to observability).
-        """
-        trace = rt.trace
-        if trace is None:
-            return self.iterate(rt)
-        return trace.wrap_iter(self, self.iterate(rt))
+        """This operator's tuple stream as its consumer sees it: the
+        operator edge, where the run's policy is applied (see the module
+        docstring).  Both tests run once per operator *open*, never per
+        row — a run with neither a deadline nor a recorder gets the raw
+        ``iterate`` generator back; otherwise it is polled every 64 rows
+        and/or metered."""
+        it = self.iterate(rt)
+        if rt.deadline is not None:
+            it = _polled(it, rt.check_deadline, 64)
+        if rt.trace is not None:
+            it = rt.trace.wrap_iter(self, it)
+        return it
 
     def stream_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
-        """Batch analogue of :meth:`stream`."""
-        trace = rt.trace
-        if trace is None:
-            return self.iterate_batches(rt)
-        return trace.wrap_batches(self, self.iterate_batches(rt))
+        """Batch analogue of :meth:`stream`: polled once per batch."""
+        it = self.iterate_batches(rt)
+        if rt.deadline is not None:
+            it = _polled(it, rt.check_deadline, 1)
+        if rt.trace is not None:
+            it = rt.trace.wrap_batches(self, it)
+        return it
 
     def execute(self, rt: ExecRuntime) -> frozenset:
         """Drain this plan into its result set — the one drain the
-        service, shipped fragments and every pipeline break call.  A
-        deadline-bound run drains the same plan in the same mode, polled
-        per drained batch (per 64 rows in tuple mode) and once after the
-        last, so a result is never returned past its deadline."""
-        if rt.deadline is None:
-            if rt.batch_size:
-                return frozenset(
-                    chain.from_iterable(batch.rows for batch in self.stream_batches(rt))
-                )
-            return frozenset(self.stream(rt))
-        out: List[Value] = []
+        service, shipped fragments and every pipeline break call, one
+        per mode.  A deadline-bound run drains the same plan in the same
+        mode (its edges poll) and is checked once after the last row, so
+        a result is never returned past its deadline."""
         if rt.batch_size:
-            for batch in self.stream_batches(rt):
-                rt.check_deadline()
-                out.extend(batch.rows)
+            out = frozenset(
+                chain.from_iterable(batch.rows for batch in self.stream_batches(rt))
+            )
         else:
-            for n, row in enumerate(self.stream(rt)):
-                if not (n & 63):
-                    rt.check_deadline()
-                out.append(row)
-        rt.check_deadline()
-        return frozenset(out)
+            out = frozenset(self.stream(rt))
+        if rt.deadline is not None:
+            rt.check_deadline()
+        return out
 
     def _consume(self, child: "PlanNode", rt: ExecRuntime) -> frozenset:
         """A pipeline break: this operator needs the whole child result."""
@@ -519,24 +553,13 @@ class Scan(PlanNode):
 
     def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
         source = rt.db.scan(self.extent) if hasattr(rt.db, "scan") else rt.db.extent(self.extent)
-        if rt.deadline is None:
-            yield from source
-            return
-        # cancellation point: scans feed (almost) every pipeline, so a
-        # coarse per-64-tuple poll here bounds how far past its deadline
-        # any plan can run — including nested-loop joins whose probe side
-        # streams through this loop
-        for n, row in enumerate(source):
-            if not (n & 63):
-                rt.check_deadline()
-            yield row
+        yield from source
 
     def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
         # native: slice the extent stream directly into chunks — no
         # per-tuple generator resumption between the store and the consumer
         size = rt.batch_size or DEFAULT_BATCH_SIZE
         stats = rt.stats
-        check = rt.check_deadline if rt.deadline is not None else None
         # page-wise fast path (PR 8): a paged store hands whole page
         # record lists over (same I/O charges, bulk-counted); epoch views
         # refuse the probe so pinned reads stay on the snapshot path
@@ -544,8 +567,6 @@ class Scan(PlanNode):
         if scan_pages is not None:
             buf: List[Value] = []
             for records in scan_pages(self.extent):
-                if check is not None:
-                    check()
                 buf.extend(records)
                 while len(buf) >= size:
                     stats.batches_emitted += 1
@@ -558,8 +579,6 @@ class Scan(PlanNode):
         source = rt.db.scan(self.extent) if hasattr(rt.db, "scan") else rt.db.extent(self.extent)
         it = iter(source)
         while True:
-            if check is not None:
-                check()
             rows = list(islice(it, size))
             if not rows:
                 return
@@ -732,18 +751,7 @@ class Filter(PlanNode):
     def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
         pred = rt.compiled_pred(self.pred)
         env: Dict[str, Value] = {}
-        if rt.deadline is None:
-            for item in self.child.stream(rt):
-                rt.stats.tuples_visited += 1
-                env[self.var] = item
-                if pred(env):
-                    yield item
-            return
-        # deadline runs poll every 64 input tuples (branch hoisted so the
-        # fault-free loop above is untouched)
-        for n, item in enumerate(self.child.stream(rt)):
-            if not (n & 63):
-                rt.check_deadline()
+        for item in self.child.stream(rt):
             rt.stats.tuples_visited += 1
             env[self.var] = item
             if pred(env):
@@ -752,10 +760,7 @@ class Filter(PlanNode):
     def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
         kernel = rt.batch_pred(self.pred, self.var)
         stats = rt.stats
-        check = rt.check_deadline if rt.deadline is not None else None
         for batch in self.child.stream_batches(rt):
-            if check is not None:
-                check()
             rows = batch.rows
             stats.tuples_visited += len(rows)
             mask = kernel(rows)
@@ -929,10 +934,7 @@ class NestOp(PlanNode):
         shape = None
         key_attrs: Tuple[str, ...] = ()
         kernels: List[BatchKernel] = []
-        check = rt.check_deadline if rt.deadline is not None else None
         for batch in self.child.stream_batches(rt):
-            if check is not None:
-                check()
             rows = batch.rows
             stats.tuples_visited += len(rows)
             if shape is None and rows:
@@ -1214,8 +1216,9 @@ class NestedLoopJoin(_JoinNode):
     def _open(self, rt: ExecRuntime, env: Dict[str, Value]) -> Opened:
         right = self._consume(self.right, rt)
         stats = rt.stats
-        # the O(|L|*|R|) loop is the engine's worst case — check the
-        # deadline once per outer tuple (hoisted: free when none is set)
+        # the O(|L|*|R|) loop is the engine's worst case and its inner
+        # loop walks a list, not an edge — check the deadline once per
+        # outer tuple (hoisted: free when none is set)
         check = rt.check_deadline if rt.deadline is not None else None
 
         def candidates(x: VTuple) -> Iterator[VTuple]:
@@ -1327,10 +1330,7 @@ class HashJoinBase(_JoinNode):
         stats = rt.stats
         empty = ()
         lookup = table.get
-        check = rt.check_deadline if rt.deadline is not None else None
         for batch in probe.stream_batches(rt):
-            if check is not None:
-                check()
             rows = batch.rows
             stats.tuples_visited += len(rows)
             stats.hash_probes += len(rows)

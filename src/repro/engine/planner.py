@@ -143,13 +143,10 @@ class Planner:
         reorder: bool = True,
         bushy: bool = False,
         parallel_workers: int = 0,
-        batch_size: Optional[int] = None,
     ) -> None:
         self.catalog = catalog
-        #: PR 8: price the per-batch dispatch overhead of batch-at-a-time
-        #: execution; ``None`` (tuple mode) keeps cost numbers unchanged
         self.cost_model: Optional[CostModel] = (
-            CostModel(catalog, batch_size=batch_size, parallel_workers=parallel_workers)
+            CostModel(catalog, parallel_workers=parallel_workers)
             if catalog is not None
             else None
         )
@@ -659,15 +656,13 @@ class Executor:
         #: worker count feeds the planner's parallel candidates and its
         #: pool runs gather fragments (caller owns its lifecycle)
         self.parallel = parallel
-        #: rows per columnar chunk (PR 8) — threaded into both the cost
-        #: model (per-batch dispatch pricing) and every runtime
+        #: rows per columnar chunk (PR 8), threaded into every runtime
         self.batch_size = batch_size
         self.planner = Planner(
             catalog,
             reorder=reorder,
             bushy=bushy,
             parallel_workers=parallel.workers if parallel is not None else 0,
-            batch_size=batch_size,
         )
 
     def _runtime(self, params=None, trace=None) -> ExecRuntime:

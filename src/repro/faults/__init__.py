@@ -6,12 +6,12 @@ test harness:
 * **Injection** — :class:`FaultPlan` / :class:`FaultSpec`
   (:mod:`repro.faults.plan`) script deterministic failures (worker
   crash, hang, transient error, slow fragment) keyed on
-  ``(fragment, attempt)``, installed per-process through
-  :mod:`repro.faults.runtime` and fired by the hook in
-  :func:`repro.shard.fragment.execute_fragment` and each worker
-  process's loop.  ``REPRO_FAULT_PLAN`` injects a plan from the
-  environment, which is how CI replays the whole parallel-parity suite
-  under a crash-once plan.
+  ``(fragment, attempt)``, passed by the executor to the hook in
+  :func:`repro.shard.fragment.execute_fragment` (with ``in_worker=True``
+  from each worker process's loop, so a crash exits only a worker).
+  ``REPRO_FAULT_PLAN`` injects a plan from the environment, which is
+  how CI replays the whole parallel-parity suite under a crash-once
+  plan.
 * **Resilience** — :class:`RetryPolicy` (:mod:`repro.faults.retry`:
   bounded attempts, exponential backoff, deterministic jitter,
   transient/timeout/fatal classification) and :class:`CircuitBreaker`

@@ -15,7 +15,7 @@ from repro.obs.analyze import AnalyzeResult
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.misestimate import MisestimateStore
 from repro.obs.slowlog import SlowQueryLog
-from repro.obs.trace import OpTrace, TraceRecorder, q_error
+from repro.obs.trace import OpTrace, TraceRecorder, misestimate
 
 __all__ = [
     "AnalyzeResult",
@@ -27,5 +27,5 @@ __all__ = [
     "OpTrace",
     "SlowQueryLog",
     "TraceRecorder",
-    "q_error",
+    "misestimate",
 ]

@@ -9,11 +9,11 @@ time per ``next()`` call, and records the *fill time* — the delay between
 opening the iterator and its first yield, which for pipeline breakers is
 the time spent materializing the input.
 
-Overhead contract (the PR-6 deadline discipline, applied to tracing):
+Overhead contract (the operator edge, shared with the deadline poll):
 
 * **untraced runs pay nothing** — ``stream()`` tests ``rt.trace is None``
-  once per operator *open* (not per row) and returns the raw iterator,
-  so the hot loops are byte-identical to the pre-tracing engine;
+  once per operator *open* (not per row) and, without a deadline either,
+  returns the raw iterator, so the hot loops are the engine's own;
 * **traced runs pay one clock read and a few attribute bumps per row** —
   no allocation per row, no callback indirection.
 
@@ -38,6 +38,11 @@ from repro.engine.cost import format_estimate
 #: process-wide monotonic trace ids — stable, printable, no clock reads
 _TRACE_IDS = itertools.count(1)
 
+#: the absolute floor of a misestimate: an estimate off by fewer rows
+#: than this is never flagged, whatever its ratio (est≈2 vs 9 rows is a
+#: q-error of 4.5 and harmless)
+MISESTIMATE_MIN_ROWS = 10
+
 
 def _fmt_rows(value) -> str:
     if value is None:
@@ -56,6 +61,17 @@ def q_error(est: Optional[float], actual: int) -> Optional[float]:
     e = max(float(est), 1.0)
     a = max(float(actual), 1.0)
     return max(e / a, a / e)
+
+
+def misestimate(est: Optional[float], actual: int, threshold: float) -> Optional[float]:
+    """The one misestimate test: the q-error when it exceeds
+    ``threshold`` *and* the estimate is off by at least
+    :data:`MISESTIMATE_MIN_ROWS` rows, else ``None`` (also when there is
+    no estimate)."""
+    q = q_error(est, actual)
+    if q is None or q <= threshold or abs(est - actual) < MISESTIMATE_MIN_ROWS:
+        return None
+    return q
 
 
 class OpTrace:
@@ -194,21 +210,21 @@ class TraceRecorder:
             f"(est≈{_fmt_rows(rec.est_rows)}, actual={rec.rows_out},"
             f" {rec.wall_s * 1000.0:.1f}ms)"
         )
-        q = q_error(rec.est_rows, rec.rows_out)
-        if q is not None and q > self.q_error_threshold:
+        q = misestimate(rec.est_rows, rec.rows_out, self.q_error_threshold)
+        if q is not None:
             text += f" !! misestimate q≈{q:.1f}"
         return text
 
     def misestimates(self, plan) -> List[dict]:
         """Operator-level misestimate records for ``plan``: every executed
-        node whose q-error exceeds the threshold."""
+        node :func:`misestimate` flags."""
         out = []
         for node in plan.operators():
             rec = self.records.get(id(node))
             if rec is None:
                 continue
-            q = q_error(rec.est_rows, rec.rows_out)
-            if q is not None and q > self.q_error_threshold:
+            q = misestimate(rec.est_rows, rec.rows_out, self.q_error_threshold)
+            if q is not None:
                 out.append(
                     {
                         "operator": rec.label,

@@ -55,14 +55,14 @@ the duration of one execution*.  Every query run owns one
 parameter bindings and epoch view) from checkout to the end of the run, and
 no other run can reach it meanwhile.  Between runs an idle runtime waits on
 its :class:`CachedPlan`'s free-list with its compiled closures and batch
-kernels intact and nothing else: a clean, untraced run releases it
-(counters, bindings, fault events, transient indexes, cached columns) and
-the next run of that plan rebinds it in place (bindings, deadline, epoch)
-instead of recompiling.  A run that raised drops its runtime;
-``analyze=True`` / ``REPRO_TRACE`` runs always build their own.  The
-shared pieces — the database extents, catalog snapshots, cached plan trees
-— are immutable or internally locked.  That is what makes "8 concurrent
-sessions return exactly the serial results" hold by construction; the
+kernels intact and nothing else: a clean run releases it (counters,
+bindings, fault events, transient indexes, cached columns, recorder) and
+the next run of that plan rebinds it in place (bindings, deadline, epoch,
+the ``analyze=True`` / ``REPRO_TRACE`` recorder) instead of recompiling.
+A run that raised drops its runtime.  The shared pieces — the database
+extents, catalog snapshots, cached plan trees — are immutable or
+internally locked.  That is what makes "8 concurrent sessions return
+exactly the serial results" hold by construction; the
 epoch pin extends it from "no shared mutable state" to "no observable
 intermediate state" under concurrent writers.
 """
@@ -94,7 +94,7 @@ from repro.obs import (
     MisestimateStore,
     SlowQueryLog,
     TraceRecorder,
-    q_error,
+    misestimate,
 )
 from repro.rewrite.strategy import Optimizer
 from repro.service.cache import CachedPlan, PlanCache
@@ -956,34 +956,30 @@ class QueryService:
         analyze: bool,
     ) -> ExecRuntime:
         """An :class:`ExecRuntime` this execution owns exclusively: an idle
-        one of ``entry``'s (closures and kernels already compiled), rebound
-        in place, else a new one.  Traced runs always get a new one."""
-        parallel = self._parallel_handle() if entry.parallel else None
-        if not (analyze or os.environ.get("REPRO_TRACE")):
-            try:
-                runtime = entry.idle_runtimes.pop()
-            except IndexError:
-                pass
-            else:
-                runtime.rebind(bindings, deadline=deadline, epoch=pinned, parallel=parallel)
-                return runtime
-        return ExecRuntime(
+        one of ``entry``'s (closures and kernels already compiled), else a
+        new one, rebound in place — with ``analyze``'s recorder, if any."""
+        try:
+            runtime = entry.idle_runtimes.pop()
+        except IndexError:
             # every read of this execution resolves through the pinned
             # epoch's view (PR 7) — the runtime picks the epoch up and
             # threads it into every shipped fragment
-            EpochView(self.db, pinned) if pinned is not None else self.db,
-            Stats(),
-            catalog=self.catalog,
-            params=bindings,
-            parallel=parallel,
+            view = EpochView(self.db, pinned) if pinned is not None else self.db
+            runtime = ExecRuntime(
+                view, Stats(), catalog=self.catalog, batch_size=self.batch_size
+            )
+        runtime.rebind(
+            bindings,
             deadline=deadline,
-            batch_size=self.batch_size,
+            epoch=pinned,
+            parallel=self._parallel_handle() if entry.parallel else None,
             trace=(
                 TraceRecorder(q_error_threshold=self.q_error_threshold)
                 if analyze
                 else None
             ),
         )
+        return runtime
 
     def _run(
         self,
@@ -1026,8 +1022,9 @@ class QueryService:
                 # surface).  After the first write this is every cached-plan
                 # read, so the record is the exception, not the rule.
                 counts["epoch_mismatch_runs"] = 1
-                q = q_error(entry.est_rows, len(rows))
-                if q is None or q > self.q_error_threshold:
+                if entry.est_rows is None or misestimate(
+                    entry.est_rows, len(rows), self.q_error_threshold
+                ):
                     with self._state_lock:
                         self.misestimates.record(
                             shape,
@@ -1077,11 +1074,10 @@ class QueryService:
                 counts["batch_runs"] = 1
                 counts["batches_emitted"] = work.batches_emitted
                 counts["vector_fallbacks"] = work.vector_fallbacks
-            if tracer is None:
-                # a clean run's closures are worth keeping; a run that
-                # raised never gets here, so its runtime is dropped
-                runtime.release()
-                entry.idle_runtimes.append(runtime)
+            # a clean run's closures are worth keeping; a run that raised
+            # never gets here, so its runtime is dropped
+            runtime.release()
+            entry.idle_runtimes.append(runtime)
             return result
         except BaseException as exc:
             if isinstance(exc, QueryTimeoutError):

@@ -17,8 +17,8 @@ Workers are forked (``multiprocessing.get_context("fork")``, so
 state: the database object, a plain ``{extent: PartitionedExtent}``
 snapshot of the catalog's partitionings (never the live catalog — a
 forked child must not inherit or touch its locks), and the executor's
-:class:`~repro.faults.FaultPlan` (installed process-globally in each
-worker).  The state is the fork's copy-on-write image of the store, which
+:class:`~repro.faults.FaultPlan` (handed to every fragment the worker
+runs).  The state is the fork's copy-on-write image of the store, which
 is why the workers fork rather than spawn: nothing of it is pickled.
 Each worker then loops ``recv → execute_fragment → send`` until it is
 terminated.  Staleness is caught on *four* triggers, checked per run
@@ -136,7 +136,6 @@ from repro.datamodel.errors import (
     WorkerCrashError,
 )
 from repro.faults import CircuitBreaker, FaultPlan, RetryPolicy
-from repro.faults import runtime as faults_runtime
 from repro.shard.fragment import (
     FragmentSpec,
     execute_fragment,
@@ -177,12 +176,11 @@ def _serve(conn, db, partitions, fault_plan) -> None:
     pipe reports end-of-file.
 
     ``db`` and ``partitions`` are the fork image, never pickled.  The
-    fault plan is installed with ``in_worker=True``, so a crash fault
-    really exits here.  An exception that cannot be pickled kills the
-    worker on ``send``; the coordinator sees a crash, and the inline
+    fault plan goes to every fragment with ``in_worker=True``, so a crash
+    fault really exits here.  An exception that cannot be pickled kills
+    the worker on ``send``; the coordinator sees a crash, and the inline
     re-run raises the exception in-process.
     """
-    faults_runtime.install(fault_plan, in_worker=True)
     while True:
         try:
             index, attempt, deadline, spec = conn.recv()
@@ -190,7 +188,8 @@ def _serve(conn, db, partitions, fault_plan) -> None:
             return
         try:
             reply = (True, execute_fragment(
-                db, partitions, spec, index=index, attempt=attempt, deadline=deadline
+                db, partitions, spec, index=index, attempt=attempt,
+                deadline=deadline, fault_plan=fault_plan, in_worker=True,
             ))
         except Exception as exc:  # the fragment's failure is the coordinator's to classify
             reply = (False, exc)

@@ -223,6 +223,7 @@ def execute_fragment(
     attempt: int = 0,
     deadline: Optional[float] = None,
     fault_plan=None,
+    in_worker: bool = False,
 ):
     """Re-parse, re-plan and execute one fragment; return ``(rows, stats)``.
 
@@ -234,13 +235,13 @@ def execute_fragment(
 
     Fault tolerance (PR 6): this is the single injection + cancellation
     site of the parallel tier.  ``index``/``attempt`` identify the
-    fragment and the batch attempt for the fault plan (passed explicitly
-    by the inline path, or the process-global plan a worker process
-    installed — see :mod:`repro.faults.runtime`); faults fire *before*
-    any row is produced, so a failed attempt never leaks partial
-    statistics into the attempt that succeeds.  ``deadline`` (absolute
-    ``time.monotonic()``) is threaded into the runtime, whose operators
-    and final drain poll it per batch.
+    fragment and the batch attempt for ``fault_plan``, which the inline
+    path and each worker's loop pass in; ``in_worker`` is set only by the
+    worker loop, so a crash fault exits a worker process but raises
+    inline.  Faults fire *before* any row is produced, so a failed
+    attempt never leaks partial statistics into the attempt that
+    succeeds.  ``deadline`` (absolute ``time.monotonic()``) is threaded
+    into the runtime, whose operator edges poll it per batch.
     """
     import os
     import time
@@ -248,16 +249,11 @@ def execute_fragment(
     from repro.adl.parser import parse_adl
     from repro.engine.plan import ExecRuntime
     from repro.engine.planner import Planner
-    from repro.faults import runtime as faults_runtime
 
     started = time.perf_counter() if spec.trace is not None else 0.0
-    plan_ = fault_plan if fault_plan is not None else faults_runtime.current()
-    if plan_ is not None:
-        plan_.apply(
-            index=index,
-            attempt=attempt,
-            deadline=deadline,
-            in_worker=faults_runtime.in_worker(),
+    if fault_plan is not None:
+        fault_plan.apply(
+            index=index, attempt=attempt, deadline=deadline, in_worker=in_worker
         )
     expr = parse_adl(spec.text)
     stats = Stats()
@@ -295,7 +291,7 @@ def execute_fragment(
             "fragment": index,
             "attempt": attempt,
             "pid": os.getpid(),
-            "in_worker": faults_runtime.in_worker(),
+            "in_worker": in_worker,
             "epoch": spec.epoch,
             "rows": len(rows),
             "wall_s": time.perf_counter() - started,

@@ -111,10 +111,7 @@ class StitchNest(PlanNode):
         empty: frozenset = frozenset()
         stats = rt.stats
         get = groups.get
-        check = rt.check_deadline if rt.deadline is not None else None
         for batch in self.outer.stream_batches(rt):
-            if check is not None:
-                check()
             rows = batch.rows
             stats.tuples_visited += len(rows)
             out = []

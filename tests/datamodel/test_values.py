@@ -1,5 +1,9 @@
 """Unit tests for the complex-object value layer."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.datamodel import (
@@ -36,6 +40,26 @@ class TestOid:
 
     def test_repr(self):
         assert repr(Oid("Part", 3)) == "@Part:3"
+
+    def test_hash_and_set_order_are_process_stable(self):
+        """Under one ``PYTHONHASHSEED`` every interpreter hashes an oid
+        alike, so oid-set iteration order (and the work a short-circuiting
+        quantifier does over it) repeats from process to process."""
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        code = (
+            "from repro.datamodel import Oid\n"
+            "oids = [Oid(c, n) for c in ('Part', 'Supplier') for n in range(4)]\n"
+            "print(hash(oids[0]), list(frozenset(oids)))"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.path.abspath(src))
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True,
+                text=True, check=True,
+            ).stdout
+            for _ in range(2)
+        }
+        assert len(outputs) == 1, outputs
 
 
 class TestVTuple:

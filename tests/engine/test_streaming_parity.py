@@ -8,12 +8,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from repro.adl import ast as A
 from repro.adl import builders as B
 from repro.datamodel import MissingAttributeError, VTuple, vset
+from repro.datamodel.errors import QueryTimeoutError
 from repro.engine.nestjoin_impls import SortMergeNestJoin
 from repro.engine.plan import (
     CartesianProduct,
@@ -549,6 +551,25 @@ class TestJoinCounterGolden:
         assert sorted(actual) == sorted(golden)
         for name in sorted(golden):
             assert actual[name] == golden[name], name
+
+
+class TestDeadlineAtTheEdge:
+    """The operator edge polls the deadline on open: under an expired one
+    no operator hands on a row or a batch, whether or not its own loop
+    ever polls."""
+
+    @pytest.mark.parametrize("edge", ["stream", "stream_batches"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_expired_deadline_raises_before_the_first_item(self, name, edge):
+        factory, db_factory = CASES[name]
+        rt = ExecRuntime(
+            db_factory(),
+            Stats(),
+            deadline=time.monotonic() - 1,
+            batch_size=256 if edge == "stream_batches" else None,
+        )
+        with pytest.raises(QueryTimeoutError):
+            next(iter(getattr(factory(), edge)(rt)))
 
 
 class TestStreamingBehaviour:

@@ -3,10 +3,13 @@ ordinary explain tree, misestimate flagging past the q-error threshold,
 and the acceptance shape — a co-partitioned shredded query whose analyze
 output carries per-fragment spans from real pool workers."""
 
+import pytest
+
 from repro.adl import builders as B
 from repro.adl.typecheck import TypeChecker
 from repro.datamodel import Catalog as TypeCatalog, INT, SetType, TupleType, VTuple
 from repro.engine.planner import Executor
+from repro.obs import misestimate
 from repro.rewrite.common import RewriteContext
 from repro.service import QueryService
 from repro.shard import Exchange, ParallelExecutor, PartitionedHashJoin
@@ -58,6 +61,28 @@ def test_accurate_plan_is_not_flagged():
     ar = ex.explain_analyze(B.extent("X"))
     assert ar.misestimates == []
     assert "!! misestimate" not in ar.text
+
+
+def test_single_digit_cardinalities_need_an_absolute_miss():
+    """The q-error alone does not flag a tiny operator: est≈2 against 9
+    actual rows (q 4.5) is a miss of 7 rows, under the 10-row floor."""
+    # 20 rows over 10 values of ``a``, 9 of them 0: est 2, actual 9
+    rows = [VTuple(a=0 if i < 9 else 1 + i % 9, b=i) for i in range(20)]
+    db = MemoryDatabase({"X": rows})
+    catalog = Catalog(db)
+    catalog.analyze()
+    ar = Executor(db, catalog=catalog).explain_analyze(_filter_on_skew())
+    assert len(ar.rows) == 9 and "est≈2, actual=9" in ar.text
+    assert ar.misestimates == []
+    assert "!! misestimate" not in ar.text
+
+
+def test_misestimate_needs_both_the_ratio_and_the_floor():
+    assert misestimate(2, 9, 4.0) is None  # q 4.5, 7 rows off
+    assert misestimate(None, 90, 4.0) is None  # no estimate to judge
+    assert misestimate(30, 40, 4.0) is None  # 10 rows off, q 1.3
+    assert misestimate(2, 12, 4.0) == pytest.approx(6.0)
+    assert misestimate(390, 10, 4.0) == pytest.approx(39.0)
 
 
 def test_shares_the_explain_renderer():

@@ -8,8 +8,8 @@ transient indexes, cached columns — is dropped when a run releases it,
 and bindings, deadline and the view's epoch are rebound in place at
 checkout.  So a reused runtime must return exactly the rows
 *and* the ``QueryResult.stats`` a brand-new service returns, a run that
-raised must not hand its runtime back, and traced runs must stay off the
-free-list altogether.
+raised must not hand its runtime back, and a traced run checks out the
+same runtime as any other, its recorder bound for that run only.
 """
 
 import gc
@@ -26,6 +26,8 @@ from repro.datamodel.errors import (
     QueryTimeoutError,
     UnboundParameterError,
 )
+from repro.engine.plan import ExecRuntime
+from repro.obs import TraceRecorder
 from repro.service import QueryService
 from repro.service.prepared import normalize_shape
 from repro.storage import Catalog, HashIndex, MemoryDatabase
@@ -49,13 +51,6 @@ CASES = [
     (FILTER, [{"m": m, "lo": lo} for m, lo in ((10, 0), (50, 100), (90, 250), (0, 0))]),
     (SEMIJOIN, [{"k": k, "m": m} for k, m in ((1, 20), (2, 1), (30, 99), (7, 50))]),
 ]
-
-
-@pytest.fixture(autouse=True)
-def _untraced(monkeypatch):
-    """``REPRO_TRACE`` (the trace-parity job's hook) keeps every run off
-    the free-list by design; these tests are about the runs that use it."""
-    monkeypatch.delenv("REPRO_TRACE", raising=False)
 
 
 def _setup(n=300, store=MemoryDatabase):
@@ -210,27 +205,47 @@ def test_a_run_that_raised_does_not_return_its_runtime():
     assert db.pinned_epochs == {}
 
 
-def test_traced_runs_bypass_the_free_list(monkeypatch):
+def test_traced_runs_reuse_the_idle_runtime(monkeypatch):
+    """An ``analyze=True`` run and a ``REPRO_TRACE=1`` run check out the
+    idle runtime like any other run: no ``ExecRuntime`` is built, rows and
+    ``stats`` equal the untraced run's, ``rebind`` binds the run's
+    recorder and ``release`` drops it."""
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    built, released_with = [], []
+    init, release = ExecRuntime.__init__, ExecRuntime.release
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def recording_release(self):
+        released_with.append(self.trace)
+        release(self)
+
+    monkeypatch.setattr(ExecRuntime, "__init__", counting_init)
+    monkeypatch.setattr(ExecRuntime, "release", recording_release)
     db, catalog = _setup()
     with QueryService(db, TYPES, catalog) as svc:
         session = svc.session()
         plain = session.execute(POINT, {"k": 3})
         idle = _entry(svc, POINT).idle_runtimes
         (runtime,) = idle
+        assert built == [runtime] and released_with == [None]
 
         analyzed = session.execute(POINT, {"k": 3}, analyze=True)
-        assert analyzed.analyze and analyzed.rows == plain.rows
-        assert analyzed.stats == plain.stats
-        assert idle == [runtime] and runtime.trace is None
+        assert "actual=" in analyzed.analyze
+        assert (analyzed.rows, analyzed.stats) == (plain.rows, plain.stats)
 
         monkeypatch.setenv("REPRO_TRACE", "1")
         traced = session.execute(POINT, {"k": 3})
         assert (traced.rows, traced.stats) == (plain.rows, plain.stats)
-        assert idle == [runtime] and runtime.trace is None
-
         monkeypatch.delenv("REPRO_TRACE")
+
+        assert built == [runtime]
+        assert [type(t) for t in released_with[1:]] == [TraceRecorder, TraceRecorder]
+        assert idle == [runtime] and runtime.trace is None
         assert session.execute(POINT, {"k": 4}).stats == plain.stats
-        assert idle == [runtime]
+        assert released_with[-1] is None
         assert svc.stats()["analyzed_runs"] == 1
 
 

@@ -31,7 +31,6 @@ from repro.engine.plan import ExecRuntime, SetOp
 from repro.engine.planner import Executor
 from repro.engine.stats import Stats
 from repro.faults import CircuitBreaker, FaultPlan, FaultSpec, RetryPolicy
-from repro.faults import runtime as faults_runtime
 from repro.obs import TraceRecorder
 from repro.service import QueryService
 from repro.shard import (
@@ -237,12 +236,20 @@ class TestFaultMatrix:
 
     @mode_param
     def test_expired_deadline_raises_then_recovers(self, mode):
+        """An expired run stops at the gather's edge, before any fragment
+        ships; a batch handed an expired deadline directly times out in
+        the executor (counted), and the executor serves the next run."""
         db, catalog, plan = co_partitioned()
         oracle = Executor(db, catalog=catalog).execute(JOIN)
         with ParallelExecutor(db, catalog, workers=PARTS, mode=mode,
                               retry_policy=FAST) as parallel:
             with pytest.raises(QueryTimeoutError):
                 _run(db, catalog, plan, parallel, time.monotonic() - 1, 16)
+            assert parallel.timeouts == 0  # no batch was attempted
+            with pytest.raises(QueryTimeoutError):
+                parallel.run_fragments(
+                    plan.child.payloads(batch_size=16), deadline=time.monotonic() - 1
+                )
             assert parallel.timeouts == 1
             assert _run(db, catalog, plan, parallel, batch_size=16)[0] == oracle
 
@@ -667,13 +674,3 @@ class TestFaultPlanUnits:
         start = time.monotonic()
         plan.apply(index=0, attempt=0, deadline=time.monotonic() + 0.05)
         assert time.monotonic() - start < 1.0  # slow never outlives a deadline
-
-    def test_runtime_install_clear(self):
-        plan = FaultPlan.transient()
-        faults_runtime.install(plan, in_worker=False)
-        try:
-            assert faults_runtime.current() is plan
-            assert not faults_runtime.in_worker()
-        finally:
-            faults_runtime.clear()
-        assert faults_runtime.current() is None
