@@ -32,7 +32,7 @@ from repro.engine.interpreter import Interpreter, evaluate
 from repro.engine.planner import Executor, Planner
 from repro.engine.stats import Stats
 from repro.oosql.parser import parse
-from repro.rewrite.strategy import OptimizationResult, Optimizer, optimize, optimize_oosql
+from repro.rewrite.strategy import OptimizationResult, Optimizer, optimize
 from repro.service import PreparedStatement, QueryService, Session
 from repro.translate.translator import Translator, compile_oosql, translate
 
@@ -53,7 +53,6 @@ __all__ = [
     "compile_oosql",
     "evaluate",
     "optimize",
-    "optimize_oosql",
     "parse",
     "pretty",
     "pretty_tree",

@@ -6,14 +6,12 @@ Submodules:
 * :mod:`repro.adl.builders` — terse constructors;
 * :mod:`repro.adl.freevars` — free/bound variable analysis (correlation);
 * :mod:`repro.adl.subst` — capture-avoiding substitution;
-* :mod:`repro.adl.compare` — alpha-equivalence;
 * :mod:`repro.adl.pretty` — the paper's surface notation;
 * :mod:`repro.adl.parser` — its inverse (the fragment-shipping surface);
 * :mod:`repro.adl.typecheck` — static typing.
 """
 
 from repro.adl import ast
-from repro.adl.compare import alpha_equal, canonicalize
 from repro.adl.freevars import (
     all_var_names,
     bound_vars,
@@ -23,22 +21,19 @@ from repro.adl.freevars import (
 )
 from repro.adl.parser import parse_adl
 from repro.adl.pretty import pretty, pretty_tree
-from repro.adl.subst import rename_bound, substitute
+from repro.adl.subst import substitute
 from repro.adl.typecheck import TypeChecker
 
 __all__ = [
     "TypeChecker",
     "all_var_names",
-    "alpha_equal",
     "ast",
     "bound_vars",
-    "canonicalize",
     "free_vars",
     "fresh_name",
     "is_correlated",
     "parse_adl",
     "pretty",
     "pretty_tree",
-    "rename_bound",
     "substitute",
 ]

@@ -17,7 +17,7 @@ The binder structure of ADL:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, Set, Tuple
+from typing import Dict, FrozenSet, Set, Tuple
 
 from repro.adl import ast as A
 
@@ -110,18 +110,6 @@ def fresh_name(base: str, avoid: FrozenSet[str]) -> str:
     while f"{base}{i}" in avoid:
         i += 1
     return f"{base}{i}"
-
-
-def fresh_names(bases: Iterator[str], avoid: FrozenSet[str]):
-    """Generate pairwise-distinct fresh names for each base, threading the
-    avoid-set so later names also avoid earlier ones."""
-    taken = set(avoid)
-    out = []
-    for base in bases:
-        name = fresh_name(base, frozenset(taken))
-        taken.add(name)
-        out.append(name)
-    return out
 
 
 def is_correlated(inner: A.Expr, outer_var: str) -> bool:

@@ -1,4 +1,4 @@
-"""Capture-avoiding substitution and bound-variable renaming for ADL.
+"""Capture-avoiding substitution for ADL.
 
 The rewrite rules constantly substitute expressions for variables — e.g.
 turning ``σ[x : x.c ∈ Y'](X) with Y' = σ[y : q](Y)`` into
@@ -118,45 +118,3 @@ def _avoid_capture_two(lvar: str, rvar: str, bodies, mapping: Dict[str, A.Expr])
     if renames:
         bodies = tuple(_subst(body, renames) for body in bodies)
     return new_lvar, new_rvar, bodies
-
-
-def rename_bound(expr: A.Expr, old: str, new: str) -> A.Expr:
-    """Alpha-rename: rewrite binders named ``old`` (and their bound
-    occurrences) to ``new``.  Free occurrences of ``old`` are untouched."""
-
-    def rec(e: A.Expr) -> A.Expr:
-        if isinstance(e, (A.Map, A.Select)):
-            body_field = "body" if isinstance(e, A.Map) else "pred"
-            body = getattr(e, body_field)
-            source = rec(e.source)
-            if e.var == old:
-                body = substitute(body, {old: A.Var(new)})
-                return dataclasses.replace(e, var=new, source=source, **{body_field: body})
-            return dataclasses.replace(e, source=source, **{body_field: rec(body)})
-        if isinstance(e, (A.Exists, A.Forall)):
-            source = rec(e.source)
-            if e.var == old:
-                pred = substitute(e.pred, {old: A.Var(new)})
-                return dataclasses.replace(e, var=new, source=source, pred=pred)
-            return dataclasses.replace(e, source=source, pred=rec(e.pred))
-        if isinstance(
-            e, (A.Join, A.SemiJoin, A.AntiJoin, A.OuterJoin, A.NestJoin, A.Stitch)
-        ):
-            left = rec(e.left)
-            right = rec(e.right)
-            if old in (e.lvar, e.rvar):
-                mapping = {old: A.Var(new)}
-                changes = dict(left=left, right=right)
-                changes["lvar"] = new if e.lvar == old else e.lvar
-                changes["rvar"] = new if e.rvar == old else e.rvar
-                changes["pred"] = substitute(e.pred, mapping)
-                if isinstance(e, (A.NestJoin, A.Stitch)):
-                    changes["result"] = substitute(e.result, mapping)
-                return dataclasses.replace(e, **changes)
-            changes = dict(left=left, right=right, pred=rec(e.pred))
-            if isinstance(e, (A.NestJoin, A.Stitch)):
-                changes["result"] = rec(e.result)
-            return dataclasses.replace(e, **changes)
-        return e.map_children(rec)
-
-    return rec(expr)

@@ -72,7 +72,7 @@ from repro.engine.stats import Stats
 #: A compiled expression: evaluate against a mutable environment dict.
 CompiledFn = Callable[[Dict[str, Value]], Value]
 
-#: A vectorized batch kernel: map a list of rows to a list of values.
+#: A batch kernel: map a list of rows to a list of values.
 BatchKernel = Callable[[List[Value]], List[Value]]
 
 _MISSING = object()
@@ -277,7 +277,7 @@ class Compiler:
 
         return pred
 
-    # -- vectorized batch kernels (PR 8) ------------------------------------
+    # -- batch kernels (PR 8) ------------------------------------------------
     def compile_batch(self, expr: A.Expr, var: str) -> Optional[BatchKernel]:
         """A batch kernel for ``expr`` over rows bound to ``var``, or
         ``None`` when the form is not :func:`vector_covered` (the caller

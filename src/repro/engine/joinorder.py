@@ -12,8 +12,8 @@ maximal region of plain joins is
    are pushed down onto their leaf as selections, and conjuncts spanning
    more than two leaves (or non-equality two-leaf conjuncts) become
    residual predicates applied at the first join that covers them;
-2. **re-enumerated by dynamic programming** — left-deep always, bushy
-   trees behind a flag — scored with the PR-2 cardinality model
+2. **re-enumerated by dynamic programming** over left-deep orders,
+   scored with the PR-2 cardinality model
    (:class:`~repro.engine.cost.CostModel`): per pair the enumerator prices
    a hash join with either build side, an index nested-loop join when the
    right operand is an indexed extent (a pushed-down selection may ride
@@ -61,10 +61,6 @@ TRUE = A.Literal(True)
 #: (subset enumeration is 2^n; twelve leaves keep it in the tens of
 #: thousands of states).
 MAX_DP_LEAVES = 12
-
-#: Bushy enumeration additionally iterates subset *partitions* (3^n), so
-#: it caps earlier and falls back to left-deep in between.
-MAX_BUSHY_LEAVES = 10
 
 
 class _Bail(Exception):
@@ -126,7 +122,6 @@ class JoinOrderDecision:
     original: str
     original_cost: float
     leaves: int
-    bushy: bool
     reordered: bool
     candidates: Tuple[Tuple[str, float], ...] = ()
 
@@ -594,47 +589,7 @@ class _Enumerator:
         alternatives.sort(key=lambda e: e[1])
         return full[1], full[0], alternatives
 
-    def best_bushy(self, component: FrozenSet[int]) -> Tuple[Shape, float]:
-        best: Dict[FrozenSet[int], Tuple[float, Shape]] = {
-            frozenset((i,)): (self.est[i].cost, i) for i in component
-        }
-        ids = sorted(component)
-        for size in range(2, len(ids) + 1):
-            for subset in combinations(ids, size):
-                fs = frozenset(subset)
-                entries: List[Tuple[float, Shape]] = []
-                members = sorted(fs)
-                anchor = members[0]
-                # enumerate splits; anchoring the first member to the left
-                # half halves the symmetric enumeration, and both operand
-                # orientations are priced explicitly
-                rest = [m for m in members if m != anchor]
-                for k in range(0, len(rest)):
-                    for extra in combinations(rest, k):
-                        left_ids = frozenset((anchor,) + extra)
-                        right_ids = fs - left_ids
-                        if not right_ids:
-                            continue
-                        left_entry = best.get(left_ids)
-                        right_entry = best.get(right_ids)
-                        if left_entry is None or right_entry is None:
-                            continue
-                        if not self.graph.connects(left_ids, right_ids):
-                            continue
-                        for (a_ids, a_e), (b_ids, b_e) in (
-                            ((left_ids, left_entry), (right_ids, right_entry)),
-                            ((right_ids, right_entry), (left_ids, left_entry)),
-                        ):
-                            cost = self.combine_cost(a_ids, a_e[0], b_ids, b_e[0])
-                            entries.append((cost, (a_e[1], b_e[1])))
-                if entries:
-                    best[fs] = min(entries, key=lambda e: e[0])
-        full = best.get(frozenset(component))
-        if full is None:
-            raise _Bail("component not joinable without cross products")
-        return full[1], full[0]
-
-    def enumerate(self, bushy: bool) -> Tuple[Shape, float, List[Tuple[Shape, float]]]:
+    def enumerate(self) -> Tuple[Shape, float, List[Tuple[Shape, float]]]:
         """The cheapest shape over all leaves: DP per connected component,
         components combined smallest-first with cross joins."""
         parts: List[Tuple[Shape, float]] = []
@@ -645,11 +600,7 @@ class _Enumerator:
                 leaf = next(iter(component))
                 parts.append((leaf, self.est[leaf].cost))
                 continue
-            if bushy and len(self.graph.leaves) <= MAX_BUSHY_LEAVES:
-                shape, cost = self.best_bushy(component)
-                alts: List[Tuple[Shape, float]] = []
-            else:
-                shape, cost, alts = self.best_left_deep(component)
+            shape, cost, alts = self.best_left_deep(component)
             parts.append((shape, cost))
             if len(components) == 1:
                 alternatives = alts
@@ -680,7 +631,7 @@ def _render_shape(graph: JoinGraph, shape: Shape, top: bool = True) -> str:
     left = _render_shape(graph, shape[0], top=False)
     right = _render_shape(graph, shape[1], top=False)
     # left-deep chains read naturally without parentheses; parenthesize
-    # only a composite right operand (the bushy case)
+    # only a composite right operand (a combined disconnected component)
     if isinstance(shape[1], (tuple,)):
         right = f"({right})"
     text = f"{left} ⋈ {right}"
@@ -750,8 +701,6 @@ def reorder_joins(
     expr: A.Expr,
     model: CostModel,
     catalog,
-    *,
-    bushy: bool = False,
 ) -> Tuple[A.Expr, List[JoinOrderDecision]]:
     """Reorder every eligible plain-join region of ``expr``; returns the
     (possibly) rewritten expression plus one decision record per region."""
@@ -759,7 +708,7 @@ def reorder_joins(
 
     def rec(node: A.Expr) -> A.Expr:
         if isinstance(node, A.Join) and not free_vars(node):
-            result = _reorder_region(node, model, catalog, bushy, rec)
+            result = _reorder_region(node, model, catalog, rec)
             if result is not None:
                 new_expr, decision = result
                 decisions.append(decision)
@@ -770,7 +719,7 @@ def reorder_joins(
 
 
 def _reorder_region(
-    expr: A.Join, model: CostModel, catalog, bushy: bool, rec
+    expr: A.Join, model: CostModel, catalog, rec
 ) -> Optional[Tuple[A.Expr, JoinOrderDecision]]:
     graph = extract_join_graph(expr, catalog)
     if graph is None:
@@ -787,7 +736,7 @@ def _reorder_region(
     enumerator = _Enumerator(graph, model)
     try:
         _, original_cost = enumerator.score_shape(graph.original)
-        shape, cost, alternatives = enumerator.enumerate(bushy)
+        shape, cost, alternatives = enumerator.enumerate()
     except _Bail:
         return None
     reordered = shape != graph.original and cost < original_cost
@@ -818,7 +767,6 @@ def _reorder_region(
         original=_render_shape(graph, graph.original),
         original_cost=original_cost,
         leaves=n,
-        bushy=bushy,
         reordered=reordered,
         candidates=tuple(
             (_render_shape(graph, s), c) for s, c in alternatives

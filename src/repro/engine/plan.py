@@ -93,15 +93,13 @@ columnar chunks of tuples instead of single tuples.
 batches instead of the tuple iterator.  The hot pipeline operators
 (:class:`Scan`, :class:`Filter`, :class:`MapOp`, :class:`ProjectOp`, the
 :class:`HashJoinBase` family) override it natively, applying
-:mod:`repro.engine.compile`'s vectorized kernels over whole chunks; every
+:mod:`repro.engine.compile`'s batch kernels over whole chunks; every
 other operator inherits the default, which chunks its own tuple
 ``iterate`` — so batch mode is always available and always oracle-equal,
 operator by operator.  Expression forms the vectorizing compiler does not
 cover fall back to the tuple-wise closure per batch element, counted in
 ``stats.vector_fallbacks``; chunks produced are counted in
-``stats.batches_emitted``.  ``explain(vectorized=True)`` marks which
-operators would run native kernels (``<vec>``) versus per-element
-fallback (``<vec:fallback>``); the default rendering is unchanged.
+``stats.batches_emitted``.
 
 Counter contract in batch mode: successful batches produce exactly the
 tuple engine's totals (the kernels bulk-count, and short-circuit
@@ -122,7 +120,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from repro.adl import ast as A
 from repro.datamodel.errors import EvaluationError, MissingAttributeError, PlanError
 from repro.datamodel.values import Value, VTuple, concat, trusted_tuple
-from repro.engine.compile import BatchKernel, Compiler, vector_covered
+from repro.engine.compile import BatchKernel, Compiler
 from repro.engine.cost import format_estimate
 from repro.engine.interpreter import Interpreter
 from repro.engine.stats import Stats
@@ -134,20 +132,16 @@ DEFAULT_BATCH_SIZE = 256
 
 
 class Batch:
-    """A columnar chunk: an ordered list of tuples plus lazily-built
-    per-attribute value lists.
+    """A chunk of the batch protocol: an ordered list of tuples.
 
-    ``rows`` is the authoritative payload (operators and the shard tier
-    ship it directly); :meth:`column` materializes one attribute's values
-    across the chunk on first request and caches the list, so repeated
-    kernel passes over the same attribute pay the gather once.
+    ``rows`` is the payload operators and the shard tier ship directly;
+    batch kernels gather the attribute values they need from it.
     """
 
-    __slots__ = ("rows", "_columns")
+    __slots__ = ("rows",)
 
     def __init__(self, rows: List[Value]) -> None:
         self.rows = rows
-        self._columns: Optional[Dict[str, List[Value]]] = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -157,17 +151,6 @@ class Batch:
 
     def __repr__(self) -> str:
         return f"Batch({len(self.rows)} rows)"
-
-    def column(self, attr: str) -> List[Value]:
-        """The per-attribute value list for ``attr``, built and cached on
-        first access."""
-        columns = self._columns
-        if columns is None:
-            columns = self._columns = {}
-        col = columns.get(attr)
-        if col is None:
-            col = columns[attr] = [row[attr] for row in self.rows]
-        return col
 
 
 def _env_trace():
@@ -342,7 +325,7 @@ class ExecRuntime:
             self._compiled_preds[id(expr)] = entry = (expr, fn)
         return entry[1]
 
-    # -- vectorized batch kernels (PR 8) ------------------------------------
+    # -- batch kernels (PR 8) ------------------------------------------------
     # Cached like the tuple closures, keyed by (id(expr), var).  When the
     # expression is not vector-covered the cached kernel applies the
     # tuple-wise closure per batch element and counts one
@@ -417,7 +400,7 @@ class PlanNode:
 
         The default chunks this operator's own tuple ``iterate`` — correct
         for every operator by construction; the hot pipeline operators
-        override it with native vectorized loops.
+        override it with native batch loops.
         """
         size = rt.batch_size or DEFAULT_BATCH_SIZE
         stats = rt.stats
@@ -479,20 +462,10 @@ class PlanNode:
     def describe(self) -> str:
         return ""
 
-    def vector_note(self) -> str:
-        """Marker rendered by ``explain(vectorized=True)``: ``"vec"`` for
-        operators that run native batch kernels, ``"vec:fallback"`` for
-        batch-native operators whose parameter expressions the vectorizing
-        compiler does not cover, ``""`` for operators that batch by
-        chunking their tuple iterator.  Opt-in only — the default
-        ``explain()`` text is byte-identical to the tuple engine's."""
-        return ""
-
     def explain(
         self,
         indent: str = "",
         *,
-        vectorized: bool = False,
         annotate: Optional[Callable[["PlanNode"], str]] = None,
     ) -> str:
         """Render the physical tree.
@@ -507,10 +480,6 @@ class PlanNode:
         line = f"{indent}{self.label}" + (f" [{detail}]" if detail else "")
         if self.break_note:
             line += f" <{self.break_note}>"
-        if vectorized:
-            note = self.vector_note()
-            if note:
-                line += f" <{note}>"
         suffix = (
             annotate(self)
             if annotate is not None
@@ -520,7 +489,7 @@ class PlanNode:
             line += f" {suffix}"
         parts = [line]
         parts.extend(
-            child.explain(indent + "  ", vectorized=vectorized, annotate=annotate)
+            child.explain(indent + "  ", annotate=annotate)
             for child in self.children()
         )
         return "\n".join(parts)
@@ -584,9 +553,6 @@ class Scan(PlanNode):
                 return
             stats.batches_emitted += 1
             yield Batch(rows)
-
-    def vector_note(self) -> str:
-        return "vec"
 
     def execute(self, rt: ExecRuntime) -> frozenset:
         # overrides the base wrapper to return the store's cached extent
@@ -769,9 +735,6 @@ class Filter(PlanNode):
                 stats.batches_emitted += 1
                 yield Batch(kept)
 
-    def vector_note(self) -> str:
-        return "vec" if vector_covered(self.pred, self.var) else "vec:fallback"
-
 
 class MapOp(PlanNode):
     label = "Map"
@@ -806,9 +769,6 @@ class MapOp(PlanNode):
             stats.batches_emitted += 1
             yield Batch(kernel(rows))
 
-    def vector_note(self) -> str:
-        return "vec" if vector_covered(self.body, self.var) else "vec:fallback"
-
 
 class ProjectOp(PlanNode):
     label = "Project"
@@ -836,9 +796,6 @@ class ProjectOp(PlanNode):
             stats.tuples_visited += len(rows)
             stats.batches_emitted += 1
             yield Batch([item.subscript(attrs) for item in rows])
-
-    def vector_note(self) -> str:
-        return "vec"
 
 
 class RenameOp(PlanNode):
@@ -985,10 +942,6 @@ class NestOp(PlanNode):
         if out:
             stats.batches_emitted += 1
             yield Batch(out)
-
-    def vector_note(self) -> str:
-        # the grouping key kernels are plain attribute pulls: always covered
-        return "vec"
 
 
 class FlattenOp(PlanNode):
@@ -1429,12 +1382,6 @@ class HashJoinBase(_JoinNode):
             for y, key in zip(rows, zip(*cols)):
                 table.setdefault(key, []).append(y)
         return table
-
-    def vector_note(self) -> str:
-        covered = all(
-            vector_covered(k, self.lvar) for k in self.left_keys
-        ) and all(vector_covered(k, self.rvar) for k in self.right_keys)
-        return "vec" if covered else "vec:fallback"
 
 
 def _set_members(value: Value) -> frozenset:

@@ -5,9 +5,9 @@ may choose from a number of different join processing strategies"
 (Section 5.1).  This planner makes that choice — and, given a
 :class:`~repro.storage.catalog.Catalog`, makes it *cost-based*.  Before
 physical selection even starts, multi-join regions are re-ordered by the
-DP enumeration in :mod:`repro.engine.joinorder` (disable with
-``reorder=False``; widen to bushy trees with ``bushy=True``), so the tree
-being priced is already the cheapest order the cost model can find.  Then:
+left-deep DP enumeration in :mod:`repro.engine.joinorder` (disable with
+``reorder=False``), so the tree being priced is already the cheapest
+order the cost model can find.  Then:
 
 * join predicates are decomposed into conjuncts; equality conjuncts whose
   sides depend on one operand each become **hash-join keys**, membership
@@ -131,8 +131,7 @@ class Planner:
     its first applicable alternative.  Under cost-based planning every maximal
     plain-join region of three or more operands is first re-enumerated by
     the DP join-order search (:mod:`repro.engine.joinorder`) —
-    ``reorder=False`` plans the rewriter's order as-is, ``bushy=True``
-    widens the search from left-deep chains to bushy trees.  Each region's
+    ``reorder=False`` plans the rewriter's order as-is.  Each region's
     decision is kept in :attr:`last_join_orders` for ``explain()``.
     """
 
@@ -141,7 +140,6 @@ class Planner:
         catalog=None,
         *,
         reorder: bool = True,
-        bushy: bool = False,
         parallel_workers: int = 0,
     ) -> None:
         self.catalog = catalog
@@ -151,7 +149,6 @@ class Planner:
             else None
         )
         self.reorder = reorder
-        self.bushy = bushy
         #: > 1 enables partition-parallel candidates (the cost model still
         #: decides; this is capacity, not a switch)
         self.parallel_workers = parallel_workers
@@ -165,9 +162,7 @@ class Planner:
         decisions: List[JoinOrderDecision] = []
         try:
             if self.cost_model is not None and self.reorder:
-                expr, decisions = reorder_joins(
-                    expr, self.cost_model, self.catalog, bushy=self.bushy
-                )
+                expr, decisions = reorder_joins(expr, self.cost_model, self.catalog)
             node = self._plan(expr)
         except BaseException:
             # a failed plan must not leave the previous query's decisions
@@ -632,8 +627,8 @@ class Executor:
 
     ``catalog`` switches the planner to cost-based
     physical selection (with DP join reordering — ``reorder=False``
-    plans the rewriter's join order as-is, ``bushy=True`` widens the
-    order search to bushy trees) and provides the runtime indexes.
+    plans the rewriter's join order as-is) and provides the runtime
+    indexes.
     ``explain()`` prepends one ``-- join order: ...`` header per
     reordered region.
     """
@@ -645,7 +640,6 @@ class Executor:
         *,
         catalog=None,
         reorder: bool = True,
-        bushy: bool = False,
         parallel=None,
         batch_size: Optional[int] = None,
     ) -> None:
@@ -661,7 +655,6 @@ class Executor:
         self.planner = Planner(
             catalog,
             reorder=reorder,
-            bushy=bushy,
             parallel_workers=parallel.workers if parallel is not None else 0,
         )
 
@@ -680,26 +673,12 @@ class Executor:
         plan = self.planner.plan(expr)
         return plan.execute(self._runtime(params))
 
-    def iterate(self, expr: A.Expr, params=None):
-        """Stream the query result without materializing it.
-
-        The stream is a *bag*: pipeline operators do not deduplicate, so an
-        element may appear more than once (deduplication would require
-        buffering everything — exactly what streaming avoids).  Apply
-        ``frozenset`` for the set-semantics result, which is what
-        :meth:`execute` does.
-        """
-        plan = self.planner.plan(expr)
-        return plan.iterate(self._runtime(params))
-
     def explain(self, expr: A.Expr) -> str:
         plan = self.planner.plan(expr)
         headers = [d.render() for d in self.planner.last_join_orders]
         return "\n".join(headers + [plan.explain()])
 
-    def explain_analyze(
-        self, expr: A.Expr, params=None, *, q_error_threshold: float = 4.0
-    ):
+    def explain_analyze(self, expr: A.Expr, params=None):
         """EXPLAIN ANALYZE: run ``expr`` traced and return an
         :class:`~repro.obs.analyze.AnalyzeResult` whose text is the
         ordinary ``explain()`` tree annotated with per-operator
@@ -711,7 +690,7 @@ class Executor:
 
         plan = self.planner.plan(expr)
         headers = [d.render() for d in self.planner.last_join_orders]
-        recorder = TraceRecorder(q_error_threshold=q_error_threshold)
+        recorder = TraceRecorder()
         rows = plan.execute(self._runtime(params, trace=recorder))
         return AnalyzeResult(
             rows=rows,

@@ -17,7 +17,7 @@ claim; these counters make it measurable without real I/O hardware:
   materialized before the operator could emit (hash builds, grouping,
   sorting...).  Not part of :meth:`Stats.total_work` — a break is a
   *shape* property of the plan's dataflow, not per-tuple effort.
-* ``batches_emitted`` / ``vector_fallbacks`` — vectorized execution
+* ``batches_emitted`` / ``vector_fallbacks`` — batch execution
   (PR 8): columnar chunks produced, and batch kernels that had to apply
   the tuple-wise closure per element because the expression form is not
   covered by the vectorizing compiler.  Like ``pipeline_breaks``, both

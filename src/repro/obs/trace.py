@@ -38,6 +38,9 @@ from repro.engine.cost import format_estimate
 #: process-wide monotonic trace ids — stable, printable, no clock reads
 _TRACE_IDS = itertools.count(1)
 
+#: the q-error past which an executed operator's estimate is flagged
+Q_ERROR_THRESHOLD = 4.0
+
 #: the absolute floor of a misestimate: an estimate off by fewer rows
 #: than this is never flagged, whatever its ratio (est≈2 vs 9 rows is a
 #: q-error of 4.5 and harmless)
@@ -63,13 +66,13 @@ def q_error(est: Optional[float], actual: int) -> Optional[float]:
     return max(e / a, a / e)
 
 
-def misestimate(est: Optional[float], actual: int, threshold: float) -> Optional[float]:
+def misestimate(est: Optional[float], actual: int) -> Optional[float]:
     """The one misestimate test: the q-error when it exceeds
-    ``threshold`` *and* the estimate is off by at least
+    :data:`Q_ERROR_THRESHOLD` *and* the estimate is off by at least
     :data:`MISESTIMATE_MIN_ROWS` rows, else ``None`` (also when there is
     no estimate)."""
     q = q_error(est, actual)
-    if q is None or q <= threshold or abs(est - actual) < MISESTIMATE_MIN_ROWS:
+    if q is None or q <= Q_ERROR_THRESHOLD or abs(est - actual) < MISESTIMATE_MIN_ROWS:
         return None
     return q
 
@@ -120,9 +123,8 @@ class TraceRecorder:
     ``id()`` keys can never be recycled within a run.
     """
 
-    def __init__(self, *, q_error_threshold: float = 4.0) -> None:
+    def __init__(self) -> None:
         self.trace_id = f"t{next(_TRACE_IDS)}"
-        self.q_error_threshold = q_error_threshold
         self.records: Dict[int, OpTrace] = {}
         self._nodes: Dict[int, object] = {}
         #: per-gather-node fragment span records shipped back from workers
@@ -210,7 +212,7 @@ class TraceRecorder:
             f"(est≈{_fmt_rows(rec.est_rows)}, actual={rec.rows_out},"
             f" {rec.wall_s * 1000.0:.1f}ms)"
         )
-        q = misestimate(rec.est_rows, rec.rows_out, self.q_error_threshold)
+        q = misestimate(rec.est_rows, rec.rows_out)
         if q is not None:
             text += f" !! misestimate q≈{q:.1f}"
         return text
@@ -223,7 +225,7 @@ class TraceRecorder:
             rec = self.records.get(id(node))
             if rec is None:
                 continue
-            q = misestimate(rec.est_rows, rec.rows_out, self.q_error_threshold)
+            q = misestimate(rec.est_rows, rec.rows_out)
             if q is not None:
                 out.append(
                     {

@@ -34,7 +34,6 @@ from repro.rewrite.strategy import (
     OptimizationResult,
     Optimizer,
     optimize,
-    optimize_oosql,
 )
 from repro.rewrite.trace import RewriteStep, RewriteTrace
 
@@ -56,7 +55,6 @@ __all__ = [
     "mentions_extent",
     "nested_extent_count",
     "optimize",
-    "optimize_oosql",
     "reduce_static",
     "rule",
 ]

@@ -38,7 +38,7 @@ replayed against the paper's rewriting examples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, Optional, Sequence, Tuple, Type
 
 from repro.adl import ast as A
 from repro.datamodel.errors import RewriteError
@@ -219,14 +219,3 @@ class RewriteEngine:
             if trace is not None:
                 trace.record(name, current, new_expr, phase)
             current = new_expr
-
-    def run_phases(
-        self,
-        expr: A.Expr,
-        phases: Iterable[Tuple[str, Sequence[Rule]]],
-        trace: Optional[RewriteTrace] = None,
-    ) -> A.Expr:
-        current = expr
-        for phase_name, rules in phases:
-            current = self.run(current, rules, trace, phase_name)
-        return current

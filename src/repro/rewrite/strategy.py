@@ -150,14 +150,13 @@ class Optimizer:
         self,
         schema: Optional[Schema] = None,
         priority: Sequence[str] = DEFAULT_PRIORITY,
-        max_steps: int = 2000,
         introduce_materialize: bool = False,
         catalog=None,
         parallel_workers: int = 0,
     ) -> None:
         checker = TypeChecker(schema) if schema is not None else None
         self.ctx = RewriteContext(checker=checker)
-        self.engine = RewriteEngine(self.ctx, max_steps=max_steps)
+        self.engine = RewriteEngine(self.ctx)
         self.priority = tuple(priority)
         self.introduce_materialize = introduce_materialize
         #: storage catalog (`repro.storage.catalog.Catalog`): when present,
@@ -401,15 +400,3 @@ def optimize(
     switches option selection from first-success to cost-ranked.
     """
     return Optimizer(schema, priority, catalog=catalog).optimize(expr)
-
-
-def optimize_oosql(
-    text: str,
-    schema: Optional[Schema] = None,
-    priority: Sequence[str] = DEFAULT_PRIORITY,
-    catalog=None,
-) -> OptimizationResult:
-    """Parse, type-check, translate and optimize OOSQL query text."""
-    from repro.translate.translator import compile_oosql
-
-    return optimize(compile_oosql(text, schema), schema, priority, catalog)

@@ -143,20 +143,6 @@ class PreparedStatement:
             self, params if params is not None else kw, timeout=timeout
         )
 
-    def execute_async(
-        self,
-        params: Optional[Dict[str, Value]] = None,
-        *,
-        timeout: Optional[float] = None,
-        **kw: Value,
-    ):
-        """Like :meth:`execute` but returns a ``concurrent.futures.Future``."""
-        if params is not None and kw:
-            raise ServiceError("pass parameters as one dict or as keywords, not both")
-        return self._session.execute_async(
-            self, params if params is not None else kw, timeout=timeout
-        )
-
     def __repr__(self) -> str:
         names = ", ".join(f"${n}" for n in self.param_names) or "no parameters"
         return f"PreparedStatement({self.shape!r}; {names})"

@@ -437,7 +437,6 @@ class QueryService:
         queue_depth: int = 16,
         cache_size: int = 64,
         reorder: bool = True,
-        bushy: bool = False,
         parallel_workers: int = 0,
         parallel_mode: str = "process",
         fault_plan=None,
@@ -447,9 +446,7 @@ class QueryService:
         session_max_in_flight: Optional[int] = None,
         cache_persist_path: Optional[str] = None,
         batch_size: Optional[int] = 256,
-        q_error_threshold: float = 4.0,
         slow_query_s: Optional[float] = None,
-        misestimate_capacity: int = 8,
     ) -> None:
         if max_workers < 1:
             raise ServiceError(f"max_workers must be >= 1, got {max_workers}")
@@ -458,7 +455,6 @@ class QueryService:
         self.catalog = catalog if catalog is not None else getattr(db, "catalog", None)
         self.cache = PlanCache(cache_size)
         self.reorder = reorder
-        self.bushy = bushy
         self.max_in_flight = max_in_flight if max_in_flight is not None else max_workers
         if self.max_in_flight < 1:
             raise ServiceError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
@@ -521,13 +517,12 @@ class QueryService:
         #: bounded per-shape estimate-vs-actual misses — operator-level
         #: q-error records from traced runs *and* the PR-7 epoch-mismatch
         #: records, as ``kind="epoch-mismatch"``
-        self.misestimates = MisestimateStore(per_shape=misestimate_capacity)
-        self.q_error_threshold = q_error_threshold
+        self.misestimates = MisestimateStore()
         self.slow_log = SlowQueryLog(slow_query_s)
         self.metrics = MetricsRegistry()
         #: session id → outstanding submissions (queued or executing)
         self._session_outstanding: Dict[str, int] = {}
-        # -- vectorized batch execution (PR 8)
+        # -- batch execution (PR 8)
         if batch_size is not None and batch_size < 1:
             raise ServiceError(f"batch_size must be >= 1 or None, got {batch_size}")
         self.batch_size = batch_size
@@ -763,7 +758,6 @@ class QueryService:
         plan = Planner(
             self.catalog,
             reorder=self.reorder,
-            bushy=self.bushy,
             parallel_workers=self.parallel_workers,
         ).plan(expr)
         return CachedPlan(
@@ -973,11 +967,7 @@ class QueryService:
             deadline=deadline,
             epoch=pinned,
             parallel=self._parallel_handle() if entry.parallel else None,
-            trace=(
-                TraceRecorder(q_error_threshold=self.q_error_threshold)
-                if analyze
-                else None
-            ),
+            trace=TraceRecorder() if analyze else None,
         )
         return runtime
 
@@ -1022,9 +1012,7 @@ class QueryService:
                 # surface).  After the first write this is every cached-plan
                 # read, so the record is the exception, not the rule.
                 counts["epoch_mismatch_runs"] = 1
-                if entry.est_rows is None or misestimate(
-                    entry.est_rows, len(rows), self.q_error_threshold
-                ):
+                if entry.est_rows is None or misestimate(entry.est_rows, len(rows)):
                     with self._state_lock:
                         self.misestimates.record(
                             shape,

@@ -48,12 +48,10 @@ before the workers are used:
   because snapshots preserved after the fork cannot be in its
   copy-on-write image.
 
-Since PR 7, every store mutation publishes a fresh extent value under a
-new epoch and epoch-pinned fragments resolve historical snapshots
-through :meth:`~repro.storage.store.EpochStoreMixin.extent_at`, so the
-old footgun ("mutations that bypass the catalog need an explicit
-``refresh()``") is gone; :meth:`refresh` remains as a manual
-worker-retirement lever.
+Every store mutation publishes a fresh extent value under a new epoch
+and epoch-pinned fragments resolve historical snapshots through
+:meth:`~repro.storage.store.EpochStoreMixin.extent_at`, so no mutation
+needs a manual refresh: the triggers above retire stale workers.
 
 Locking contract (PR 6)
 =======================
@@ -62,14 +60,14 @@ Two locks with disjoint jobs:
 
 * ``_pool_lock`` — worker *lifecycle*: fork, terminate, plan/closed-flag
   changes, and the identity bookkeeping.  Held only for short critical
-  sections; :meth:`refresh` / :meth:`close` / :meth:`inject` take it and
+  sections; :meth:`close` / :meth:`inject` take it and
   therefore return promptly even while a long batch is executing.
 * ``_run_lock`` — the *run guard*: serializes :meth:`run_fragments`
   batches (one batch at a time per executor is the accounting unit the
   benchmarks are built on).  Never held while taking ``_pool_lock``'s
   critical sections longer than a handle lookup.
 
-Consequence: ``refresh()``/``close()`` during an in-flight batch
+Consequence: ``inject()``/``close()`` during an in-flight batch
 terminate the workers *out from under it*.  That is deliberate — the
 batch's wait sees the workers' sentinels fire, classifies it as a worker
 crash, and recovers inline; the caller still gets correct rows (parity
@@ -391,19 +389,11 @@ class ParallelExecutor:
             self.fault_plan = fault_plan
             self._close_pool()
 
-    def refresh(self) -> None:
-        """Force the next run to fork a fresh worker snapshot (for data
-        mutations that bypass the catalog version).  Returns immediately
-        even mid-batch: an in-flight batch sees its workers die and
-        recovers inline (see the locking contract)."""
-        with self._pool_lock:
-            self._close_pool()
-
     def _close_pool(self) -> None:
         """Terminate the worker set.  Caller must hold ``_pool_lock``.
 
         Pipes close with their last reference, not here: a batch still
-        waiting on them (``refresh()`` / ``close()`` mid-batch) sees the
+        waiting on them (``inject()`` / ``close()`` mid-batch) sees the
         sentinels fire instead of a descriptor closed under its wait."""
         if self._pool is not None:
             for proc, _ in self._pool:

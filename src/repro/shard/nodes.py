@@ -17,7 +17,13 @@ A parallel region always looks like::
         PartitionedScan [X by k, 4 parts]
         PartitionedScan [Y by k, 4 parts]
 
-The :class:`Exchange` gather node *drives* the region: when the runtime
+The :class:`Exchange` gather node is the only one of these that runs.
+The join below it is a fragment template: it hands the gather its
+canonical ADL text and shard bindings (:meth:`PartitionedHashJoin.payloads`),
+and its children — partitioned scans, broadcast and repartition
+exchanges — only describe, for ``explain()``, what each fragment reads.
+
+The gather *drives* the region: when the runtime
 carries a :class:`~repro.shard.executor.ParallelExecutor`
 (``rt.parallel``), it ships the join's fragments to the worker pool and
 merges partial results + per-worker statistics; without one it runs them
@@ -104,12 +110,9 @@ def _gathered(rt: ExecRuntime, node: PlanNode, specs, parallel) -> Iterator:
 
 
 class PartitionedScan(PlanNode):
-    """Scan of a hash-partitioned extent — all shards, shard-ordered.
-
-    Semantically identical to :class:`~repro.engine.plan.Scan`; the
-    partitioning is what lets an enclosing gather split it into one
-    fragment per shard (a *gathered scan*).  Streams, no pipeline break.
-    """
+    """A hash-partitioned extent as one input of a
+    :class:`PartitionedHashJoin`: rendered by ``explain()``, never run —
+    the join's fragments read the shards (see the module docstring)."""
 
     label = "PartitionedScan"
 
@@ -121,51 +124,16 @@ class PartitionedScan(PlanNode):
     def describe(self) -> str:
         return f"{self.extent} by {self.attr}, {self.parts} parts"
 
-    def _shards(self, rt: ExecRuntime):
-        pe = rt.catalog.partitioning(self.extent) if rt.catalog is not None else None
-        if pe is not None and pe.attr == self.attr and pe.parts == self.parts:
-            # epoch-pinned runs (PR 7) must not read stored shards built
-            # from a different extent value than the pinned one
-            if rt.pinned_epoch is None or pe.source_rows is rt.db.extent(self.extent):
-                return pe.shards
-        return (rt.db.extent(self.extent),)
-
-    def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
-        for shard in self._shards(rt):
-            for row in shard:
-                rt.stats.tuples_visited += 1
-                yield row
-
-    def payloads(
-        self,
-        params: Optional[Dict[str, Value]] = None,
-        epoch: Optional[int] = None,
-        batch_size: Optional[int] = None,
-        trace: Optional[str] = None,
-    ) -> List[FragmentSpec]:
-        """One fragment per shard: ``__shard__`` bound to shard *i*."""
-        from repro.adl.pretty import pretty
-        from repro.shard.fragment import SCAN_PLACEHOLDER
-
-        bindings = [
-            {SCAN_PLACEHOLDER: ShardRef(self.extent, self.attr, self.parts, i)}
-            for i in range(self.parts)
-        ]
-        text = pretty(A.ExtentRef(SCAN_PLACEHOLDER))
-        return _specs(text, bindings, params, epoch, batch_size, trace)
-
 
 class Exchange(PlanNode):
     """Data movement between partitions: ``gather`` / ``broadcast`` /
     ``repartition``.
 
-    All three are pipeline breaks — an exchange materializes what it
-    moves — and all three render their kind and partition count in
-    ``explain()``.  ``gather`` is the driver of a parallel region (see
-    the module docstring); ``broadcast`` and ``repartition`` annotate a
-    :class:`PartitionedHashJoin` input with the movement the fragments
-    pay for, and execute as the semantically-equivalent identity when
-    iterated directly.
+    All three render their kind and partition count in ``explain()``.
+    Only ``gather`` executes: it drives a parallel region (see the module
+    docstring) and is a pipeline break.  ``broadcast`` and
+    ``repartition`` annotate a :class:`PartitionedHashJoin` input with the
+    movement its fragments pay for.
     """
 
     def __init__(
@@ -207,23 +175,10 @@ class Exchange(PlanNode):
         return _gathered(rt, self, specs, rt.parallel)
 
     def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
-        if self.kind == "gather":
-            if getattr(self.child, "payloads", None) is not None:
-                for rows in self._gather(rt):
-                    yield from rows
-                return
-            rt.stats.pipeline_breaks += 1
-            yield from self.child.stream(rt)
-            return
-        # broadcast / repartition: moving tuples between partitions is the
-        # identity at whole-stream granularity; the movement cost is paid
-        # (and counted) inside the fragments that consume it
-        yield from self._consume(self.child, rt)
+        for rows in self._gather(rt):
+            yield from rows
 
     def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
-        if self.kind != "gather" or getattr(self.child, "payloads", None) is None:
-            yield from PlanNode.iterate_batches(self, rt)
-            return
         # batched gather: fragments run batch-at-a-time and ship their
         # results as ChunkedRows, re-emitted here chunk-for-chunk
         stats = rt.stats
@@ -232,9 +187,6 @@ class Exchange(PlanNode):
                 if chunk:
                     stats.batches_emitted += 1
                     yield Batch(chunk)
-
-    def vector_note(self) -> str:
-        return "vec:gather" if self.kind == "gather" else ""
 
 
 class PartitionedHashJoin(PlanNode):
@@ -252,10 +204,9 @@ class PartitionedHashJoin(PlanNode):
       the buckets.
 
     The node carries its fragments as canonical ADL text + shard
-    bindings (:meth:`payloads`); executing the node inline runs them
-    one-by-one through :func:`~repro.shard.fragment.run_inline` — the
-    same ``execute_fragment`` pool workers run.  ``left``/``right`` children are the
-    per-partition input descriptions ``explain()`` renders.
+    bindings (:meth:`payloads`), which the enclosing gather ships; it
+    never runs itself.  ``left``/``right`` children are the per-partition
+    input descriptions ``explain()`` renders.
     """
 
     def __init__(
@@ -310,8 +261,3 @@ class PartitionedHashJoin(PlanNode):
         trace: Optional[str] = None,
     ) -> List[FragmentSpec]:
         return _specs(self.fragment_text, self.shard_bindings, params, epoch, batch_size, trace)
-
-    def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
-        specs = self.payloads(rt.params, epoch=rt.pinned_epoch, trace=_trace_id(rt))
-        for rows in _gathered(rt, self, specs, None):
-            yield from rows

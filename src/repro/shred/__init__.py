@@ -12,7 +12,7 @@ flat outputs.
 The payoff is that each flat subplan is a first-class citizen of the
 existing pipeline: the inner flat join is priced by the cost model,
 reordered by the join-order DP, eligible for partitioned hash joins in
-the shard tier and for batch kernels in the vectorized tier — none of
+the shard tier and for batch kernels in the batch tier — none of
 which the fused nestjoin can use.  Shredding enters the optimizer as a
 *priced* rewrite candidate: the cost model compares the shredded plan
 against the unshredded nestjoin and shredding wins only when estimated

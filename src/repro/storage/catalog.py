@@ -31,10 +31,9 @@ immutable :class:`NamedIndex` per batch, counted in
 change was not notified (:attr:`Catalog.index_rebuilds`); statistics are
 re-analyzed lazily on the next :meth:`stats` lookup (counted in
 :attr:`Catalog.stat_refreshes`), so the cost model never silently prices
-plans with numbers describing old data.  :meth:`refresh` remains for
-eager bulk refresh.  The cost model in :mod:`repro.engine.cost` never
-*requires* statistics — unknown extents fall back to defaults — so a
-catalog can be introduced incrementally.
+plans with numbers describing old data.  The cost model in
+:mod:`repro.engine.cost` never *requires* statistics — unknown extents
+fall back to defaults — so a catalog can be introduced incrementally.
 """
 
 from __future__ import annotations
@@ -136,7 +135,7 @@ class Catalog:
         #: see :meth:`_note`)
         self.index_increments: int = 0
         #: how many times :meth:`create_index` rebuilt an *existing*
-        #: index from scratch (explicit re-creation, ``refresh()``, or an
+        #: index from scratch (explicit re-creation or an
         #: execution-time heal of an index a notification missed)
         self.index_rebuilds: int = 0
         #: net notified row delta per extent since its last full ANALYZE.
@@ -580,20 +579,3 @@ class Catalog:
             )
         payload = repr((stats, indexes, partitions)).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
-
-    def refresh(self) -> None:
-        """Rebuild every registered index, re-analyze analyzed extents and
-        re-derive registered partitionings (call after bulk loads —
-        statistics, indexes and shards are all snapshots)."""
-        for named in list(self._indexes.values()):
-            self.create_index(named.extent, named.attr, named.name, named.multi)
-        if self._stats:
-            self.analyze(list(self._stats))
-        with self._lock:
-            rebuilt = False
-            for pe in list(self._partitions.values()):
-                if pe.extent not in self._stats:  # analyze() already redid these
-                    self._build_partitioning(pe.extent, pe.attr, pe.parts)
-                    rebuilt = True
-            if rebuilt:
-                self._bump_version()

@@ -1,7 +1,8 @@
 """Alpha-equivalence for ADL expressions.
 
-Rewrite rules invent bound-variable names, so tests comparing a rewritten
-plan against an expected plan must ignore the particular names chosen.
+A test helper: rewrite rules invent bound-variable names, so tests
+comparing a rewritten plan against an expected plan must ignore the
+particular names chosen.
 :func:`canonicalize` renames every bound variable to a positional name
 (``_v0``, ``_v1`` ...) in a deterministic traversal order; two expressions
 are alpha-equivalent iff their canonical forms are structurally equal.
@@ -42,7 +43,9 @@ def canonicalize(expr: A.Expr) -> A.Expr:
             inner[e.var] = fresh
             pred = rec(e.pred, inner)
             return dataclasses.replace(e, var=fresh, source=source, pred=pred)
-        if isinstance(e, (A.Join, A.SemiJoin, A.AntiJoin, A.OuterJoin, A.NestJoin)):
+        if isinstance(
+            e, (A.Join, A.SemiJoin, A.AntiJoin, A.OuterJoin, A.NestJoin, A.Stitch)
+        ):
             left = rec(e.left, env)
             right = rec(e.right, env)
             fresh_l = next_name()
@@ -52,7 +55,7 @@ def canonicalize(expr: A.Expr) -> A.Expr:
             inner[e.rvar] = fresh_r
             changes = dict(left=left, right=right, lvar=fresh_l, rvar=fresh_r)
             changes["pred"] = rec(e.pred, inner)
-            if isinstance(e, A.NestJoin):
+            if isinstance(e, (A.NestJoin, A.Stitch)):
                 changes["result"] = rec(e.result, inner)
             return dataclasses.replace(e, **changes)
         return e.map_children(lambda child: rec(child, env))

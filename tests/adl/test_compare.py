@@ -1,7 +1,8 @@
 """Unit tests for alpha-equivalence."""
 
+from repro.adl import ast as A
 from repro.adl import builders as B
-from repro.adl.compare import alpha_equal, canonicalize
+from tests.adl.compare import alpha_equal, canonicalize
 
 
 class TestAlphaEqual:
@@ -50,6 +51,17 @@ class TestAlphaEqual:
         right = B.exists("q", B.extent("Y"), B.eq(B.var("q"), B.var("free")))
         assert alpha_equal(left, right)
 
+
+    def test_stitch_binders(self):
+        def stitch(lvar, rvar, result_var):
+            pred = B.eq(B.attr(B.var(lvar), "k"), B.attr(B.var(rvar), "k"))
+            return A.Stitch(
+                B.extent("X"), B.extent("Y"), lvar, rvar, pred, "ys",
+                B.attr(B.var(result_var), "v"), ("k",),
+            )
+
+        assert alpha_equal(stitch("x", "y", "y"), stitch("u", "v", "v"))
+        assert not alpha_equal(stitch("x", "y", "y"), stitch("x", "y", "x"))
 
 class TestCanonicalize:
     def test_idempotent(self):

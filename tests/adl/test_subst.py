@@ -2,9 +2,9 @@
 
 from repro.adl import ast as A
 from repro.adl import builders as B
-from repro.adl.compare import alpha_equal
+from tests.adl.compare import alpha_equal
 from repro.adl.freevars import free_vars
-from repro.adl.subst import rename_bound, substitute
+from repro.adl.subst import substitute
 
 
 class TestBasicSubstitution:
@@ -77,26 +77,6 @@ class TestCaptureAvoidance:
         expr = B.sel("x", B.eq(B.var("x"), B.var("y")), B.extent("X"))
         out = substitute(expr, {"y": B.lit(1)})
         assert out == B.sel("x", B.eq(B.var("x"), 1), B.extent("X"))
-
-
-class TestRenameBound:
-    def test_renames_binder_and_occurrences(self):
-        expr = B.sel("x", B.eq(B.attr(B.var("x"), "a"), 1), B.extent("X"))
-        out = rename_bound(expr, "x", "u")
-        assert out == B.sel("u", B.eq(B.attr(B.var("u"), "a"), 1), B.extent("X"))
-
-    def test_free_occurrences_untouched(self):
-        expr = B.eq(B.var("x"), B.sel("x", B.lit(True), B.extent("X")))
-        out = rename_bound(expr, "x", "u")
-        # the comparison's x is free: unchanged; the selection's binder renamed
-        assert out == B.eq(B.var("x"), B.sel("u", B.lit(True), B.extent("X")))
-
-    def test_join_rename(self):
-        expr = B.semijoin(B.extent("X"), B.extent("Y"), "x", "y",
-                          B.eq(B.attr(B.var("x"), "a"), B.attr(B.var("y"), "a")))
-        out = rename_bound(expr, "y", "w")
-        assert out.rvar == "w"
-        assert free_vars(out) == frozenset()
 
 
 class TestSemanticPreservation:

@@ -17,9 +17,10 @@ from repro.adl import ast as A
 from repro.adl import builders as B
 from repro.datamodel import VTuple
 from repro.engine.compile import vector_covered
-from repro.engine.plan import Batch, ExecRuntime, Filter, HashJoinBase, Scan
+from repro.engine.plan import Batch, ExecRuntime, Filter, HashJoinBase, MapOp, Scan
 from repro.engine.stats import Stats
 from repro.storage import MemoryDatabase
+from repro.workload.paper_db import example_database
 
 from tests.engine.test_streaming_parity import CASES, EQ, TRUE, XA, YD, flat_db
 
@@ -74,6 +75,35 @@ class TestBatchTupleParityMatrix:
             ExecRuntime(db, stats, batch_size=1)
         )
         assert stats.batches_emitted >= 3  # 3 X rows, one per batch
+
+
+#: a reference path ``d.supplier.sname``: the batch kernel dereferences
+#: the oid per row (``Compiler._vc_attr``'s deref closure)
+_SUPPLIER_NAME = B.attr(B.attr(B.var("d"), "supplier"), "sname")
+
+NESTED_PATH_CASES = {
+    "filter": lambda: Filter(
+        "d", B.eq(_SUPPLIER_NAME, B.lit("s1")), Scan("DELIVERY")
+    ),
+    "map": lambda: MapOp("d", _SUPPLIER_NAME, Scan("DELIVERY")),
+}
+
+
+class TestNestedPathKernel:
+    @pytest.mark.parametrize("batch_size", (1, 3, 256))
+    @pytest.mark.parametrize("name", sorted(NESTED_PATH_CASES))
+    def test_deref_kernel_matches_tuple_mode(self, name, batch_size):
+        factory = NESTED_PATH_CASES[name]
+        oracle_stats = Stats()
+        oracle = factory().execute(ExecRuntime(example_database(), oracle_stats))
+        stats = Stats()
+        rows = factory().execute(
+            ExecRuntime(example_database(), stats, batch_size=batch_size)
+        )
+        assert rows == oracle
+        assert _snap(stats) == _snap(oracle_stats)
+        assert stats.oid_derefs == 4  # one per DELIVERY row, in every mode
+        assert stats.vector_fallbacks == 0 and stats.batches_emitted > 0
 
 
 def empty_db():

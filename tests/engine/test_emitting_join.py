@@ -267,8 +267,11 @@ class TestParityMatrix:
         assert all(set(row) == {"v", "w"} for row in out)
 
     def test_emitting_join_is_batch_native_on_both_build_sides(self):
+        db = matrix_db()
         for side in ("left", "right"):
-            assert "<vec>" in _hash(TRUE, side).explain(vectorized=True)
+            stats = Stats()
+            _hash(TRUE, side).execute(ExecRuntime(db, stats, batch_size=4))
+            assert stats.batches_emitted > 0 and stats.vector_fallbacks == 0, side
 
 
 # ---------------------------------------------------------------------------

@@ -90,10 +90,10 @@ def star_db():
     )
 
 
-def assert_parity(db, catalog, query, **kwargs):
+def assert_parity(db, catalog, query):
     """Reordered result == unordered cost-based == heuristic == oracle."""
     oracle = Interpreter(db).eval(query)
-    reordered = Executor(db, catalog=catalog, **kwargs).execute(query)
+    reordered = Executor(db, catalog=catalog).execute(query)
     unordered = Executor(db, catalog=catalog, reorder=False).execute(query)
     heuristic = Executor(db).execute(query)
     assert reordered == unordered == heuristic == oracle
@@ -182,15 +182,6 @@ class TestStarReordering:
     def test_parity_with_unordered_oracles(self, setup):
         db, catalog = setup
         assert_parity(db, catalog, star_query())
-
-    def test_bushy_flag_keeps_parity(self, setup):
-        db, catalog = setup
-        assert_parity(db, catalog, star_query(), bushy=True)
-        planner = Planner(catalog, bushy=True)
-        planner.plan(star_query())
-        (decision,) = planner.last_join_orders
-        assert decision.bushy
-        assert decision.chosen_cost <= decision.original_cost
 
 
 class TestGraphExtraction:

@@ -76,9 +76,6 @@ class TestNestBatchKernels:
         assert stats.vector_fallbacks == 0
         assert stats.batches_emitted > 0
 
-    def test_vector_note(self):
-        assert nest().vector_note() == "vec"
-
     def test_group_sets_are_subscripted_tuples(self):
         rows = nest().execute(ExecRuntime(uniform_db(8), Stats(), batch_size=3))
         for row in rows:

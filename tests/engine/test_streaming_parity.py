@@ -40,7 +40,6 @@ from repro.engine.plan import (
     UnnestOp,
 )
 from repro.engine.interpreter import Interpreter
-from repro.engine.planner import Executor
 from repro.engine.stats import Stats
 from repro.shard import Exchange, PartitionedHashJoin, PartitionedScan, ShardRef
 from repro.shred import StitchNest
@@ -135,28 +134,55 @@ def kinds_db():
     return db
 
 
-def _partition_wise_join():
+#: the left operand of the filtered gather-join case: the selection rides
+#: into every fragment, and ``explain()`` renders it over the shards
+X_A_GT_1_PRED = B.gt(B.attr(B.var("x"), "a"), 1)
+
+
+def _gathered_join(strategy="partition-wise", kind="join", left_pred=None):
+    """A gather over a :class:`PartitionedHashJoin` of ``X`` and ``Y`` on
+    ``x.a = y.d``, shaped as the planner builds each strategy:
+    partition-wise reads the stored 2-way shards of both sides, broadcast
+    reads X's shards against the whole of Y, and repartition hash-filters
+    both sides 3 ways (a partition count with no stored shards)."""
     import dataclasses
 
     from repro.shard.fragment import LEFT_PLACEHOLDER, RIGHT_PLACEHOLDER, rebind_extent
 
-    expr = B.join(B.extent("X"), B.extent("Y"), "x", "y", EQ)
+    left = B.extent("X")
+    if left_pred is not None:
+        left = B.sel("x", left_pred, left)
+    expr = {"join": B.join, "semijoin": B.semijoin}[kind](
+        left, B.extent("Y"), "x", "y", EQ
+    )
     template = dataclasses.replace(
         expr,
         left=rebind_extent(expr.left, LEFT_PLACEHOLDER),
         right=rebind_extent(expr.right, RIGHT_PLACEHOLDER),
     )
+    parts = 3 if strategy == "repartition" else 2
+    right_ref = {
+        "partition-wise": lambda i: ShardRef("Y", "d", parts, i),
+        "broadcast": lambda i: ShardRef("Y"),
+        "repartition": lambda i: ShardRef("Y", "d", parts, i),
+    }[strategy]
     bindings = [
-        {
-            LEFT_PLACEHOLDER: ShardRef("X", "a", 2, i),
-            RIGHT_PLACEHOLDER: ShardRef("Y", "d", 2, i),
-        }
-        for i in range(2)
+        {LEFT_PLACEHOLDER: ShardRef("X", "a", parts, i), RIGHT_PLACEHOLDER: right_ref(i)}
+        for i in range(parts)
     ]
-    return PartitionedHashJoin(
-        "join", "x", "y", EQ, "partition-wise", 2, template, bindings,
-        PartitionedScan("X", "a", 2), PartitionedScan("Y", "d", 2),
+    left_node = PartitionedScan("X", "a", parts)
+    right_node = PartitionedScan("Y", "d", parts)
+    if strategy == "broadcast":
+        right_node = Exchange("broadcast", Scan("Y"), parts)
+    elif strategy == "repartition":
+        left_node = Exchange("repartition", left_node, parts, key_attr="a")
+        right_node = Exchange("repartition", right_node, parts, key_attr="d")
+    if left_pred is not None:
+        left_node = Filter("x", left_pred, left_node)
+    join = PartitionedHashJoin(
+        kind, "x", "y", EQ, strategy, parts, template, bindings, left_node, right_node,
     )
+    return Exchange("gather", join, parts)
 
 
 # one representative instance per operator class; (factory, db factory)
@@ -218,26 +244,29 @@ CASES = {
         ),
         flat_db,
     ),
-    # PR 5: partition-parallel operators (inline fragment execution; the
-    # pool path runs the identical execute_fragment and is parity-tested
-    # in tests/shard/test_parallel_parity.py)
-    "PartitionedScan": (lambda: PartitionedScan("X", "a", 2), partitioned_db),
-    "Exchange-gather": (
-        lambda: Exchange("gather", PartitionedScan("X", "a", 2), 2),
-        partitioned_db,
+    # PR 5: the one parallel shape the planner emits, a gather over a
+    # partitioned join, in each strategy and join kind it parallelizes
+    # (inline fragment execution; the pool path runs the identical
+    # execute_fragment and is parity-tested in
+    # tests/shard/test_parallel_parity.py)
+    "Exchange-gather-join": (lambda: _gathered_join(), partitioned_db),
+    "Exchange-gather-semijoin": (
+        lambda: _gathered_join(kind="semijoin"), partitioned_db,
     ),
-    "Exchange-broadcast": (
-        lambda: Exchange("broadcast", Scan("Y"), 2),
-        partitioned_db,
+    "Exchange-gather-filtered-join": (
+        lambda: _gathered_join(left_pred=X_A_GT_1_PRED), partitioned_db,
     ),
-    "Exchange-repartition": (
-        lambda: Exchange("repartition", Scan("Y"), 2, key_attr="d"),
-        partitioned_db,
+    "Exchange-gather-broadcast-join": (
+        lambda: _gathered_join("broadcast"), partitioned_db,
     ),
-    "PartitionedHashJoin": (_partition_wise_join, partitioned_db),
-    "Exchange-gather-join": (
-        lambda: Exchange("gather", _partition_wise_join(), 2),
-        partitioned_db,
+    "Exchange-gather-broadcast-semijoin": (
+        lambda: _gathered_join("broadcast", kind="semijoin"), partitioned_db,
+    ),
+    "Exchange-gather-repartition-join": (
+        lambda: _gathered_join("repartition"), partitioned_db,
+    ),
+    "Exchange-gather-repartition-semijoin": (
+        lambda: _gathered_join("repartition", kind="semijoin"), partitioned_db,
     ),
     # PR 9: the stitch reassembling a shredded nestjoin — outer re-stream
     # over the consumed inner flat join (full matrix in tests/shred/)
@@ -446,12 +475,15 @@ LOGICAL = {
     ),
     "IndexScan": B.sel("x", B.eq(B.attr(B.var("x"), "a"), 1), X_EXT),
     "HashJoinBase-build-left": LOGICAL_JOINS["join"],
-    "PartitionedScan": X_EXT,
-    "Exchange-gather": X_EXT,
-    "Exchange-broadcast": Y_EXT,
-    "Exchange-repartition": Y_EXT,
-    "PartitionedHashJoin": LOGICAL_JOINS["join"],
     "Exchange-gather-join": LOGICAL_JOINS["join"],
+    "Exchange-gather-semijoin": LOGICAL_JOINS["semijoin"],
+    "Exchange-gather-filtered-join": B.join(
+        B.sel("x", X_A_GT_1_PRED, X_EXT), Y_EXT, "x", "y", EQ
+    ),
+    "Exchange-gather-broadcast-join": LOGICAL_JOINS["join"],
+    "Exchange-gather-broadcast-semijoin": LOGICAL_JOINS["semijoin"],
+    "Exchange-gather-repartition-join": LOGICAL_JOINS["join"],
+    "Exchange-gather-repartition-semijoin": LOGICAL_JOINS["semijoin"],
     "StitchNest": LOGICAL_JOINS["nestjoin"],
     "NestedLoopJoin-emitting": LOGICAL_EMITTING,
     "HashJoinBase-emitting-build-left": LOGICAL_EMITTING,
@@ -497,6 +529,10 @@ class TestIterateExecuteParity:
                 yield from subclasses(sub)
 
         tested = {type(factory()) for factory, _ in CASES.values()}
+        # the parallel join and its partitioned inputs never run on their
+        # own: they ride along as the gather-join case's fragment template
+        gather_join = CASES["Exchange-gather-join"][0]()
+        tested |= {type(node) for node in gather_join.operators()}
         missing = {
             cls.__name__
             for cls in subclasses(PlanNode)
@@ -615,12 +651,6 @@ class TestStreamingBehaviour:
         nest = NestOp(("e",), "es", Scan("Y"))
         assert "<groups input>" in nest.explain()
         assert "<" not in Filter("x", TRUE, Scan("X")).explain()
-
-    def test_executor_iterate_streams_query_result(self):
-        db = flat_db()
-        expr = B.sel("x", B.gt(B.attr(B.var("x"), "a"), 1), B.extent("X"))
-        executor = Executor(db)
-        assert frozenset(executor.iterate(expr)) == executor.execute(expr)
 
 
 class TestRenameMissingAttribute:

@@ -78,11 +78,11 @@ def test_single_digit_cardinalities_need_an_absolute_miss():
 
 
 def test_misestimate_needs_both_the_ratio_and_the_floor():
-    assert misestimate(2, 9, 4.0) is None  # q 4.5, 7 rows off
-    assert misestimate(None, 90, 4.0) is None  # no estimate to judge
-    assert misestimate(30, 40, 4.0) is None  # 10 rows off, q 1.3
-    assert misestimate(2, 12, 4.0) == pytest.approx(6.0)
-    assert misestimate(390, 10, 4.0) == pytest.approx(39.0)
+    assert misestimate(2, 9) is None  # q 4.5, 7 rows off
+    assert misestimate(None, 90) is None  # no estimate to judge
+    assert misestimate(30, 40) is None  # 10 rows off, q 1.3
+    assert misestimate(2, 12) == pytest.approx(6.0)
+    assert misestimate(390, 10) == pytest.approx(39.0)
 
 
 def test_shares_the_explain_renderer():

@@ -113,17 +113,6 @@ class TestFixpoint:
         with pytest.raises(RewriteError, match="did not terminate"):
             engine.run(B.lit(0), (loop,))
 
-    def test_run_phases(self):
-        engine = RewriteEngine(CTX)
-        trace = RewriteTrace(B.lit(0))
-        out = engine.run_phases(
-            B.lit(0),
-            [("first", (lit_bump,)), ("second", (never_fires,))],
-            trace,
-        )
-        assert out == A.Literal(3)
-        assert {step.phase for step in trace.steps} == {"first"}
-
 
 class TestTraceRendering:
     def test_render_contains_rule_names(self):

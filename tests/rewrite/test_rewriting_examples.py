@@ -10,7 +10,7 @@ import pytest
 
 from repro.adl import ast as A
 from repro.adl import builders as B
-from repro.adl.compare import alpha_equal
+from tests.adl.compare import alpha_equal
 from repro.datamodel import VTuple, vset
 from repro.engine.interpreter import Interpreter
 from repro.rewrite.strategy import Optimizer, optimize

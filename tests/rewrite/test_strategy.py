@@ -7,7 +7,7 @@ from repro.adl import builders as B
 from repro.datamodel import VTuple, vset
 from repro.engine.interpreter import Interpreter
 from repro.rewrite.common import is_set_oriented, nested_extent_count
-from repro.rewrite.strategy import DEFAULT_PRIORITY, Optimizer, optimize, optimize_oosql
+from repro.rewrite.strategy import DEFAULT_PRIORITY, Optimizer, optimize
 from repro.storage import MemoryDatabase
 from repro.workload.paper_db import (
     example_database,
@@ -164,13 +164,6 @@ class TestEndToEndSemantics:
     def test_oosql_text_end_to_end(self):
         schema = example_schema()
         db = example_database()
-        result = optimize_oosql(
-            "select s.sname from s in SUPPLIER "
-            "where exists p in PART : p.oid in s.parts_supplied "
-            'and p.color = "red"',
-            schema,
-        )
-        assert result.set_oriented
         from repro.translate import compile_oosql
 
         original = compile_oosql(
@@ -179,6 +172,8 @@ class TestEndToEndSemantics:
             'and p.color = "red"',
             schema,
         )
+        result = optimize(original, schema)
+        assert result.set_oriented
         interp = Interpreter(db)
         assert interp.eval(result.expr) == interp.eval(original) == frozenset({"s1", "s2", "s5"})
 

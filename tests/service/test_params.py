@@ -153,13 +153,6 @@ def test_executor_param_passthrough():
     assert Executor(db).execute(expr, params={"k": 4}) == oracle
 
 
-def test_executor_iterate_streams_with_params():
-    db = _db()
-    expr = _filter_expr()
-    got = frozenset(Executor(db).iterate(expr, params={"k": 2}))
-    assert got == evaluate(expr, db, params={"k": 2})
-
-
 def test_param_rebinding_gives_fresh_results():
     db = _db()
     ex = Executor(db)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.datamodel import VTuple
 from repro.datamodel.errors import AdmissionError, OverloadError, ServiceError
+from repro.obs.trace import Q_ERROR_THRESHOLD
 from repro.service import QueryService
 from repro.storage import MemoryDatabase
 
@@ -205,7 +206,7 @@ def test_epoch_mismatch_is_recorded_only_when_the_estimate_misses():
         skewed = svc.execute(SIMPLE, {"k": 2})
         assert skewed.cache_hit and len(skewed.rows) == 110
         (rec,) = svc.misestimates.records("epoch-mismatch")
-        assert rec["actual_rows"] == 110 and rec["est_rows"] < 110 / svc.q_error_threshold
+        assert rec["actual_rows"] == 110 and rec["est_rows"] < 110 / Q_ERROR_THRESHOLD
         assert rec["planned_epoch"] == first.epoch < rec["executed_epoch"] == skewed.epoch
         assert svc.stats()["epoch_mismatch_runs"] == 6
 

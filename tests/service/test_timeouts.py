@@ -20,7 +20,6 @@ from repro.engine.plan import ExecRuntime, Filter, HashJoinBase, NestOp, Scan
 from repro.engine.stats import Stats
 from repro.faults import FaultPlan, RetryPolicy
 from repro.service import QueryService
-from repro.shard import PartitionedScan
 from repro.shred import StitchNest
 from repro.storage import Catalog, MemoryDatabase
 
@@ -50,8 +49,8 @@ class _ExpiringDatabase:
     """X's rows come from a generator that moves the runtime's deadline
     into the past after ``expire_after`` rows and counts the rows still
     pulled from there on — the engine's overshoot.  ``extent`` hands out
-    the same generator, so a ``PartitionedScan`` (no deadline poll of its
-    own) streams it too."""
+    the same generator, so a ``Scan`` (no deadline poll of its own)
+    streams it too."""
 
     def __init__(self, db, expire_after):
         self._db = db
@@ -169,7 +168,7 @@ class TestDeadlineRunsTheBatchPlan:
         pulled: through Scan → Filter → HashJoin, and by each batch-native
         operator over a child with no poll of its own."""
         db = _ExpiringDatabase(big_db(), expire_after)
-        unpolled = PartitionedScan("X", "a", 4)
+        unpolled = Scan("X")
         plan = {
             "scan-filter-join": lambda: _hash_join(
                 Filter("x", B.ge(B.attr(B.var("x"), "v"), 0), Scan("X")), Scan("Y")

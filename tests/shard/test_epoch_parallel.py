@@ -89,9 +89,10 @@ def _run(db, catalog, plan, parallel=None):
 
 
 def test_fragment_spec_carries_epoch():
-    specs = PartitionedScan("X", "a", PARTS).payloads({}, epoch=7)
+    join = co_partitioned()[2].child
+    specs = join.payloads({}, epoch=7)
     assert [s.epoch for s in specs] == [7] * PARTS
-    assert all(s.epoch is None for s in PartitionedScan("X", "a", PARTS).payloads({}))
+    assert all(s.epoch is None for s in join.payloads({}))
 
 
 def test_runtime_epoch_flows_into_shipped_specs():

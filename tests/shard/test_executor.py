@@ -206,15 +206,16 @@ class TestProcessPool:
             assert executor.run_fragments(r_specs)[0][0] == base.extent("R")
             assert executor.pool_rebuilds == 2
 
-    def test_refresh_forces_refork(self):
+    def test_partitioned_mutation_forces_refork(self):
         db = make_db()
         catalog = Catalog(db)
         catalog.partition("X", "a", 2)
         with ParallelExecutor(db, catalog, workers=2, mode="process") as executor:
             executor.run_fragments(scan_specs(2))
-            executor.refresh()
-            executor.run_fragments(scan_specs(2))
+            db.insert_rows("X", [VTuple(a=3, i=999)])
+            after = executor.run_fragments(scan_specs(2))
             assert executor.pool_rebuilds == 2
+        assert frozenset().union(*(rows for rows, _ in after)) == db.extent("X")
 
     def test_params_ship_to_workers(self):
         db = make_db()

@@ -488,7 +488,7 @@ class TestCircuitBreaker:
 
 
 class TestLockSplit:
-    def test_refresh_returns_immediately_mid_batch(self):
+    def test_inject_returns_immediately_mid_batch(self):
         """The satellite contract: lifecycle calls never block behind a
         long batch — they terminate the pool from under it, and the batch
         recovers inline with correct rows."""
@@ -508,8 +508,8 @@ class TestLockSplit:
             t.start()
             time.sleep(0.3)  # let the slow batch reach the pool
             start = time.monotonic()
-            parallel.refresh()
-            assert time.monotonic() - start < 0.5, "refresh blocked on the batch"
+            parallel.inject(None)
+            assert time.monotonic() - start < 0.5, "inject blocked on the batch"
             t.join(timeout=10)
             assert not t.is_alive()
             assert out["rows"] == oracle

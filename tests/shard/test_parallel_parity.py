@@ -1,7 +1,7 @@
 """Parallel/serial parity: every parallel plan shape, oracle-checked.
 
-Each strategy — partition-wise join, repartition join, broadcast join,
-and the gathered scan — must produce exactly the serial engine's rows
+Each strategy — partition-wise join, repartition join, broadcast join —
+must produce exactly the serial engine's rows
 (and, where feasible, the reference interpreter's) on the paper DB, on
 skewed partitions, on partitionings with empty shards, and in the
 1-partition degenerate case; via the inline fragment loop *and* the
@@ -304,45 +304,6 @@ def _manual_broadcast(expr, parts, part_attr="a"):
     return Exchange("gather", join, parts)
 
 
-class TestGatheredScan:
-    """A gather over a partitioned scan: one fragment per shard, merged."""
-
-    @pytest.mark.parametrize("parts", [1, 3, 4])
-    def test_inline_parity(self, parts):
-        db = make_db(nx=200, ny=10)
-        catalog = Catalog(db)
-        catalog.analyze()
-        catalog.partition("X", "a", parts)
-        plan = Exchange("gather", PartitionedScan("X", "a", parts), parts)
-        from repro.engine.plan import ExecRuntime
-        with ParallelExecutor(db, catalog, workers=4, mode="inline") as parallel:
-            rt = ExecRuntime(db, Stats(), catalog=catalog, parallel=parallel)
-            got = plan.execute(rt)
-        assert got == db.extent("X")
-
-    def test_process_pool_parity(self):
-        db = make_db(nx=150, ny=10)
-        catalog = Catalog(db)
-        catalog.analyze()
-        catalog.partition("X", "a", 3)
-        plan = Exchange("gather", PartitionedScan("X", "a", 3), 3)
-        from repro.engine.plan import ExecRuntime
-        with ParallelExecutor(db, catalog, workers=3, mode="process") as parallel:
-            rt = ExecRuntime(db, Stats(), catalog=catalog, parallel=parallel)
-            got = plan.execute(rt)
-        assert got == db.extent("X")
-
-    def test_empty_shards_and_skew(self):
-        db = MemoryDatabase({"X": [VTuple(a=3, i=i) for i in range(40)], "Y": []})
-        catalog = Catalog(db)
-        catalog.partition("X", "a", 4)
-        plan = Exchange("gather", PartitionedScan("X", "a", 4), 4)
-        from repro.engine.plan import ExecRuntime
-        with ParallelExecutor(db, catalog, workers=4, mode="inline") as parallel:
-            rt = ExecRuntime(db, Stats(), catalog=catalog, parallel=parallel)
-            assert plan.execute(rt) == db.extent("X")
-
-
 class TestPaperDatabase:
     """The paper's own Section 4 world, partitioned — tiny, so the planner
     stays serial; forcing the parallel node must still agree."""
@@ -461,10 +422,8 @@ class TestBatchModeParity:
 
     def test_forced_gather_batch_counts_batches(self):
         db = make_db(nx=200, ny=10)
-        catalog = Catalog(db)
-        catalog.analyze()
-        catalog.partition("X", "a", 4)
-        plan = Exchange("gather", PartitionedScan("X", "a", 4), 4)
+        catalog = partitioned_catalog(db)
+        plan = _manual_partition_wise(JOIN, parts=4)
         from repro.engine.plan import ExecRuntime
 
         stats = Stats()
@@ -473,5 +432,5 @@ class TestBatchModeParity:
                 db, stats, catalog=catalog, parallel=parallel, batch_size=16
             )
             got = plan.execute(rt)
-        assert got == db.extent("X")
+        assert got == Executor(db, catalog=catalog).execute(JOIN)
         assert stats.batches_emitted > 0

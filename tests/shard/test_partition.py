@@ -147,15 +147,6 @@ class TestCatalogPartitioning:
         assert frozenset().union(*pe.shards) == db.extent("X")
         assert sum(s.cardinality for s in pe.shard_stats) == 6
 
-    def test_refresh_covers_partitions(self):
-        db = flat_db()
-        catalog = Catalog(db)
-        catalog.partition("X", "a", 2)  # X never analyzed
-        db.set_extent("X", [VTuple(a=i, i=i) for i in range(4)])
-        catalog.refresh()
-        pe = catalog.partitioning("X")
-        assert frozenset().union(*pe.shards) == db.extent("X")
-
     def test_skew_and_cardinalities(self):
         db = MemoryDatabase({"X": [VTuple(a=0, i=i) for i in range(8)]})
         catalog = Catalog(db)

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.adl import ast as A
 from repro.datamodel import StorageError, VTuple, vset
+from repro.engine.plan import ExecRuntime, IndexScan
+from repro.engine.stats import Stats
 from repro.storage import Catalog, MemoryDatabase
 from repro.workload.generator import generate_database
 
@@ -111,14 +114,18 @@ class TestIndexes:
         assert catalog.index_named("old") is None
         assert catalog.index_named("new") is renamed
 
-    def test_refresh_rebuilds_indexes_and_stats(self):
+    def test_next_read_rebuilds_indexes_and_stats(self):
+        # no manual lever: the next indexed read heals the index, the next
+        # statistics lookup absorbs the insert
         paged = generate_database(n_parts=10, n_suppliers=4, n_deliveries=4, seed=2)
         catalog = Catalog(paged)
         catalog.analyze(["PART"])
         named = catalog.create_index("PART", "pname")
         assert named.built_cardinality == 10
         paged.insert("Part", {"pname": "extra", "price": 1, "color": "red"})
-        catalog.refresh()
+        scan = IndexScan("PART", "pname", A.Literal("extra"), named.name)
+        rows = scan.execute(ExecRuntime(paged, Stats(), catalog=catalog))
+        assert [row["pname"] for row in rows] == ["extra"]
         refreshed = catalog.index_on("PART", "pname")
         assert refreshed.built_cardinality == 11
         assert refreshed.lookup("extra")
@@ -178,8 +185,10 @@ class TestStaleStatistics:
         assert catalog.stat_refreshes == 0
         assert catalog.stat_increments == 1
 
-    def test_explicit_refresh_does_not_count_as_lazy(self, db):
+    def test_explicit_analyze_does_not_count_as_lazy(self, db):
         catalog = Catalog(db)
         catalog.analyze()
-        catalog.refresh()
+        db.set_extent("Y", [VTuple(d=1, e=1)])
+        catalog.analyze()
+        assert catalog.stats("Y").cardinality == 1
         assert catalog.stat_refreshes == 0

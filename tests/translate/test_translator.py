@@ -4,7 +4,7 @@ import pytest
 
 from repro.adl import ast as A
 from repro.adl import builders as B
-from repro.adl.compare import alpha_equal
+from tests.adl.compare import alpha_equal
 from repro.datamodel import TranslationError, TypeCheckError
 from repro.engine.interpreter import Interpreter
 from repro.oosql import parse
