@@ -39,11 +39,13 @@ Vectorized batch kernels (PR 8)
 a **batch kernel** ``kernel(rows) -> list`` that maps a whole columnar
 chunk in tight list-level loops instead of one closure call per tuple.
 Coverage is the pure predicate :func:`vector_covered` — literals,
-parameters, the batch variable, attribute access, comparisons, boolean
-connectives and arithmetic over those; anything else (set iterators,
-quantifiers, tuple constructors...) is *uncovered* and the caller falls
-back to applying the tuple-wise closure per batch element (counted in
-``stats.vector_fallbacks`` — never silent).
+parameters, the batch variable, attribute access, comparisons, set
+comparisons (all of Table 1/2's operators), boolean connectives,
+arithmetic, tuple constructors and ``count`` over those; anything else
+(set iterators, quantifiers, set algebra, the other aggregates...) is
+*uncovered* and the caller falls back to applying the tuple-wise closure
+per batch element (counted in ``stats.vector_fallbacks`` — never
+silent).
 
 The fallback discipline extends PR 1's: kernels must be oracle-equal to
 the tuple-wise closures **by construction**.  Counter increments inside
@@ -53,7 +55,9 @@ raises mid-column (a type error, a missing attribute, an oid that needs
 dereferencing through a failing store) the scratch is discarded and the
 batch re-runs element-wise through the tuple closure, so the error — its
 type, message and the counter state it surfaces under — is exactly the
-tuple engine's.  Short-circuiting ``and``/``or`` evaluate their right
+tuple engine's.  That replay closure is compiled on a kernel's first
+bail, not next to the kernel: a kernel that never bails never pays for a
+second compile.  Short-circuiting ``and``/``or`` evaluate their right
 operand only over the rows the left operand selected, preserving both
 values and per-conjunct counter totals.
 """
@@ -61,7 +65,7 @@ values and per-conjunct counter totals.
 from __future__ import annotations
 
 import operator as _op
-from itertools import compress
+from itertools import compress, repeat
 from typing import Callable, Dict, List, Optional
 
 from repro.adl import ast as A
@@ -104,14 +108,15 @@ def _static_kind(expr: A.Expr) -> Optional[str]:
     The guarantee is *conditional on clean return*: an ``Arith``/``Neg``
     kernel validates its operands numeric (bailing otherwise) and numeric
     arithmetic closes over int/float, so its output column is numeric by
-    construction; ``Compare``/``And``/``Or``/``Not`` likewise emit real
+    construction, as is ``count``'s (``len`` of validated sets);
+    ``Compare``/``SetCompare``/``And``/``Or``/``Not`` likewise emit real
     bools.  Consumers use this to elide their per-batch ``set(map(type,
     col))`` validation passes — the dominant non-compute cost on long
     expression chains."""
     t = type(expr)
-    if t is A.Arith or t is A.Neg:
+    if t is A.Arith or t is A.Neg or (t is A.Aggregate and expr.func == "count"):
         return "num"
-    if t is A.Compare or t is A.And or t is A.Or or t is A.Not:
+    if t is A.Compare or t is A.SetCompare or t is A.And or t is A.Or or t is A.Not:
         return "bool"
     if t is A.Literal:
         v = expr.value
@@ -172,13 +177,29 @@ VECTOR_NODE_TYPES = frozenset(
         A.Param,
         A.AttrAccess,
         A.Compare,
+        A.SetCompare,
         A.And,
         A.Or,
         A.Not,
         A.Arith,
         A.Neg,
+        A.TupleExpr,
+        A.Aggregate,  # count only: see vector_covered
     }
 )
+
+#: set-comparison operators as callables over two validated frozensets,
+#: ``(left, right) -> bool``; the element tests ``in``/``ni`` and their
+#: negations use ``operator.contains`` (only one operand is a set)
+_SET_OPS = {
+    "subset": _op.lt,
+    "subseteq": _op.le,
+    "seteq": _op.eq,
+    "setneq": _op.ne,
+    "supseteq": _op.ge,
+    "supset": _op.gt,
+    "disjoint": frozenset.isdisjoint,
+}
 
 
 def vector_covered(expr: A.Expr, var: str) -> bool:
@@ -186,8 +207,9 @@ def vector_covered(expr: A.Expr, var: str) -> bool:
     over rows bound to ``var``?
 
     True iff every node in the tree is a :data:`VECTOR_NODE_TYPES` member
-    and the only variable referenced is ``var`` itself (a reference to an
-    outer binding cannot be columnized — the batch carries one binder).
+    (an ``Aggregate`` only as ``count``) and the only variable referenced
+    is ``var`` itself (a reference to an outer binding cannot be
+    columnized — the batch carries one binder).
     This is the *exact* condition under which ``compile_batch`` vectorizes;
     the property tests assert fallback triggers precisely on its negation.
     """
@@ -202,7 +224,11 @@ def vector_covered(expr: A.Expr, var: str) -> bool:
         return vector_covered(expr.base, var)
     if t is A.Not or t is A.Neg:
         return vector_covered(expr.operand, var)
-    # Compare / And / Or / Arith are all left/right binary nodes
+    if t is A.TupleExpr:
+        return all(vector_covered(e, var) for _, e in expr.fields)
+    if t is A.Aggregate:
+        return expr.func == "count" and vector_covered(expr.source, var)
+    # Compare / SetCompare / And / Or / Arith are left/right binary nodes
     return vector_covered(expr.left, var) and vector_covered(expr.right, var)
 
 #: Node types that are pure and counter-free: safe to evaluate at compile
@@ -293,11 +319,12 @@ class Compiler:
             return None
         scratch = Stats()
         col_fn = self._vc(expr, var, scratch)
-        row_fn = self.compile(expr)
+        row_fn = None  # the replay closure, compiled on the first bail
         stats = self.stats
         fold = _fold_fields(scratch, stats)
 
         def kernel(rows: List[Value]) -> List[Value]:
+            nonlocal row_fn
             scratch.reset()
             try:
                 out = col_fn(rows)
@@ -305,6 +332,8 @@ class Compiler:
                 # discard the scratch, re-run element-wise: values, errors
                 # and counters all become exactly the tuple engine's
                 stats.vector_fallbacks += 1
+                if row_fn is None:
+                    row_fn = self.compile(expr)
                 env: Dict[str, Value] = {}
                 out = []
                 for row in rows:
@@ -324,7 +353,7 @@ class Compiler:
             return None
         scratch = Stats()
         col_fn = self._vc(expr, var, scratch)
-        row_pred = self.compile_pred(expr)
+        row_pred = None  # the replay closure, compiled on the first bail
         stats = self.stats
         fold = _fold_fields(scratch, stats)
 
@@ -334,6 +363,7 @@ class Compiler:
         check_bool = _static_kind(expr) != "bool"
 
         def pred_kernel(rows: List[Value]) -> List[Value]:
+            nonlocal row_pred
             scratch.reset()
             try:
                 out = col_fn(rows)
@@ -344,6 +374,8 @@ class Compiler:
                 # (or whatever else raised) surfaces with the tuple engine's
                 # error and counter state
                 stats.vector_fallbacks += 1
+                if row_pred is None:
+                    row_pred = self.compile_pred(expr)
                 env: Dict[str, Value] = {}
                 replay = []
                 for row in rows:
@@ -412,6 +444,12 @@ class Compiler:
             return fn
         if t is A.Arith:
             return self._vc_arith(expr, var, stats)
+        if t is A.SetCompare:
+            return self._vc_setcompare(expr, var, stats)
+        if t is A.TupleExpr:
+            return self._vc_tuple(expr, var, stats)
+        if t is A.Aggregate:
+            return self._vc_count(expr, var, stats)
         raise AssertionError(f"not vector-covered: {expr!r}")  # pragma: no cover
 
     def _vc_attr(self, expr: A.AttrAccess, var: str, stats: Stats):
@@ -654,6 +692,61 @@ class Compiler:
             if guard_zero and any(b == 0 for b in r):
                 raise _VectorBail
             return list(map(arith, l, r))
+
+        return fn
+
+    def _vc_setcompare(self, expr: A.SetCompare, var: str, stats: Stats):
+        """One C-level ``map`` per batch once the set operand(s) are
+        validated ``frozenset`` columns; a non-set operand bails, and the
+        replay raises the tuple engine's error for it."""
+        op = expr.op
+        left_fn = self._vc(expr.left, var, stats)
+        right_fn = self._vc(expr.right, var, stats)
+        # ``e ∈ s`` is ``contains(s, e)``, so the element tests swap their
+        # operands (``∈``) or not (``∋``), and ``∉`` / ``∌`` negate
+        set_left = op not in ("in", "notin")
+        set_right = op not in ("ni", "notni")
+        swap = op in ("in", "notin")
+        negate = op in ("notin", "notni")
+        compare = _SET_OPS.get(op, _op.contains)
+
+        def fn(rows):
+            l = left_fn(rows)
+            r = right_fn(rows)
+            if (set_left and set(map(type, l)) - {frozenset}) or (
+                set_right and set(map(type, r)) - {frozenset}
+            ):
+                raise _VectorBail
+            stats.comparisons += len(rows)
+            out = map(compare, r, l) if swap else map(compare, l, r)
+            return list(map(_op.not_, out) if negate else out)
+
+        return fn
+
+    def _vc_tuple(self, expr: A.TupleExpr, var: str, stats: Stats):
+        """Tuple construction: one column per field, zipped into rows built
+        through ``trusted_tuple`` (field names are distinct by
+        construction, as for the tuple closure)."""
+        names = tuple(name for name, _ in expr.fields)
+        field_fns = [self._vc(e, var, stats) for _, e in expr.fields]
+
+        def fn(rows):
+            if not field_fns:
+                return [trusted_tuple({}) for _ in rows]
+            cols = [f(rows) for f in field_fns]
+            fields = map(dict, map(zip, repeat(names), zip(*cols)))
+            return list(map(trusted_tuple, fields))
+
+        return fn
+
+    def _vc_count(self, expr: A.Aggregate, var: str, stats: Stats):
+        source_fn = self._vc(expr.source, var, stats)
+
+        def fn(rows):
+            col = source_fn(rows)
+            if set(map(type, col)) - {frozenset}:
+                raise _VectorBail
+            return list(map(len, col))
 
         return fn
 

@@ -17,6 +17,13 @@ registered catalog index).  A new strategy adds an ``_open``, not a loop;
 a change to a kind's semantics is one edit (two with the hash join's
 batch-native probe).
 
+A hash nestjoin whose residual and result do not mention the left
+variable builds each group once per distinct key, on the key's first
+probe, and every left row with that key shares the one frozen group —
+the paper's Section 6 hash nestjoin ("evaluate the inner query once").
+The memo lives in one open's local scope, never on the node or the
+runtime, which serve many runs.
+
 Streaming execution
 ===================
 
@@ -91,9 +98,11 @@ Iterator[Batch]``, the *batch-at-a-time* interface: fixed-capacity
 columnar chunks of tuples instead of single tuples.
 ``ExecRuntime(batch_size=N)`` selects the mode — ``execute`` then drains
 batches instead of the tuple iterator.  The hot pipeline operators
-(:class:`Scan`, :class:`Filter`, :class:`MapOp`, :class:`ProjectOp`, the
-:class:`HashJoinBase` family) override it natively, applying
-:mod:`repro.engine.compile`'s batch kernels over whole chunks; every
+(:class:`Scan`, :class:`Filter`, :class:`MapOp`, :class:`ProjectOp`,
+:class:`NestOp`, the :class:`HashJoinBase` probe and the left-set
+semi/antijoin probe of :class:`MembershipHashJoin`) override it
+natively, applying :mod:`repro.engine.compile`'s batch kernels over
+whole chunks; every
 other operator inherits the default, which chunks its own tuple
 ``iterate`` — so batch mode is always available and always oracle-equal,
 operator by operator.  Expression forms the vectorizing compiler does not
@@ -115,9 +124,11 @@ from __future__ import annotations
 import os
 import time
 from itertools import chain, compress, islice
+from operator import not_
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.adl import ast as A
+from repro.adl.freevars import free_vars
 from repro.datamodel.errors import EvaluationError, MissingAttributeError, PlanError
 from repro.datamodel.values import Value, VTuple, concat, trusted_tuple
 from repro.engine.compile import BatchKernel, Compiler
@@ -1000,6 +1011,39 @@ class SetOp(PlanNode):
 
 JOIN_KINDS = ("join", "semijoin", "antijoin", "outerjoin", "nestjoin")
 
+#: the one empty group every group-less nestjoin or stitch row shares
+EMPTY_GROUP: frozenset = frozenset()
+
+
+def attach_group(x: VTuple, as_attr: str, group) -> VTuple:
+    """A nestjoin's output row: ``x`` extended by its group under
+    ``as_attr`` — the one attach step of the join family's tail, the hash
+    nestjoin's shared groups and :class:`~repro.shred.stitch.StitchNest`.
+    A group that is already frozen is attached as is (``frozenset(fs) is
+    fs``), so rows that share a frozen group share one object, and every
+    empty group is :data:`EMPTY_GROUP`."""
+    fields = dict(x._fields)
+    fields[as_attr] = frozenset(group) if group else EMPTY_GROUP
+    return trusted_tuple(fields)
+
+
+def _nest_group(
+    bucket: Iterable[VTuple],
+    env: Dict[str, Value],
+    rvar: str,
+    residual: Optional[Callable],
+    result: Callable,
+) -> frozenset:
+    """One nestjoin group, frozen: ``result`` over the ``bucket`` rows the
+    residual keeps (``env`` already binds the left variable if either
+    mentions it)."""
+    group = set()
+    for y in bucket:
+        env[rvar] = y
+        if residual is None or residual(env):
+            group.add(result(env))
+    return frozenset(group) if group else EMPTY_GROUP
+
 
 def _join_tail(
     kind: str,
@@ -1022,7 +1066,7 @@ def _join_tail(
     if kind == "outerjoin":
         return None if matched else concat(x, null_pad)
     if kind == "nestjoin":
-        return x.update_except({as_attr: frozenset(group)})
+        return attach_group(x, as_attr, group)
     return None
 
 
@@ -1096,6 +1140,14 @@ class _JoinNode(PlanNode):
             return None
         return rt.compiled_pred(self.residual)
 
+    def _groups_by_key(self) -> bool:
+        """Strategy hook: may a nestjoin build one group per key and share
+        it across the left rows that probe that key?  Only where
+        ``candidates`` hands back one sequence object per key for the
+        whole open (the hash table's bucket) and the group cannot depend
+        on the left row."""
+        return False
+
     def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
         env: Dict[str, Value] = {}
         outer, outer_var, inner_var, candidates = self._open(rt, env)
@@ -1105,11 +1157,25 @@ class _JoinNode(PlanNode):
         kind, lvar, rvar, as_attr = self.kind, self.lvar, self.rvar, self.as_attr
         emits_pairs = kind in ("join", "outerjoin")
         stats = rt.stats
+        # shared nestjoin groups, keyed by bucket identity: the build table
+        # keeps every bucket alive for this open, and dangling rows all get
+        # the one empty tuple
+        shared: Optional[Dict[int, frozenset]] = {} if self._groups_by_key() else None
         # ``outer`` is the left operand except for a plain join hashed on
         # its left (orientation-independent output, no tail), so ``x`` is
         # the left tuple wherever the tail needs it
         for x in outer.stream(rt):
             env[outer_var] = x
+            if shared is not None:
+                bucket = candidates(x)
+                group = shared.get(id(bucket))
+                if group is None:
+                    group = shared[id(bucket)] = _nest_group(
+                        bucket, env, rvar, residual, result
+                    )
+                stats.output_tuples += 1
+                yield attach_group(x, as_attr, group)
+                continue
             matched = False
             group = set() if kind == "nestjoin" else ()
             for y in candidates(x):
@@ -1263,6 +1329,15 @@ class HashJoinBase(_JoinNode):
 
         return probe, probe_var, build_var, candidates
 
+    def _groups_by_key(self) -> bool:
+        # ``candidates`` returns the table's own bucket list (or the one
+        # empty tuple), so equal keys get the identical object
+        return (
+            self.kind == "nestjoin"
+            and self.lvar not in free_vars(self.result)
+            and self.lvar not in free_vars(self.residual)
+        )
+
     def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
         lvar, rvar, as_attr = self.lvar, self.rvar, self.as_attr
         # the probe operand streams in batches against the built table;
@@ -1283,6 +1358,11 @@ class HashJoinBase(_JoinNode):
         stats = rt.stats
         empty = ()
         lookup = table.get
+        # nestjoin groups shared per key, built on the key's first probe
+        # (see :meth:`_groups_by_key`); local to this open
+        shared: Optional[Dict[Value, frozenset]] = (
+            {} if self._groups_by_key() else None
+        )
         for batch in probe.stream_batches(rt):
             rows = batch.rows
             stats.tuples_visited += len(rows)
@@ -1328,18 +1408,31 @@ class HashJoinBase(_JoinNode):
                     stats.batches_emitted += 1
                     yield Batch(out)
                 continue
+            if shared is not None:
+                get = shared.get
+                for x, key in zip(rows, keys):
+                    group = get(key)
+                    if group is None:
+                        bucket = lookup(key)
+                        if bucket is None:
+                            group = EMPTY_GROUP
+                        else:
+                            group = shared[key] = _nest_group(
+                                bucket, env, rvar, residual, result
+                            )
+                    append(attach_group(x, as_attr, group))
+                stats.output_tuples += len(out)
+                if out:
+                    stats.batches_emitted += 1
+                    yield Batch(out)
+                continue
             for x, key in zip(rows, keys):
                 bucket = table.get(key, empty)
                 if kind == "nestjoin":
-                    group = set()
-                    if bucket:
-                        env[lvar] = x
-                        for y in bucket:
-                            env[rvar] = y
-                            if residual is None or residual(env):
-                                group.add(result(env))
+                    env[lvar] = x
                     stats.output_tuples += 1
-                    append(x.update_except({as_attr: frozenset(group)}))
+                    group = _nest_group(bucket, env, rvar, residual, result)
+                    append(attach_group(x, as_attr, group))
                     continue
                 matched = False
                 if bucket:
@@ -1475,6 +1568,51 @@ class MembershipHashJoin(_JoinNode):
 
         candidates = probe_members if left_set else probe_element
         return self.left, self.lvar, self.rvar, candidates
+
+    def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
+        """Native batch probe for the Example 5 shape: a left-set semijoin
+        or antijoin with a trivial residual decides each row by whether
+        its set meets the build table's keys (one C-level ``isdisjoint``
+        per row).  Every other orientation and kind chunks the tuple loop.
+        Counters equal the tuple loop's: one ``hash_inserts`` per build
+        row, one ``tuples_visited`` per probe row and one ``hash_probes``
+        per member."""
+        if (
+            self.probe_side != "left-set"
+            or self.kind not in ("semijoin", "antijoin")
+            or self.residual != A.Literal(True)
+        ):
+            yield from super().iterate_batches(rt)
+            return
+        stats = rt.stats
+        build = list(self._consume(self.right, rt))
+        keys = set(rt.batch_fn(self.element, self.rvar)(build)) if build else set()
+        stats.hash_inserts += len(build)
+        disjoint = keys.isdisjoint
+        container = rt.batch_fn(self.container, self.lvar)
+        anti = self.kind == "antijoin"
+        for batch in self.left.stream_batches(rt):
+            rows = batch.rows
+            sets = container(rows)
+            if set(map(type, sets)) - {frozenset}:
+                # row by row, as the tuple loop counts and raises
+                out = []
+                for x, members in zip(rows, sets):
+                    stats.tuples_visited += 1
+                    members = _set_members(members)
+                    stats.hash_probes += len(members)
+                    if disjoint(members) is anti:
+                        stats.output_tuples += 1
+                        out.append(x)
+            else:
+                stats.tuples_visited += len(rows)
+                stats.hash_probes += sum(map(len, sets))
+                hits = map(disjoint, sets)
+                out = list(compress(rows, hits if anti else map(not_, hits)))
+                stats.output_tuples += len(out)
+            if out:
+                stats.batches_emitted += 1
+                yield Batch(out)
 
 
 class IndexNestedLoopJoin(_JoinNode):

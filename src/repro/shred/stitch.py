@@ -14,8 +14,10 @@ Evaluation consumes the inner subplan once (a pipeline break — the
 groups must be complete before any output row is emitted), splits every
 flat row ``z`` back into its operands via the synthetic key
 (``x = z[key_attrs]``, ``y = z`` without ``key_attrs``), evaluates the
-result function per pair into per-key groups, and then streams the outer
-subplan attaching each left tuple's (possibly empty) group.
+result function per pair into per-key groups, freezes each group once,
+and then streams the outer subplan attaching each left tuple's group
+(every dangling tuple shares one empty set) through the attach step the
+hash nestjoin uses, :func:`~repro.engine.plan.attach_group`.
 
 Known simplification (documented in ROADMAP): an *unpinned* run reads
 the left source twice — once inside the inner join, once as the outer
@@ -30,7 +32,7 @@ from typing import Dict, Iterator, Set, Tuple
 
 from repro.adl import ast as A
 from repro.datamodel.values import VTuple, Value
-from repro.engine.plan import DEFAULT_BATCH_SIZE, Batch, ExecRuntime, PlanNode
+from repro.engine.plan import EMPTY_GROUP, Batch, ExecRuntime, PlanNode, attach_group
 
 
 class StitchNest(PlanNode):
@@ -69,8 +71,9 @@ class StitchNest(PlanNode):
             f"{self.lvar},{self.rvar}: {pretty(self.result)}"
         )
 
-    def _build_groups(self, rt: ExecRuntime) -> Dict[VTuple, Set[Value]]:
-        """Consume the inner flat subplan and fold it into per-key groups.
+    def _build_groups(self, rt: ExecRuntime) -> Dict[VTuple, frozenset]:
+        """Consume the inner flat subplan and fold it into per-key groups,
+        each frozen once.
 
         Each flat row splits into its originating pair through the
         synthetic key; the result function is evaluated per pair.  Under
@@ -89,38 +92,25 @@ class StitchNest(PlanNode):
             env[self.lvar] = x
             env[self.rvar] = z.drop(key_attrs)
             groups.setdefault(x, set()).add(result_fn(env))
-        return groups
+        return {x: frozenset(group) for x, group in groups.items()}
 
     def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
         groups = self._build_groups(rt)
         as_attr = self.as_attr
-        empty: frozenset = frozenset()
         stats = rt.stats
         for x in self.outer.stream(rt):
             stats.tuples_visited += 1
-            group = groups.get(x)
-            yield x.update_except(
-                {as_attr: frozenset(group) if group else empty}
-            )
+            yield attach_group(x, as_attr, groups.get(x, EMPTY_GROUP))
 
     def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
         # native batch path: the group build consumes the inner subplan's
         # batched execution, then the outer stream is stitched chunk-wise
         groups = self._build_groups(rt)
         as_attr = self.as_attr
-        empty: frozenset = frozenset()
         stats = rt.stats
         get = groups.get
         for batch in self.outer.stream_batches(rt):
             rows = batch.rows
             stats.tuples_visited += len(rows)
-            out = []
-            for x in rows:
-                group = get(x)
-                out.append(
-                    x.update_except(
-                        {as_attr: frozenset(group) if group else empty}
-                    )
-                )
             stats.batches_emitted += 1
-            yield Batch(out)
+            yield Batch([attach_group(x, as_attr, get(x, EMPTY_GROUP)) for x in rows])

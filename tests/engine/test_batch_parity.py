@@ -16,13 +16,33 @@ from hypothesis import strategies as st
 from repro.adl import ast as A
 from repro.adl import builders as B
 from repro.datamodel import VTuple
+from repro.datamodel.errors import EvaluationError
 from repro.engine.compile import vector_covered
-from repro.engine.plan import Batch, ExecRuntime, Filter, HashJoinBase, MapOp, Scan
+from repro.engine.plan import (
+    EMPTY_GROUP,
+    Batch,
+    ExecRuntime,
+    Filter,
+    HashJoinBase,
+    MapOp,
+    MembershipHashJoin,
+    Scan,
+)
 from repro.engine.stats import Stats
 from repro.storage import MemoryDatabase
 from repro.workload.paper_db import example_database
 
-from tests.engine.test_streaming_parity import CASES, EQ, TRUE, XA, YD, flat_db
+from tests.engine.test_streaming_parity import (
+    CASES,
+    EQ,
+    GROUP_CELLS,
+    PARTS,
+    PID,
+    TRUE,
+    XA,
+    YD,
+    flat_db,
+)
 
 #: counters that only batch mode moves — everything else must match
 BATCH_ONLY = ("batches_emitted", "vector_fallbacks")
@@ -150,7 +170,13 @@ class TestEmptyExtents:
 # -- fallback exactness (hypothesis) ----------------------------------------
 
 #: covered forms: every node type in VECTOR_NODE_TYPES, only ``x`` free,
-#: well-typed over rows ``(a: int, b: int)`` so no runtime bail fires
+#: well-typed over rows ``(a: int, b: int, s: {int}, t: {int})`` so no
+#: runtime bail fires
+_set_expr = st.one_of(
+    st.sampled_from(["s", "t"]).map(lambda at: A.AttrAccess(A.Var("x"), at)),
+    st.frozensets(st.integers(min_value=0, max_value=3), max_size=3).map(A.Literal),
+)
+
 _int_expr = st.deferred(
     lambda: st.one_of(
         st.integers(min_value=-5, max_value=5).map(A.Literal),
@@ -159,8 +185,12 @@ _int_expr = st.deferred(
             lambda t: A.Arith(t[0], t[1], t[2])
         ),
         _int_expr.map(A.Neg),
+        _set_expr.map(lambda e: A.Aggregate("count", e)),
     )
 )
+
+#: the set comparisons whose operands are both sets, and the element ones
+_SET_SET_OPS = [op for op in A.SET_COMPARE_OPS if op not in ("in", "notin", "ni", "notni")]
 
 _bool_expr = st.deferred(
     lambda: st.one_of(
@@ -169,10 +199,28 @@ _bool_expr = st.deferred(
             _int_expr,
             _int_expr,
         ).map(lambda t: A.Compare(t[0], t[1], t[2])),
+        st.tuples(st.sampled_from(_SET_SET_OPS), _set_expr, _set_expr).map(
+            lambda t: A.SetCompare(t[0], t[1], t[2])
+        ),
+        st.tuples(st.sampled_from(["in", "notin"]), _int_expr, _set_expr).map(
+            lambda t: A.SetCompare(t[0], t[1], t[2])
+        ),
+        st.tuples(st.sampled_from(["ni", "notni"]), _set_expr, _int_expr).map(
+            lambda t: A.SetCompare(t[0], t[1], t[2])
+        ),
         st.tuples(_bool_expr, _bool_expr).map(lambda t: A.And(t[0], t[1])),
         st.tuples(_bool_expr, _bool_expr).map(lambda t: A.Or(t[0], t[1])),
         _bool_expr.map(A.Not),
     )
+)
+
+#: tuple constructors over every covered value kind, one level nested
+_field_expr = st.one_of(_int_expr, _bool_expr, _set_expr)
+_flat_tuple = st.lists(_field_expr, max_size=3).map(
+    lambda es: A.TupleExpr(tuple((f"f{i}", e) for i, e in enumerate(es)))
+)
+_tuple_expr = st.lists(st.one_of(_field_expr, _flat_tuple), max_size=3).map(
+    lambda es: A.TupleExpr(tuple((f"f{i}", e) for i, e in enumerate(es)))
 )
 
 
@@ -186,11 +234,15 @@ def _uncover(pred: A.Expr) -> A.Expr:
     return A.And(pred, exists_true)
 
 
+_small_set = st.frozensets(st.integers(min_value=0, max_value=3), max_size=3)
+
 _ROWS = st.lists(
     st.builds(
-        lambda a, b: VTuple(a=a, b=b),
+        lambda a, b, s, t: VTuple(a=a, b=b, s=s, t=t),
         st.integers(min_value=-5, max_value=5),
         st.integers(min_value=-5, max_value=5),
+        _small_set,
+        _small_set,
     ),
     min_size=0,
     max_size=12,
@@ -224,10 +276,11 @@ class TestFallbackExactness:
             )
             return out, stats
 
-        oracle = Filter("x", pred, Scan("X")).execute(ExecRuntime(db, Stats()))
+        oracle, oracle_stats = run(pred, None)
 
         covered_rows, covered_stats = run(pred, 256)
         assert covered_rows == oracle
+        assert _snap(covered_stats) == _snap(oracle_stats)
         # covered + well-typed: the kernel never falls back
         assert covered_stats.vector_fallbacks == 0
 
@@ -236,15 +289,54 @@ class TestFallbackExactness:
         # uncovered: every batch goes through the tuple-wise fallback
         assert uncovered_stats.vector_fallbacks == (1 if rows else 0)
 
+    @given(body=_tuple_expr)
+    @settings(max_examples=60, deadline=None)
+    def test_tuple_bodies_vectorize_iff_covered(self, body):
+        compiler = ExecRuntime(MemoryDatabase({"X": []}), Stats()).compiler
+        assert vector_covered(body, "x")
+        assert compiler.compile_batch(body, "x") is not None
+        uncovered = _uncover_field(body)
+        assert not vector_covered(uncovered, "x")
+        assert compiler.compile_batch(uncovered, "x") is None
+
+    @given(body=_tuple_expr, rows=_ROWS)
+    @settings(max_examples=60, deadline=None)
+    def test_tuple_bodies_fall_back_exactly_on_uncovered_forms(self, body, rows):
+        """``Map`` over a tuple constructor: a covered body maps every batch
+        natively with the tuple engine's rows and counters; one uncovered
+        field makes every batch replay."""
+        db = MemoryDatabase({"X": rows})
+
+        def run(b, batch_size):
+            stats = Stats()
+            out = MapOp("x", b, Scan("X")).execute(
+                ExecRuntime(db, stats, batch_size=batch_size)
+            )
+            return out, stats
+
+        oracle, oracle_stats = run(body, None)
+        covered_rows, covered_stats = run(body, 256)
+        assert covered_rows == oracle
+        assert _snap(covered_stats) == _snap(oracle_stats)
+        assert covered_stats.vector_fallbacks == 0
+
+        uncovered = _uncover_field(body)
+        uncovered_rows, uncovered_stats = run(uncovered, 256)
+        assert uncovered_rows == run(uncovered, None)[0]
+        assert uncovered_stats.vector_fallbacks == (1 if rows else 0)
+
+
+def _uncover_field(body: A.TupleExpr) -> A.TupleExpr:
+    """``body`` plus one field that is not vector-covered (``sum`` is an
+    aggregate other than ``count``)."""
+    extra = A.Aggregate("sum", A.AttrAccess(A.Var("x"), "s"))
+    return A.TupleExpr(body.fields + (("uncovered", extra),))
+
 
 def _mentions_attr(expr: A.Expr) -> bool:
     if isinstance(expr, A.AttrAccess):
         return True
-    for field in ("left", "right", "operand", "base"):
-        child = getattr(expr, field, None)
-        if child is not None and _mentions_attr(child):
-            return True
-    return False
+    return any(_mentions_attr(child) for child in expr.child_exprs())
 
 
 class TestRuntimeBailParity:
@@ -278,3 +370,170 @@ class TestRuntimeBailParity:
         assert rows == oracle
         assert stats.vector_fallbacks == 0
         assert stats.batches_emitted > 0
+
+
+def _run_both(plan, db_factory, batch_size=256):
+    """``(outcome, stats)`` of ``plan`` in tuple mode and in batch mode,
+    where an outcome is the rows or the raised error's type and message."""
+    runs = []
+    for size in (None, batch_size):
+        stats = Stats()
+        try:
+            outcome = plan.execute(ExecRuntime(db_factory(), stats, batch_size=size))
+        except Exception as exc:  # noqa: BLE001 - parity check
+            outcome = (type(exc), str(exc))
+        runs.append((outcome, stats))
+    return runs
+
+
+class TestSetKernelBails:
+    """A non-set operand of a set comparison or of ``count`` bails the
+    kernel: the batch replays tuple-wise and raises the tuple engine's
+    error after the tuple engine's comparisons and predicate evaluations."""
+
+    @staticmethod
+    def _db(bad):
+        return lambda: MemoryDatabase(
+            {
+                "X": [
+                    VTuple(a=1, s=frozenset({1}), t=frozenset({1, 2})),
+                    VTuple(a=2, s=frozenset({2}), t=frozenset({1, 2})),
+                    VTuple(a=3, s=bad, t=frozenset({3})),
+                ]
+            }
+        )
+
+    S, T = B.attr(B.var("x"), "s"), B.attr(B.var("x"), "t")
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            Filter("x", A.SetCompare("subseteq", S, T), Scan("X")),
+            Filter("x", A.SetCompare("in", B.lit(1), S), Scan("X")),
+            Filter("x", A.SetCompare("ni", S, B.lit(1)), Scan("X")),
+            MapOp("x", A.Aggregate("count", S), Scan("X")),
+            MapOp("x", B.tup(n=A.Aggregate("count", S)), Scan("X")),
+        ],
+        ids=["subseteq", "in", "ni", "count", "count-in-tuple"],
+    )
+    # an int makes ``len`` / ``in`` raise on their own; a tuple is a
+    # ``Mapping``, so only the kernel's set validation catches it
+    @pytest.mark.parametrize("bad", [3, VTuple(z=1)], ids=["int", "tuple"])
+    def test_non_set_operand_replays_with_the_tuple_error(self, plan, bad):
+        (tuple_err, tuple_stats), (batch_err, batch_stats) = _run_both(plan, self._db(bad))
+        assert isinstance(tuple_err, tuple) and tuple_err[0].__name__ == "EvaluationError"
+        assert batch_err == tuple_err
+        assert batch_stats.comparisons == tuple_stats.comparisons
+        assert batch_stats.predicate_evals == tuple_stats.predicate_evals
+        assert batch_stats.vector_fallbacks == 1
+
+
+class TestSharedNestjoinGroups:
+    """The hash nestjoin builds one group per key when neither its
+    residual nor its result mentions the left variable; every row that
+    probes the key carries that one frozen object, in both modes."""
+
+    @staticmethod
+    def _rows(name, batch_size):
+        factory, db_factory = CASES[name]
+        return factory().execute(ExecRuntime(db_factory(), Stats(), batch_size=batch_size))
+
+    @pytest.mark.parametrize("batch_size", (None, 1, 7, 256))
+    @pytest.mark.parametrize("suffix", sorted(s for s in GROUP_CELLS if s.startswith("shared")))
+    def test_rows_with_one_key_share_one_group(self, suffix, batch_size):
+        rows = self._rows(f"HashJoinBase-nestjoin-{suffix}", batch_size)
+        multikey = suffix == "shared-multikey"
+        by_key = {}
+        for row in rows:
+            key = (row["a"], row["b"]) if multikey else row["a"]
+            by_key.setdefault(key, []).append(row["grp"])
+        for key, groups in by_key.items():
+            assert all(g is groups[0] for g in groups), key
+            if not groups[0]:
+                assert groups[0] is EMPTY_GROUP, key
+        # a=7 and a=8 dangle: both carry the one empty group
+        dangling = [row["grp"] for row in rows if row["a"] in (7, 8)]
+        assert len(dangling) == 2 and all(g is EMPTY_GROUP for g in dangling)
+
+    @pytest.mark.parametrize("batch_size", (None, 1, 7, 256))
+    def test_a_result_compare_counts_once_per_probed_build_row(self, batch_size):
+        """``y.e > 2`` runs once per right row of a probed key (keys 1 and 3:
+        five rows), not once per matching pair (3*3 + 2*2 = 13)."""
+        factory, db_factory = CASES["HashJoinBase-nestjoin-shared-compare"]
+        stats = Stats()
+        factory().execute(ExecRuntime(db_factory(), stats, batch_size=batch_size))
+        assert stats.comparisons == 5
+
+    @pytest.mark.parametrize("batch_size", (None, 1, 7, 256))
+    @pytest.mark.parametrize("suffix", ["per-row-result", "per-row-residual"])
+    def test_groups_that_mention_x_are_built_per_row(self, suffix, batch_size):
+        """A result or residual over ``x`` depends on the left row: equal
+        keys may carry different groups, and they do here."""
+        rows = self._rows(f"HashJoinBase-nestjoin-{suffix}", batch_size)
+        key_one = {row["grp"] for row in rows if row["a"] == 1}
+        assert len(key_one) == 3
+
+
+#: ``S`` rows whose ``parts`` sets meet ``P.pid`` (s=1), miss it (s=2), are
+#: empty (s=3), or are not sets at all (s=4, only in the bad fixture)
+def _membership_db(bad=False, empty_right=False):
+    rows = [
+        VTuple(s=1, parts=frozenset({10, 30})),
+        VTuple(s=2, parts=frozenset({40})),
+        VTuple(s=3, parts=frozenset()),
+    ]
+    if bad:
+        rows.append(VTuple(s=4, parts=10))
+    pids = [] if empty_right else [VTuple(pid=10), VTuple(pid=20), VTuple(pid=30)]
+    return MemoryDatabase({"S": rows, "P": pids})
+
+
+class TestMembershipBatchProbe:
+    """The left-set semijoin / antijoin with a trivial residual (Example 5)
+    probes natively in batch mode, with the tuple loop's rows and counters."""
+
+    @staticmethod
+    def _plan(kind):
+        return MembershipHashJoin(
+            kind, "s", "p", PID, PARTS, "left-set", TRUE, Scan("S"), Scan("P")
+        )
+
+    @pytest.mark.parametrize("batch_size", (1, 2, 256))
+    @pytest.mark.parametrize("empty_right", (False, True))
+    @pytest.mark.parametrize("kind", ["semijoin", "antijoin"])
+    def test_rows_and_stats_match_the_tuple_loop(self, kind, empty_right, batch_size, monkeypatch):
+        db_factory = lambda: _membership_db(empty_right=empty_right)  # noqa: E731
+        (oracle, oracle_stats), _ = _run_both(self._plan(kind), db_factory)
+        # the batch run must not fall back to chunking the tuple loop
+        monkeypatch.setattr(MembershipHashJoin, "iterate", None)
+        _, (rows, stats) = _run_both(self._plan(kind), db_factory, batch_size)
+        assert rows == oracle
+        assert _snap(stats) == _snap(oracle_stats)
+        assert stats.vector_fallbacks == 0
+        meets = set() if empty_right else {1}
+        expected = meets if kind == "semijoin" else {1, 2, 3} - meets
+        assert {row["s"] for row in rows} == expected
+
+    @pytest.mark.parametrize("batch_size", (1, 256))
+    @pytest.mark.parametrize("kind", ["semijoin", "antijoin"])
+    def test_a_non_set_container_raises_the_tuple_error(self, kind, batch_size):
+        db_factory = lambda: _membership_db(bad=True)  # noqa: E731
+        (tuple_err, tuple_stats), (batch_err, batch_stats) = _run_both(
+            self._plan(kind), db_factory, batch_size
+        )
+        assert tuple_err == (
+            EvaluationError, "membership join container is not a set"
+        )
+        assert batch_err == tuple_err
+        assert _snap(batch_stats) == _snap(tuple_stats)
+
+    def test_other_kinds_and_orientations_keep_the_default_path(self):
+        """Only the left-set semi/antijoin with a trivial residual is native:
+        a nestjoin still chunks the tuple loop."""
+        plan = MembershipHashJoin(
+            "nestjoin", "s", "p", PID, PARTS, "left-set", TRUE, Scan("S"), Scan("P"),
+            as_attr="grp", result=B.var("p"),
+        )
+        (oracle, oracle_stats), (rows, stats) = _run_both(plan, _membership_db)
+        assert rows == oracle
+        assert _snap(stats) == _snap(oracle_stats)

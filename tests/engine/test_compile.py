@@ -349,3 +349,45 @@ class TestRuntimeIntegration:
             B.extent("X"),
         )
         assert Executor(db).execute(expr) == Interpreter(db).eval(expr)
+
+
+class TestLazyReplay:
+    """A batch kernel compiles its tuple-wise replay closure on its first
+    bail, not next to the kernel: a kernel that never bails compiles its
+    expression once."""
+
+    @staticmethod
+    def _counting(compiler, name):
+        calls = []
+        real = getattr(compiler, name)
+
+        def counted(expr):
+            calls.append(expr)
+            return real(expr)
+
+        setattr(compiler, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "build, compile_name, expr",
+        [
+            ("compile_batch", "compile", A.Aggregate("count", B.attr(X, "c"))),
+            ("compile_batch_pred", "compile_pred",
+             A.SetCompare("subseteq", B.attr(X, "c"), B.attr(X, "c"))),
+        ],
+    )
+    def test_replay_compiles_on_the_first_bail_only(self, build, compile_name, expr):
+        db = MemoryDatabase({"X": []})
+        stats = Stats()
+        compiler = Compiler(db, stats, Interpreter(db, stats))
+        calls = self._counting(compiler, compile_name)
+        kernel = getattr(compiler, build)(expr, "x")
+        good = [VTuple(c=vset(1)), VTuple(c=vset(1, 2))]
+        kernel(good)
+        assert calls == [] and stats.vector_fallbacks == 0
+        bad = [VTuple(c=vset(1)), VTuple(c=3)]
+        for attempt in (1, 2):
+            with pytest.raises(EvaluationError):
+                kernel(bad)
+            assert calls == [expr]  # compiled once, kept for the next bail
+            assert stats.vector_fallbacks == attempt

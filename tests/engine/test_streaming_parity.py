@@ -134,6 +134,26 @@ def kinds_db():
     return db
 
 
+def groups_db():
+    """The shared-group fixture: left keys repeat (``a=1`` three times,
+    ``a=3`` twice), two left rows dangle (``a=7``, ``a=8``), right keys
+    carry several rows each, and ``f`` is a second key column for the
+    multi-key cell."""
+    return MemoryDatabase(
+        {
+            "XG": [
+                VTuple(a=1, b=1), VTuple(a=1, b=2), VTuple(a=1, b=3),
+                VTuple(a=3, b=1), VTuple(a=3, b=3),
+                VTuple(a=7, b=1), VTuple(a=8, b=2),
+            ],
+            "YG": [
+                VTuple(d=1, f=1, e=1), VTuple(d=1, f=1, e=2), VTuple(d=1, f=2, e=3),
+                VTuple(d=3, f=3, e=4), VTuple(d=3, f=1, e=5), VTuple(d=5, f=5, e=6),
+            ],
+        }
+    )
+
+
 #: the left operand of the filtered gather-join case: the selection rides
 #: into every fragment, and ``explain()`` renders it over the shards
 X_A_GT_1_PRED = B.gt(B.attr(B.var("x"), "a"), 1)
@@ -423,6 +443,31 @@ for kind in ("semijoin", "antijoin", "outerjoin", "nestjoin"):
             )
 
 
+# hash nestjoin groups over ``groups_db``: the ``shared`` cells build one
+# group per key and share it across the left rows that probe the key (the
+# residual and the result leave ``x`` alone); the ``per-row`` cells mention
+# ``x`` and build a group per left row
+X_VAR, Y_VAR = B.var("x"), B.var("y")
+XB, YE, YF = B.attr(X_VAR, "b"), B.attr(Y_VAR, "e"), B.attr(Y_VAR, "f")
+GROUP_CELLS = {
+    # name: (left keys, right keys, residual, result)
+    "shared": (XA, YD, TRUE, Y_VAR),
+    "shared-multikey": (XA + (XB,), YD + (YF,), TRUE, YE),
+    "shared-compare": (XA, YD, TRUE, B.gt(YE, 2)),
+    "shared-right-residual": (XA, YD, B.gt(YE, 1), YE),
+    "per-row-result": (XA, YD, TRUE, B.tup(v=XB, w=YE)),
+    "per-row-residual": (XA, YD, B.gt(YE, XB), YE),
+}
+for suffix, (lkeys, rkeys, residual, result) in GROUP_CELLS.items():
+    CASES[f"HashJoinBase-nestjoin-{suffix}"] = (
+        lambda lkeys=lkeys, rkeys=rkeys, residual=residual, result=result: HashJoinBase(
+            "nestjoin", "x", "y", lkeys, rkeys, residual, Scan("XG"), Scan("YG"),
+            as_attr="grp", result=result,
+        ),
+        groups_db,
+    )
+
+
 # the logical ADL form of every case above — what the reference
 # interpreter evaluates as the oracle
 X_EXT, Y_EXT = B.extent("X"), B.extent("Y")
@@ -494,6 +539,12 @@ for impl in ("NestedLoopJoin", "HashJoinBase", "IndexNestedLoopJoin"):
     for kind, logical in LOGICAL_JOINS.items():
         LOGICAL[f"{impl}-{kind}"] = logical
 LOGICAL.update(KIND_LOGICAL)
+for suffix, (lkeys, rkeys, residual, result) in GROUP_CELLS.items():
+    equalities = [B.eq(l, r) for l, r in zip(lkeys, rkeys)]
+    pred = B.conj(*equalities, residual) if residual != TRUE else B.conj(*equalities)
+    LOGICAL[f"HashJoinBase-nestjoin-{suffix}"] = B.nestjoin(
+        B.extent("XG"), B.extent("YG"), "x", "y", pred, "grp", result
+    )
 
 
 class TestIterateExecuteParity:
