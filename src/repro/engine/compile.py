@@ -55,7 +55,7 @@ raises mid-column (a type error, a missing attribute, an oid that needs
 dereferencing through a failing store) the scratch is discarded and the
 batch re-runs element-wise through the tuple closure, so the error — its
 type, message and the counter state it surfaces under — is exactly the
-tuple engine's.  That replay closure is compiled on a kernel's first
+row-wise closure's.  That replay closure is compiled on a kernel's first
 bail, not next to the kernel: a kernel that never bails never pays for a
 second compile.  Short-circuiting ``and``/``or`` evaluate their right
 operand only over the rows the left operand selected, preserving both
@@ -330,7 +330,7 @@ class Compiler:
                 out = col_fn(rows)
             except Exception:
                 # discard the scratch, re-run element-wise: values, errors
-                # and counters all become exactly the tuple engine's
+                # and counters all become exactly the row-wise closure's
                 stats.vector_fallbacks += 1
                 if row_fn is None:
                     row_fn = self.compile(expr)
@@ -371,7 +371,7 @@ class Compiler:
                     raise _VectorBail
             except Exception:
                 # discard the scratch, re-run element-wise: the non-boolean
-                # (or whatever else raised) surfaces with the tuple engine's
+                # (or whatever else raised) surfaces with the row-wise closure's
                 # error and counter state
                 stats.vector_fallbacks += 1
                 if row_pred is None:
@@ -393,7 +393,7 @@ class Compiler:
 
         Counters land in ``stats`` (the kernel's scratch bundle).  On any
         anomaly the column raises — :class:`_VectorBail` for conditions the
-        tuple engine would report with its own error, or the underlying
+        row-wise closure would report with its own error, or the underlying
         exception — and the kernel wrapper re-runs element-wise.
         """
         t = type(expr)
@@ -608,7 +608,7 @@ class Compiler:
 
             return fn
         if isinstance(k, bool) or not isinstance(k, (int, float, str)):
-            return None  # the tuple engine rejects such ordered comparisons
+            return None  # the row-wise closure rejects such ordered comparisons
         cmp = _ORDERED_OPS[op]
         refl = getattr(k, _REFLECTED_OPS[op])  # v <op> k  ==  k.<refl>(v)
         want_str = isinstance(k, str)
@@ -641,7 +641,7 @@ class Compiler:
     def _vc_bool(self, expr, var: str, stats: Stats, is_and: bool):
         """Short-circuiting ``and``/``or`` over columns: the right operand
         is evaluated only over the rows the left operand selected, so both
-        values and counter totals match tuple-at-a-time evaluation."""
+        values and counter totals match row-at-a-time evaluation."""
         left_fn = self._vc(expr.left, var, stats)
         right_fn = self._vc(expr.right, var, stats)
         check_l = _static_kind(expr.left) != "bool"
@@ -698,7 +698,7 @@ class Compiler:
     def _vc_setcompare(self, expr: A.SetCompare, var: str, stats: Stats):
         """One C-level ``map`` per batch once the set operand(s) are
         validated ``frozenset`` columns; a non-set operand bails, and the
-        replay raises the tuple engine's error for it."""
+        replay raises the row-wise closure's error for it."""
         op = expr.op
         left_fn = self._vc(expr.left, var, stats)
         right_fn = self._vc(expr.right, var, stats)

@@ -8,14 +8,14 @@ filter, map, nest, unnest, project...).
 The join family keeps the paper's two decisions apart.  *What* a join
 means — join / semijoin / antijoin / outerjoin / nestjoin, i.e. what
 happens to dangling tuples and empty groups (Table 3, Fig. 2) — is
-written once, in :class:`_JoinNode`'s tuple-mode emission loop.  *How*
-candidates are found is a strategy, and a strategy is only an ``_open``:
-:class:`NestedLoopJoin` (every right tuple), :class:`HashJoinBase` (hash
-table on either operand's keys), :class:`MembershipHashJoin` (``e ∈
-x.parts``-style predicates) and :class:`IndexNestedLoopJoin` (a
+written once, in :class:`_JoinNode`'s row loop.  *How* candidates are
+found is a strategy, and a strategy is only an ``_open``:
+:class:`NestedLoopJoin` (every right tuple), :class:`MembershipHashJoin`
+(``e ∈ x.parts``-style predicates) and :class:`IndexNestedLoopJoin` (a
 registered catalog index).  A new strategy adds an ``_open``, not a loop;
-a change to a kind's semantics is one edit (two with the hash join's
-batch-native probe).
+a change to a kind's semantics is one edit, two with the one join that
+has its own loop: :class:`HashJoinBase` (hash table on either operand's
+keys) probes a batch at a time.
 
 A hash nestjoin whose residual and result do not mention the left
 variable builds each group once per distinct key, on the key's first
@@ -24,21 +24,38 @@ the paper's Section 6 hash nestjoin ("evaluate the inner query once").
 The memo lives in one open's local scope, never on the node or the
 runtime, which serve many runs.
 
-Streaming execution
-===================
+One protocol: batches
+=====================
 
-Operators execute Volcano-style: every node implements
-``iterate(rt) -> Iterator[Value]``, the *streaming* interface, and
-``execute(rt) -> frozenset`` is a thin materializing wrapper
-(``frozenset(iterate(rt))``) kept for the planner API and set-typed
-consumers.  Tuples flow one at a time through pipeline operators, so a
-query like "first supplier with a red part" stops scanning as soon as the
-answer is produced, and no intermediate result is ever materialized unless
-an operator genuinely needs all of its input at once.
+Every operator produces its output as :class:`Batch` chunks of at most
+``rt.batch_size`` rows (the chunk *capacity*; ``None`` at construction
+means :data:`DEFAULT_BATCH_SIZE`).  ``execute(rt) -> frozenset`` drains
+the batches; it is the entry point of the planner API, the service and
+every pipeline break.  Tuples flow through pipeline operators a chunk at
+a time, so a consumer that stops early (a query like "first supplier
+with a red part") stops its scan after the chunk it is reading, and no
+intermediate result is ever materialized unless an operator genuinely
+needs all of its input at once.
+
+An operator implements exactly one loop:
+
+* ``iterate_batches(rt) -> Iterator[Batch]`` — batch-native operators
+  (:class:`Scan`, :class:`IndexScan`, :class:`Filter`, :class:`MapOp`,
+  :class:`ProjectOp`, :class:`NestOp`, the :class:`HashJoinBase` probe)
+  hand on or process whole chunks, with :mod:`repro.engine.compile`'s
+  batch kernels;
+* ``iterate(rt) -> Iterator[Value]`` — tuple-native operators (the
+  other joins, unnest, flatten, set operations...) write a row loop,
+  and the base ``iterate_batches`` chunks it.
+
+Expression forms the vectorizing compiler does not cover fall back to
+the row-wise compiled closure per chunk element, counted in
+``stats.vector_fallbacks``; chunks produced are counted in
+``stats.batches_emitted``.
 
 Which operators pipeline, and which break:
 
-* **pipeline** (tuple-at-a-time, O(1) buffering): :class:`Scan`,
+* **pipeline** (O(1 chunk) buffering): :class:`Scan`,
   :class:`IndexScan`, :class:`Filter`, :class:`MapOp`, :class:`ProjectOp`,
   :class:`RenameOp`, :class:`UnnestOp`, :class:`FlattenOp`, the union side
   of :class:`SetOp`, the probe side of the whole hash-join family, and
@@ -66,8 +83,8 @@ statically by ``explain()``::
       Scan [SUPPLIER]
 
 Parameter expressions (predicates, hash keys, nestjoin result functions)
-are compiled once per operator into Python closures by
-:mod:`repro.engine.compile` instead of being re-interpreted per tuple.
+are compiled once per operator, into row-wise closures and batch kernels
+by :mod:`repro.engine.compile`, instead of being re-interpreted per row.
 
 Every node executes against an :class:`ExecRuntime` carrying the database,
 an :class:`~repro.engine.interpreter.Interpreter` for the expression forms
@@ -78,45 +95,30 @@ the physical tree.
 The operator edge
 =================
 
-Operators never call a child's ``iterate`` directly: every consumer
-pulls through the child's :meth:`PlanNode.stream` /
-:meth:`PlanNode.stream_batches` (or ``_consume``, whose drain is
-:meth:`PlanNode.execute`), and that edge is the one place per-run policy
-is applied.  A run with neither a trace recorder nor a deadline gets the
-raw ``iterate`` generator back; otherwise the edge wraps it with a
-deadline poll (on open, then per batch or per 64 rows) and/or the trace
-meter.  So every operator is cancellable and traceable without a line of
-its own, and a deadline overshoots by at most one batch (or 64 rows) per
-edge.  The one operator-side poll left is :class:`NestedLoopJoin`'s, once
-per outer tuple: its inner loop walks a materialized list, not an edge.
+Operators never call a child's loop directly: every consumer pulls
+through the child's :meth:`PlanNode.stream_batches`, or through
+:meth:`PlanNode.stream` — the same edge flattened into rows at C level —
+or through ``_consume``, whose drain is :meth:`PlanNode.execute`.  That
+edge is the one place per-run policy is applied.  A run with neither a
+trace recorder nor a deadline gets the operator's raw batch generator
+back; otherwise the edge wraps it with a deadline poll (on open, then
+once per batch) and/or the trace meter.  So every operator is
+cancellable and traceable without a line of its own, and a deadline
+overshoots by at most one batch per edge.  The one operator-side poll
+left is :class:`NestedLoopJoin`'s, once per outer tuple: its inner loop
+walks a materialized list, not an edge.
 
-Vectorized batch execution (PR 8)
-=================================
-
-Every node additionally implements ``iterate_batches(rt) ->
-Iterator[Batch]``, the *batch-at-a-time* interface: fixed-capacity
-columnar chunks of tuples instead of single tuples.
-``ExecRuntime(batch_size=N)`` selects the mode — ``execute`` then drains
-batches instead of the tuple iterator.  The hot pipeline operators
-(:class:`Scan`, :class:`Filter`, :class:`MapOp`, :class:`ProjectOp`,
-:class:`NestOp`, the :class:`HashJoinBase` probe and the left-set
-semi/antijoin probe of :class:`MembershipHashJoin`) override it
-natively, applying :mod:`repro.engine.compile`'s batch kernels over
-whole chunks; every
-other operator inherits the default, which chunks its own tuple
-``iterate`` — so batch mode is always available and always oracle-equal,
-operator by operator.  Expression forms the vectorizing compiler does not
-cover fall back to the tuple-wise closure per batch element, counted in
-``stats.vector_fallbacks``; chunks produced are counted in
-``stats.batches_emitted``.
-
-Counter contract in batch mode: successful batches produce exactly the
-tuple engine's totals (the kernels bulk-count, and short-circuit
-semantics are preserved — see :mod:`repro.engine.compile`).  On an
-erroring batch the error itself is exactly the tuple engine's (the batch
-re-runs element-wise), but per-tuple counters such as ``tuples_visited``
-are bulk-charged per chunk, so mid-batch failure counter *snapshots* may
-run ahead of the tuple engine's — a documented simplification.
+Counter contract: the work counters are the paper's work model and do
+not depend on the chunk capacity.  A drained plan charges exactly what
+a row-at-a-time evaluation would (the kernels bulk-count, and
+short-circuit semantics are preserved — see :mod:`repro.engine.compile`);
+only ``batches_emitted`` and ``vector_fallbacks`` vary with the
+capacity.  On an erroring batch the error itself is exactly the
+row-wise closure's (the batch re-runs element-wise), but per-tuple
+counters such as ``tuples_visited`` are bulk-charged per chunk, so a
+mid-batch failure's counter *snapshot* may run ahead — a documented
+simplification.  A consumer that stops early has likewise been charged
+for the whole chunk it stopped in.
 """
 
 from __future__ import annotations
@@ -136,9 +138,9 @@ from repro.engine.cost import format_estimate
 from repro.engine.interpreter import Interpreter
 from repro.engine.stats import Stats
 
-#: Default rows per columnar chunk when ``batch_size`` is truthy but a
-#: concrete capacity was not chosen.  Big enough to amortize per-batch
-#: dispatch, small enough to keep early-exit consumers responsive.
+#: Rows per chunk when a runtime is built with ``batch_size=None``.  Big
+#: enough to amortize per-batch dispatch, small enough to keep early-exit
+#: consumers responsive.
 DEFAULT_BATCH_SIZE = 256
 
 
@@ -176,18 +178,14 @@ def _env_trace():
     return TraceRecorder()
 
 
-def _polled(it: Iterator, check: Callable[[], None], every: int) -> Iterator:
-    """``it``, with ``check()`` called on open and after every ``every``
-    items handed on — before the next is pulled, so an expired run pulls
-    at most ``every`` more items through this edge."""
+def _polled(it: Iterator[Batch], check: Callable[[], None]) -> Iterator[Batch]:
+    """``it``, with ``check()`` called on open and after every batch handed
+    on — before the next is pulled, so an expired run pulls at most one
+    more batch through this edge."""
     check()
-    n = 0
-    for item in it:
-        yield item
-        n += 1
-        if n == every:
-            n = 0
-            check()
+    for batch in it:
+        yield batch
+        check()
 
 
 class ExecRuntime:
@@ -222,9 +220,9 @@ class ExecRuntime:
         #: instead of running them inline
         self.parallel = parallel
         #: absolute ``time.monotonic()`` deadline for this run, or ``None``.
-        #: Polled at the operator edge (:meth:`PlanNode.stream`: on open,
-        #: then once per batch or every 64 tuples) and once after the
-        #: final drain; a deadline-free run's edges are the raw generators.
+        #: Polled at the operator edge (:meth:`PlanNode.stream_batches`: on
+        #: open, then once per batch) and once after the final drain; a
+        #: deadline-free run's edges are the raw generators.
         self.deadline = deadline
         #: fault-tolerance events of this run (retries, degradation,
         #: breaker state, attempts) — every gather's batch report folded
@@ -244,13 +242,16 @@ class ExecRuntime:
         #: keyed ``(extent, attr, multi)``; never written to the catalog
         self._transient_indexes: Dict[Tuple[str, str, bool], object] = {}
         self.interpreter = Interpreter(db, self.stats, self.params)
-        #: rows per columnar chunk; a truthy value selects batch-at-a-time
-        #: execution (``execute`` drains ``iterate_batches``), ``None``/0
-        #: keeps the tuple-at-a-time engine
+        if batch_size is None:
+            batch_size = DEFAULT_BATCH_SIZE
+        elif type(batch_size) is not int or batch_size < 1:
+            raise PlanError(f"batch_size must be a positive int or None, got {batch_size!r}")
+        #: the chunk capacity: every operator emits batches of at most this
+        #: many rows (``None`` at construction: :data:`DEFAULT_BATCH_SIZE`)
         self.batch_size = batch_size
         #: optional :class:`repro.obs.trace.TraceRecorder` — when set,
         #: every operator's stream is metered (rows/batches out, wall
-        #: time, fill time) at the operator edge (:meth:`PlanNode.stream`),
+        #: time, fill time) at the operator edge (:meth:`PlanNode.stream_batches`),
         #: so untraced hot loops are the raw generators.  ``None`` falls
         #: back to :func:`_env_trace`.
         self.trace = trace if trace is not None else _env_trace()
@@ -307,8 +308,8 @@ class ExecRuntime:
     def check_deadline(self) -> None:
         """Raise :class:`~repro.datamodel.errors.QueryTimeoutError` when
         this run's deadline has passed.  Called from the operator edge
-        (:meth:`PlanNode.stream`), which wraps a stream in the poll only
-        when a deadline is set."""
+        (:meth:`PlanNode.stream_batches`), which wraps a stream in the poll
+        only when a deadline is set."""
         if self.deadline is not None and time.monotonic() >= self.deadline:
             from repro.datamodel.errors import QueryTimeoutError
 
@@ -384,10 +385,11 @@ class ExecRuntime:
 class PlanNode:
     """Base class of physical operators.
 
-    Subclasses implement :meth:`iterate`; :meth:`execute` materializes it.
-    Children are consumed through their :meth:`stream` /
-    :meth:`stream_batches`, or through :meth:`_consume` (a declared
-    pipeline break: materializes, counted in ``stats.pipeline_breaks``).
+    Subclasses implement exactly one of :meth:`iterate` (a row loop) or
+    :meth:`iterate_batches` (a batch loop); :meth:`execute` drains the
+    batches.  Children are consumed through their :meth:`stream_batches`
+    / :meth:`stream`, or through :meth:`_consume` (a declared pipeline
+    break: materializes, counted in ``stats.pipeline_breaks``).
     """
 
     #: Short operator label used by ``explain``.
@@ -404,60 +406,53 @@ class PlanNode:
     est_cost: Optional[float] = None
 
     def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
+        """A tuple-native operator's row loop (chunked by the default
+        :meth:`iterate_batches`)."""
         raise NotImplementedError
 
     def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
-        """Batch-at-a-time interface: yield columnar :class:`Batch` chunks.
+        """Yield this operator's output as :class:`Batch` chunks.
 
-        The default chunks this operator's own tuple ``iterate`` — correct
-        for every operator by construction; the hot pipeline operators
-        override it with native batch loops.
+        The default chunks the operator's own row loop, :meth:`iterate`;
+        batch-native operators override this instead.
         """
-        size = rt.batch_size or DEFAULT_BATCH_SIZE
+        size = rt.batch_size
         stats = rt.stats
         it = self.iterate(rt)
-        while True:
-            rows = list(islice(it, size))
-            if not rows:
-                return
+        rows = list(islice(it, size))
+        while rows:
             stats.batches_emitted += 1
             yield Batch(rows)
-
-    def stream(self, rt: ExecRuntime) -> Iterator[Value]:
-        """This operator's tuple stream as its consumer sees it: the
-        operator edge, where the run's policy is applied (see the module
-        docstring).  Both tests run once per operator *open*, never per
-        row — a run with neither a deadline nor a recorder gets the raw
-        ``iterate`` generator back; otherwise it is polled every 64 rows
-        and/or metered."""
-        it = self.iterate(rt)
-        if rt.deadline is not None:
-            it = _polled(it, rt.check_deadline, 64)
-        if rt.trace is not None:
-            it = rt.trace.wrap_iter(self, it)
-        return it
+            if len(rows) < size:
+                return  # a short chunk: the row loop has ended
+            rows = list(islice(it, size))
 
     def stream_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
-        """Batch analogue of :meth:`stream`: polled once per batch."""
+        """This operator's batches as its consumer sees them: the operator
+        edge, where the run's policy is applied (see the module
+        docstring).  Both tests run once per operator *open* — a run with
+        neither a deadline nor a recorder gets the raw
+        :meth:`iterate_batches` generator back; otherwise it is polled
+        once per batch and/or metered."""
         it = self.iterate_batches(rt)
         if rt.deadline is not None:
-            it = _polled(it, rt.check_deadline, 1)
+            it = _polled(it, rt.check_deadline)
         if rt.trace is not None:
             it = rt.trace.wrap_batches(self, it)
         return it
 
+    def stream(self, rt: ExecRuntime) -> Iterator[Value]:
+        """The same edge, flattened into rows for a row loop — at C level,
+        with no Python frame per row."""
+        return chain.from_iterable(self.stream_batches(rt))
+
     def execute(self, rt: ExecRuntime) -> frozenset:
         """Drain this plan into its result set — the one drain the
-        service, shipped fragments and every pipeline break call, one
-        per mode.  A deadline-bound run drains the same plan in the same
-        mode (its edges poll) and is checked once after the last row, so
-        a result is never returned past its deadline."""
-        if rt.batch_size:
-            out = frozenset(
-                chain.from_iterable(batch.rows for batch in self.stream_batches(rt))
-            )
-        else:
-            out = frozenset(self.stream(rt))
+        service, shipped fragments and every pipeline break call.  A
+        deadline-bound run drains the same plan (its edges poll) and is
+        checked once after the last row, so a result is never returned
+        past its deadline."""
+        out = frozenset(self.stream(rt))
         if rt.deadline is not None:
             rt.check_deadline()
         return out
@@ -519,8 +514,8 @@ class PlanNode:
 class Scan(PlanNode):
     """Full extent scan — charges page I/O on paged stores.
 
-    Streams page by page: a consumer that stops early (e.g. a semijoin
-    probe that found its match) never touches the remaining pages.
+    Streams a chunk at a time: a consumer that stops early never touches
+    the pages past the chunk it stopped in.
     """
 
     label = "Scan"
@@ -531,14 +526,10 @@ class Scan(PlanNode):
     def describe(self) -> str:
         return self.extent
 
-    def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
-        source = rt.db.scan(self.extent) if hasattr(rt.db, "scan") else rt.db.extent(self.extent)
-        yield from source
-
     def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
-        # native: slice the extent stream directly into chunks — no
-        # per-tuple generator resumption between the store and the consumer
-        size = rt.batch_size or DEFAULT_BATCH_SIZE
+        # slice the extent stream directly into chunks — no per-tuple
+        # generator resumption between the store and the consumer
+        size = rt.batch_size
         stats = rt.stats
         # page-wise fast path (PR 8): a paged store hands whole page
         # record lists over (same I/O charges, bulk-counted); epoch views
@@ -566,8 +557,8 @@ class Scan(PlanNode):
             yield Batch(rows)
 
     def execute(self, rt: ExecRuntime) -> frozenset:
-        # overrides the base wrapper to return the store's cached extent
-        # frozenset directly instead of rebuilding a copy through iterate().
+        # overrides the base drain to return the store's cached extent
+        # frozenset directly instead of rebuilding a copy from batches.
         # A traced run keeps the fast path's counter profile (this path
         # charges nothing) but still records the scan's actual rows.
         trace = rt.trace
@@ -657,13 +648,17 @@ class IndexScan(PlanNode):
 
         return f"{self.extent}.{self.attr} = {pretty(self.key_expr)} via {self.index_name}"
 
-    def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
+    def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
         index = _catalog_index(rt, self.extent, self.attr, self.index_name)
         key = rt.eval(self.key_expr)
-        rt.stats.index_probes += 1
-        for row in index.lookup(key):
-            rt.stats.tuples_visited += 1
-            yield row
+        stats = rt.stats
+        stats.index_probes += 1
+        rows = index.lookup(key)  # the index's own bucket: handed on in copies
+        stats.tuples_visited += len(rows)
+        size = rt.batch_size
+        for start in range(0, len(rows), size):
+            stats.batches_emitted += 1
+            yield Batch(rows[start : start + size])
 
 
 class EvalExpr(PlanNode):
@@ -725,15 +720,6 @@ class Filter(PlanNode):
 
         return f"{self.var}: {pretty(self.pred)}"
 
-    def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
-        pred = rt.compiled_pred(self.pred)
-        env: Dict[str, Value] = {}
-        for item in self.child.stream(rt):
-            rt.stats.tuples_visited += 1
-            env[self.var] = item
-            if pred(env):
-                yield item
-
     def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
         kernel = rt.batch_pred(self.pred, self.var)
         stats = rt.stats
@@ -763,14 +749,6 @@ class MapOp(PlanNode):
 
         return f"{self.var}: {pretty(self.body)}"
 
-    def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
-        body = rt.compiled(self.body)
-        env: Dict[str, Value] = {}
-        for item in self.child.stream(rt):
-            rt.stats.tuples_visited += 1
-            env[self.var] = item
-            yield body(env)
-
     def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
         kernel = rt.batch_fn(self.body, self.var)
         stats = rt.stats
@@ -793,11 +771,6 @@ class ProjectOp(PlanNode):
 
     def describe(self) -> str:
         return ", ".join(self.attrs)
-
-    def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
-        for item in self.child.stream(rt):
-            rt.stats.tuples_visited += 1
-            yield item.subscript(self.attrs)
 
     def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
         attrs = self.attrs
@@ -872,28 +845,19 @@ class NestOp(PlanNode):
     def describe(self) -> str:
         return f"{', '.join(self.attrs)} -> {self.as_attr}"
 
-    def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
-        groups: Dict[VTuple, set] = {}
-        for item in self._consume(self.child, rt):
-            rt.stats.tuples_visited += 1
-            key = item.drop(self.attrs)
-            groups.setdefault(key, set()).add(item.subscript(self.attrs))
-        for key, group in groups.items():
-            yield key.update_except({self.as_attr: frozenset(group)})
-
     def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
-        """Native batch path (PR 9): bulk key-kernel group build.
+        """Bulk key-kernel group build.
 
         The grouping key's attributes are fixed by the first input row, so
         each key column is extracted with one PR-8 ``AttrAccess`` batch
         kernel call per batch (C-speed column pulls) and rows are grouped
         under plain value tuples — no per-row ``drop`` allocation.  Rows
         whose attribute set differs from the first row's (possible only
-        for heterogeneous inputs) fall back to the exact tuple-engine
-        grouping; their keys differ from every uniform key by
+        for heterogeneous inputs) are grouped row by row under their
+        ``drop``-ped tuple; their keys differ from every uniform key by
         construction, so the two group maps never alias.
         """
-        size = rt.batch_size or DEFAULT_BATCH_SIZE
+        size = rt.batch_size
         stats = rt.stats
         stats.pipeline_breaks += 1
         nest_attrs = self.attrs
@@ -1054,8 +1018,8 @@ def _join_tail(
     as_attr: Optional[str],
 ) -> Optional[Value]:
     """The per-left-tuple emission after match iteration, shared by the
-    tuple loop (:meth:`_JoinNode.iterate`) and the hash join's batch
-    probe: semijoin/antijoin emit the bare left tuple on (no) match,
+    family's row loop (:meth:`_JoinNode.iterate`) and the hash join's
+    batch probe: semijoin/antijoin emit the bare left tuple on (no) match,
     outerjoin null-pads dangling tuples, nestjoin always attaches its
     collected group.  ``None`` means "emit nothing" (plain joins already
     emitted pairs during iteration)."""
@@ -1070,10 +1034,9 @@ def _join_tail(
     return None
 
 
-#: What a strategy's ``_open`` hands the emission loop: the operand to
-#: stream, the variable its rows bind, the variable candidates bind, and
-#: ``candidates(row)`` — the rows that may pair with ``row``.
-Opened = Tuple[PlanNode, str, str, Callable[[VTuple], Iterable[VTuple]]]
+#: What a strategy's ``_open`` hands the row loop: ``candidates(x)``, the
+#: right rows that may pair with the left row ``x``.
+Candidates = Callable[[VTuple], Iterable[VTuple]]
 
 
 class _JoinNode(PlanNode):
@@ -1083,13 +1046,15 @@ class _JoinNode(PlanNode):
     outerjoin / nestjoin — Table 3's dangling-tuple and empty-set
     behaviour) from how it is evaluated (Section 7's "many different
     ways").  This base owns the first: the shared fields, the kind check
-    and :meth:`iterate`, the one tuple-mode loop that applies the
-    residual, emits ``result(x, y)`` / ``x ∘ y`` pairs, stops a semijoin
-    at its first match, collects a nestjoin's group and null-pads an
-    outerjoin's dangling tuples.  A subclass is one *strategy* and
-    supplies only :meth:`_open` — what it builds, and where the candidate
-    partners of one streamed row come from, with the strategy's own work
-    counters.  (Underscore-named: never planned or instantiated itself.)
+    and :meth:`iterate`, the one row loop that applies the residual,
+    emits ``result(x, y)`` / ``x ∘ y`` pairs, stops a semijoin at its
+    first match, collects a nestjoin's group and null-pads an outerjoin's
+    dangling tuples.  A subclass is one *strategy* and supplies only
+    :meth:`_open` — what it builds, and where the candidate partners of
+    one streamed left row come from, with the strategy's own work
+    counters — except :class:`HashJoinBase`, which replaces the loop with
+    its batch probe.  (Underscore-named: never planned or instantiated
+    itself.)
     """
 
     def __init__(
@@ -1128,10 +1093,10 @@ class _JoinNode(PlanNode):
 
         return f" ; emits {pretty(self.result)}"
 
-    def _open(self, rt: ExecRuntime, env: Dict[str, Value]) -> Opened:
-        """Strategy hook: do the build work (counted) and return the
-        :data:`Opened` description.  ``env`` is the loop's environment —
-        the streamed row is already bound in it when ``candidates`` runs."""
+    def _open(self, rt: ExecRuntime, env: Dict[str, Value]) -> Candidates:
+        """Strategy hook: do the build work (counted) and return
+        :data:`Candidates`.  ``env`` is the loop's environment — the left
+        row is already bound in it when ``candidates`` runs."""
         raise NotImplementedError
 
     def _residual(self, rt: ExecRuntime) -> Optional[Callable]:
@@ -1140,52 +1105,27 @@ class _JoinNode(PlanNode):
             return None
         return rt.compiled_pred(self.residual)
 
-    def _groups_by_key(self) -> bool:
-        """Strategy hook: may a nestjoin build one group per key and share
-        it across the left rows that probe that key?  Only where
-        ``candidates`` hands back one sequence object per key for the
-        whole open (the hash table's bucket) and the group cannot depend
-        on the left row."""
-        return False
-
     def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
         env: Dict[str, Value] = {}
-        outer, outer_var, inner_var, candidates = self._open(rt, env)
+        candidates = self._open(rt, env)
         residual = self._residual(rt)
         result = rt.compiled(self.result) if self.result is not None else None
         null_pad = VTuple({a: None for a in self.right_attrs})
         kind, lvar, rvar, as_attr = self.kind, self.lvar, self.rvar, self.as_attr
         emits_pairs = kind in ("join", "outerjoin")
         stats = rt.stats
-        # shared nestjoin groups, keyed by bucket identity: the build table
-        # keeps every bucket alive for this open, and dangling rows all get
-        # the one empty tuple
-        shared: Optional[Dict[int, frozenset]] = {} if self._groups_by_key() else None
-        # ``outer`` is the left operand except for a plain join hashed on
-        # its left (orientation-independent output, no tail), so ``x`` is
-        # the left tuple wherever the tail needs it
-        for x in outer.stream(rt):
-            env[outer_var] = x
-            if shared is not None:
-                bucket = candidates(x)
-                group = shared.get(id(bucket))
-                if group is None:
-                    group = shared[id(bucket)] = _nest_group(
-                        bucket, env, rvar, residual, result
-                    )
-                stats.output_tuples += 1
-                yield attach_group(x, as_attr, group)
-                continue
+        for x in self.left.stream(rt):
+            env[lvar] = x
             matched = False
             group = set() if kind == "nestjoin" else ()
             for y in candidates(x):
-                env[inner_var] = y
+                env[rvar] = y
                 if residual is not None and not residual(env):
                     continue
                 matched = True
                 if emits_pairs:
                     stats.output_tuples += 1
-                    yield concat(env[lvar], env[rvar]) if result is None else result(env)
+                    yield concat(x, y) if result is None else result(env)
                 elif kind == "semijoin":
                     break
                 elif kind == "nestjoin":
@@ -1232,7 +1172,7 @@ class NestedLoopJoin(_JoinNode):
         # the whole predicate, evaluated (and counted) on every pair
         return rt.compiled_pred(self.pred)
 
-    def _open(self, rt: ExecRuntime, env: Dict[str, Value]) -> Opened:
+    def _open(self, rt: ExecRuntime, env: Dict[str, Value]) -> Candidates:
         right = self._consume(self.right, rt)
         stats = rt.stats
         # the O(|L|*|R|) loop is the engine's worst case and its inner
@@ -1247,7 +1187,7 @@ class NestedLoopJoin(_JoinNode):
                 stats.tuples_visited += 1
                 yield y
 
-        return self.left, self.lvar, self.rvar, candidates
+        return candidates
 
 
 class HashJoinBase(_JoinNode):
@@ -1259,9 +1199,15 @@ class HashJoinBase(_JoinNode):
     flip it to ``"left"`` when the left operand is the smaller input —
     only for the symmetric plain ``join`` kind, since
     semijoin/antijoin/outerjoin/nestjoin semantics are anchored to the
-    left operand surviving tuple-at-a-time.  Tuple mode runs the shared
-    emission loop with the operand roles swapped; batch mode
-    (:meth:`iterate_batches`) is this class's own native probe.
+    left operand surviving row by row.  The probe is this class's own
+    batch loop (:meth:`iterate_batches`), not the family's row loop: key
+    columns come from batch kernels, and the residual-free semijoin and
+    antijoin decide whole batches at C speed.
+
+    A nestjoin whose residual and result do not mention the left variable
+    builds each group once per distinct key, on the key's first probe;
+    every left row with that key shares the one frozen group, and every
+    dangling row :data:`EMPTY_GROUP`.
     """
 
     def __init__(
@@ -1303,41 +1249,6 @@ class HashJoinBase(_JoinNode):
             keys += f" ; residual {pretty(self.residual)}"
         return keys + self._emit_note()
 
-    def _open(self, rt: ExecRuntime, env: Dict[str, Value]) -> Opened:
-        left = (self.left, self.left_keys, self.lvar)
-        right = (self.right, self.right_keys, self.rvar)
-        # only the symmetric plain join ever builds left
-        (build, build_keys, build_var), (probe, probe_keys, probe_var) = (
-            (left, right) if self.build_side == "left" else (right, left)
-        )
-        table: Dict[Value, List[VTuple]] = {}
-        key_fns = [rt.compiled(k) for k in build_keys]
-        stats = rt.stats
-        for row in self._consume(build, rt):
-            env[build_var] = row
-            key = tuple(fn(env) for fn in key_fns)
-            table.setdefault(key, []).append(row)
-            stats.hash_inserts += 1
-        probe_fns = [rt.compiled(k) for k in probe_keys]
-        lookup = table.get
-
-        def candidates(x: VTuple) -> Sequence[VTuple]:
-            stats.tuples_visited += 1
-            key = tuple(fn(env) for fn in probe_fns)
-            stats.hash_probes += 1
-            return lookup(key, ())
-
-        return probe, probe_var, build_var, candidates
-
-    def _groups_by_key(self) -> bool:
-        # ``candidates`` returns the table's own bucket list (or the one
-        # empty tuple), so equal keys get the identical object
-        return (
-            self.kind == "nestjoin"
-            and self.lvar not in free_vars(self.result)
-            and self.lvar not in free_vars(self.residual)
-        )
-
     def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
         lvar, rvar, as_attr = self.lvar, self.rvar, self.as_attr
         # the probe operand streams in batches against the built table;
@@ -1349,8 +1260,7 @@ class HashJoinBase(_JoinNode):
             table = self._build_batched(rt, self.right, self.right_keys, rvar)
             probe, probe_keys, probe_var, build_var = self.left, self.left_keys, lvar, rvar
         key_kernels = [rt.batch_fn(k, probe_var) for k in probe_keys]
-        trivial_residual = self.residual == A.Literal(True)
-        residual = None if trivial_residual else rt.compiled_pred(self.residual)
+        residual = self._residual(rt)
         result = rt.compiled(self.result) if self.result is not None else None
         null_pad = VTuple({a: None for a in self.right_attrs})
         env: Dict[str, Value] = {}
@@ -1359,9 +1269,13 @@ class HashJoinBase(_JoinNode):
         empty = ()
         lookup = table.get
         # nestjoin groups shared per key, built on the key's first probe
-        # (see :meth:`_groups_by_key`); local to this open
+        # when the group cannot depend on the left row; local to this open
         shared: Optional[Dict[Value, frozenset]] = (
-            {} if self._groups_by_key() else None
+            {}
+            if kind == "nestjoin"
+            and lvar not in free_vars(self.result)
+            and lvar not in free_vars(self.residual)
+            else None
         )
         for batch in probe.stream_batches(rt):
             rows = batch.rows
@@ -1533,7 +1447,7 @@ class MembershipHashJoin(_JoinNode):
             + self._emit_note()
         )
 
-    def _open(self, rt: ExecRuntime, env: Dict[str, Value]) -> Opened:
+    def _open(self, rt: ExecRuntime, env: Dict[str, Value]) -> Candidates:
         element = rt.compiled(self.element)
         container = rt.compiled(self.container)
         left_set = self.probe_side == "left-set"
@@ -1566,17 +1480,16 @@ class MembershipHashJoin(_JoinNode):
             stats.hash_probes += 1
             return lookup(key, ())
 
-        candidates = probe_members if left_set else probe_element
-        return self.left, self.lvar, self.rvar, candidates
+        return probe_members if left_set else probe_element
 
     def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
         """Native batch probe for the Example 5 shape: a left-set semijoin
         or antijoin with a trivial residual decides each row by whether
         its set meets the build table's keys (one C-level ``isdisjoint``
-        per row).  Every other orientation and kind chunks the tuple loop.
-        Counters equal the tuple loop's: one ``hash_inserts`` per build
-        row, one ``tuples_visited`` per probe row and one ``hash_probes``
-        per member."""
+        per row).  Every other orientation and kind chunks the family's
+        row loop.  Counters equal the row loop's: one ``hash_inserts`` per
+        build row, one ``tuples_visited`` per probe row and one
+        ``hash_probes`` per member."""
         if (
             self.probe_side != "left-set"
             or self.kind not in ("semijoin", "antijoin")
@@ -1595,7 +1508,7 @@ class MembershipHashJoin(_JoinNode):
             rows = batch.rows
             sets = container(rows)
             if set(map(type, sets)) - {frozenset}:
-                # row by row, as the tuple loop counts and raises
+                # row by row, as the row loop counts and raises
                 out = []
                 for x, members in zip(rows, sets):
                     stats.tuples_visited += 1
@@ -1668,7 +1581,7 @@ class IndexNestedLoopJoin(_JoinNode):
             text += f" ; residual {pretty(self.residual)}"
         return text + self._emit_note()
 
-    def _open(self, rt: ExecRuntime, env: Dict[str, Value]) -> Opened:
+    def _open(self, rt: ExecRuntime, env: Dict[str, Value]) -> Candidates:
         index = _catalog_index(rt, self.extent, self.attr, self.index_name)
         key_fn = rt.compiled(self.left_key)
         stats = rt.stats
@@ -1678,7 +1591,7 @@ class IndexNestedLoopJoin(_JoinNode):
             stats.index_probes += 1
             return index.lookup(key_fn(env))
 
-        return self.left, self.lvar, self.rvar, candidates
+        return candidates
 
 
 class CartesianProduct(PlanNode):

@@ -650,7 +650,8 @@ class Executor:
         #: worker count feeds the planner's parallel candidates and its
         #: pool runs gather fragments (caller owns its lifecycle)
         self.parallel = parallel
-        #: rows per columnar chunk (PR 8), threaded into every runtime
+        #: the chunk capacity threaded into every runtime (``None``: the
+        #: engine's default, see :class:`~repro.engine.plan.ExecRuntime`)
         self.batch_size = batch_size
         self.planner = Planner(
             catalog,

@@ -22,8 +22,8 @@ claim; these counters make it measurable without real I/O hardware:
   the tuple-wise closure per element because the expression form is not
   covered by the vectorizing compiler.  Like ``pipeline_breaks``, both
   describe *how* the work ran, not how much work there was, so neither
-  joins :meth:`Stats.total_work` — batch and tuple mode stay comparable
-  on the same work currency.
+  joins :meth:`Stats.total_work` — runs at different chunk capacities
+  stay comparable on the same work currency.
 """
 
 from __future__ import annotations

@@ -1,21 +1,22 @@
 """Per-operator execution tracing (PR 10).
 
 A :class:`TraceRecorder` attached to an :class:`~repro.engine.plan.ExecRuntime`
-(``ExecRuntime(trace=recorder)``) observes every plan node's streaming
-interface: each node's ``stream()`` / ``stream_batches()`` wrapper routes
-the underlying ``iterate()`` / ``iterate_batches()`` generator through the
-recorder, which counts rows and batches out, accumulates inclusive wall
-time per ``next()`` call, and records the *fill time* — the delay between
-opening the iterator and its first yield, which for pipeline breakers is
-the time spent materializing the input.
+(``ExecRuntime(trace=recorder)``) observes every plan node at its
+operator edge: ``stream_batches()`` routes the node's batch generator
+through :meth:`TraceRecorder.wrap_batches`, which counts rows and batches
+out, accumulates inclusive wall time per ``next()`` call, and records the
+*fill time* — the delay between opening the iterator and its first
+yield, which for pipeline breakers is the time spent materializing the
+input.  ``stream()`` flattens that same metered edge into rows.
 
 Overhead contract (the operator edge, shared with the deadline poll):
 
-* **untraced runs pay nothing** — ``stream()`` tests ``rt.trace is None``
-  once per operator *open* (not per row) and, without a deadline either,
-  returns the raw iterator, so the hot loops are the engine's own;
-* **traced runs pay one clock read and a few attribute bumps per row** —
-  no allocation per row, no callback indirection.
+* **untraced runs pay nothing** — ``stream_batches()`` tests
+  ``rt.trace is None`` once per operator *open* and, without a deadline
+  either, returns the raw generator, so the hot loops are the engine's
+  own;
+* **traced runs pay one clock read and a few attribute bumps per
+  batch** — no allocation per row, no callback indirection.
 
 Cross-process spans: partitioned operators thread ``trace_id`` into every
 shipped :class:`~repro.shard.fragment.FragmentSpec`; workers return a span
@@ -142,25 +143,6 @@ class TraceRecorder:
             self.records[key] = rec
             self._nodes[key] = node
         return rec
-
-    def wrap_iter(self, node, it: Iterator) -> Iterator:
-        """Meter a tuple iterator: rows out, inclusive wall time, and the
-        fill time from open to first yield."""
-        rec = self._record(node)
-        rec.calls += 1
-        first = rec.first_row_s is None
-        opened = time.perf_counter()
-        start = opened
-        for row in it:
-            now = time.perf_counter()
-            rec.wall_s += now - start
-            if first:
-                rec.first_row_s = now - opened
-                first = False
-            rec.rows_out += 1
-            yield row
-            start = time.perf_counter()
-        rec.wall_s += time.perf_counter() - start
 
     def wrap_batches(self, node, it: Iterator) -> Iterator:
         """Meter a batch iterator: batches and rows out, wall, fill."""

@@ -129,9 +129,8 @@ _COUNTERS = (
     ("analyzed_runs", None, "repro_analyzed_runs", "EXPLAIN ANALYZE executions"),
     ("warm_restored", None, "repro_warm_restored", "plan-cache entries restored at start"),
     ("warm_dropped", None, "repro_warm_dropped", "plan-cache entries dropped at start"),
-    ("batch_runs", "batch", "repro_batch_runs", "batch-mode executions"),
-    ("batches_emitted", "batch", "repro_batches_emitted", "batches emitted by batch-mode runs"),
-    ("vector_fallbacks", "batch", "repro_vector_fallbacks", "tuple-wise fallbacks inside batches"),
+    ("batches_emitted", "batch", "repro_batches_emitted", "batches emitted by executions"),
+    ("vector_fallbacks", "batch", "repro_vector_fallbacks", "row-wise fallbacks inside batches"),
 )
 
 
@@ -413,17 +412,15 @@ class QueryService:
         and construction restores them — each entry dropped unless the
         catalog version *and* the schema fingerprint still match.
     batch_size:
-        Vectorized batch execution (PR 8): rows per columnar chunk for
-        cached-plan execution.  **On by default** — every run, with or
-        without a ``timeout``, executes batch-at-a-time through
-        ``iterate_batches`` (deadlines are polled per batch), with
-        uncovered expression forms falling back to the tuple-wise
-        compiled closure per batch element (results are oracle-equal by
-        construction).  ``None`` disables batching entirely (pre-PR-8
-        behaviour).
-        Adoption is observable, never silent: ``QueryResult.stats``
-        carries ``batches_emitted`` / ``vector_fallbacks`` per run and
-        :meth:`stats` aggregates them service-wide under ``"batch"``.
+        The chunk capacity of every run: operators emit batches of at
+        most this many rows (deadlines are polled per batch); ``None``
+        means the engine's default
+        (:data:`~repro.engine.plan.DEFAULT_BATCH_SIZE`).  Expression forms
+        without a batch kernel fall back to the row-wise compiled closure
+        per batch element.  Observable, never silent:
+        ``QueryResult.stats`` carries ``batches_emitted`` /
+        ``vector_fallbacks`` per run and :meth:`stats` aggregates them
+        service-wide under ``"batch"``.
     """
 
     def __init__(
@@ -1058,10 +1055,8 @@ class QueryService:
             session._record(result, work)
             counts["executed"] = 1
             timings = (wall, queue_wait)
-            if runtime.batch_size:
-                counts["batch_runs"] = 1
-                counts["batches_emitted"] = work.batches_emitted
-                counts["vector_fallbacks"] = work.vector_fallbacks
+            counts["batches_emitted"] = work.batches_emitted
+            counts["vector_fallbacks"] = work.vector_fallbacks
             # a clean run's closures are worth keeping; a run that raised
             # never gets here, so its runtime is dropped
             runtime.release()

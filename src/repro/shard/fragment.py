@@ -88,10 +88,9 @@ class FragmentSpec:
     #: live-head read.  Rides the contract next to ``params`` so pool
     #: workers provably resolve the coordinator's pinned state.
     epoch: Optional[int] = None
-    #: rows per columnar chunk (PR 8): a truthy value runs the fragment
-    #: batch-at-a-time and ships its result as :class:`ChunkedRows` (one
-    #: chunk list per batch) instead of a flat frozenset; ``None`` keeps
-    #: the tuple-mode contract
+    #: the fragment runtime's chunk capacity, which is also the chunk size
+    #: of the :class:`ChunkedRows` result it ships (``None``: the
+    #: runtime's default)
     batch_size: Optional[int] = None
     #: trace context (PR 10): the coordinator recorder's trace id, or
     #: ``None`` for untraced runs.  When set, :func:`execute_fragment`
@@ -128,16 +127,15 @@ class FragmentSpec:
 
 
 class ChunkedRows:
-    """A fragment result shipped as row chunks (PR 8 batched exchange).
+    """A fragment result shipped as row chunks, each at most the
+    fragment's chunk capacity.
 
     Plain picklable data, like everything else on the fragment contract.
     The chunks partition a *deduplicated* row set (the fragment's
-    ``execute`` result), so ``len``/iteration/set-conversion are all
-    exactly equivalent to the tuple-mode ``frozenset`` — consumers that
-    don't care about chunk boundaries (the executor's ``result_rows``
-    accounting, inline gathers under tuple mode) never notice the
-    difference, while batch-mode gathers re-emit the chunks as
-    :class:`~repro.engine.plan.Batch` objects without re-slicing.
+    ``execute`` result), so ``len`` and iteration see exactly that set —
+    the executor's ``result_rows`` accounting never notices the chunks —
+    while the gather re-emits them as :class:`~repro.engine.plan.Batch`
+    objects without re-slicing.
     """
 
     __slots__ = ("chunks",)
@@ -273,14 +271,11 @@ def execute_fragment(
         deadline=deadline,
         batch_size=spec.batch_size,
     )
-    rows = plan.execute(rt)
-    if spec.batch_size:
-        # batched exchange: ship the (deduplicated) result as row
-        # chunks so the gather re-emits whole batches instead of
-        # paying per-row stream overhead on the way back
-        seq = list(rows)
-        size = spec.batch_size
-        rows = ChunkedRows(seq[i : i + size] for i in range(0, len(seq), size))
+    # ship the (deduplicated) result as row chunks, so the gather
+    # re-emits whole batches instead of re-slicing on the way back
+    seq = list(plan.execute(rt))
+    size = rt.batch_size
+    rows = ChunkedRows(seq[i : i + size] for i in range(0, len(seq), size))
     snapshot = stats.snapshot()
     if spec.trace is not None:
         # the span rides the snapshot under an underscore key, which

@@ -29,11 +29,11 @@ carries a :class:`~repro.shard.executor.ParallelExecutor`
 merges partial results + per-worker statistics; without one it runs them
 lazily in-process through :func:`~repro.shard.fragment.run_inline`, the
 same path the executor's inline mode drains — parity between the two
-paths holds by construction.  Both go through one loop, ``_gathered``;
-row and batch gathers differ only in what they emit.  Either way the
-gather materializes its input and counts one ``pipeline_breaks`` (plus
-whatever breaks the fragments themselves report), consistent with every
-other breaker.
+paths holds by construction.  Both go through one loop, ``_gathered``,
+and the gather re-emits each fragment's row chunks as batches.  Either
+way the gather materializes its input and counts one ``pipeline_breaks``
+(plus whatever breaks the fragments themselves report), consistent with
+every other breaker.
 
 Partition-wise joins on co-partitioned inputs resolve stored shards
 directly and skip the exchange entirely; broadcast joins read the small
@@ -47,7 +47,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.adl import ast as A
 from repro.datamodel.values import Value
-from repro.engine.plan import DEFAULT_BATCH_SIZE, Batch, ExecRuntime, PlanNode
+from repro.engine.plan import Batch, ExecRuntime, PlanNode
 from repro.shard.executor import fold_report
 from repro.shard.fragment import (
     FragmentSpec,
@@ -78,9 +78,8 @@ def _specs(text: str, bindings, params, epoch, batch_size, trace) -> List[Fragme
 
 def _gathered(rt: ExecRuntime, node: PlanNode, specs, parallel) -> Iterator:
     """The shard tier's one fragment-results loop: yield each fragment's
-    rows (a frozenset, or :class:`~repro.shard.fragment.ChunkedRows` for
-    batch-mode specs) after handing its span to the recorder and folding
-    its counters into ``rt.stats``.
+    rows (a :class:`~repro.shard.fragment.ChunkedRows`) after handing its
+    span to the recorder and folding its counters into ``rt.stats``.
 
     With ``parallel`` (a :class:`~repro.shard.executor.ParallelExecutor`)
     the batch runs there, and its one report is recorded for ``node``'s
@@ -167,22 +166,15 @@ class Exchange(PlanNode):
             return f"on {self.key_attr}, {self.parts} parts"
         return f"{self.parts} parts"
 
-    def _gather(self, rt: ExecRuntime, batch_size: Optional[int] = None) -> Iterator:
-        rt.stats.pipeline_breaks += 1
-        specs = self.child.payloads(
-            rt.params, epoch=rt.pinned_epoch, batch_size=batch_size, trace=_trace_id(rt)
-        )
-        return _gathered(rt, self, specs, rt.parallel)
-
-    def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
-        for rows in self._gather(rt):
-            yield from rows
-
     def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
-        # batched gather: fragments run batch-at-a-time and ship their
+        # fragments run at this run's chunk capacity and ship their
         # results as ChunkedRows, re-emitted here chunk-for-chunk
         stats = rt.stats
-        for rows in self._gather(rt, rt.batch_size or DEFAULT_BATCH_SIZE):
+        stats.pipeline_breaks += 1
+        specs = self.child.payloads(
+            rt.params, epoch=rt.pinned_epoch, batch_size=rt.batch_size, trace=_trace_id(rt)
+        )
+        for rows in _gathered(rt, self, specs, rt.parallel):
             for chunk in rows.chunks:
                 if chunk:
                     stats.batches_emitted += 1

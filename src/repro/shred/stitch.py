@@ -76,10 +76,9 @@ class StitchNest(PlanNode):
         each frozen once.
 
         Each flat row splits into its originating pair through the
-        synthetic key; the result function is evaluated per pair.  Under
-        batch mode the inner subplan already executes batched —
-        ``_consume`` drains ``iterate_batches`` — so the flat join's
-        kernels run regardless of how the stitch itself iterates.
+        synthetic key; the result function is evaluated per pair.  The
+        inner subplan executes batched (``_consume`` drains its
+        batches), so the flat join's kernels run.
         """
         result_fn = rt.compiled(self.result)
         key_attrs = self.key_attrs
@@ -94,17 +93,9 @@ class StitchNest(PlanNode):
             groups.setdefault(x, set()).add(result_fn(env))
         return {x: frozenset(group) for x, group in groups.items()}
 
-    def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
-        groups = self._build_groups(rt)
-        as_attr = self.as_attr
-        stats = rt.stats
-        for x in self.outer.stream(rt):
-            stats.tuples_visited += 1
-            yield attach_group(x, as_attr, groups.get(x, EMPTY_GROUP))
-
     def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
-        # native batch path: the group build consumes the inner subplan's
-        # batched execution, then the outer stream is stitched chunk-wise
+        # the group build consumes the inner subplan, then the outer
+        # stream is stitched chunk-wise
         groups = self._build_groups(rt)
         as_attr = self.as_attr
         stats = rt.stats

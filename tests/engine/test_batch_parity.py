@@ -1,13 +1,17 @@
-"""Batch/tuple parity (PR 8): every operator shape from the streaming
-parity matrix re-run in batch mode against the tuple-mode oracle.
+"""Batch parity: every operator shape from the streaming parity matrix,
+at chunk capacities of 1, non-divisors of the inputs, the default and
+one larger than every input, against the frozen tuple-engine record
+(``golden.py``) and the reference interpreter.
 
-Batch mode must be invisible except for its own two counters: identical
-result sets AND identical work counters (``batches_emitted`` /
-``vector_fallbacks`` excluded — those exist only in batch mode), for
-batch sizes of 1, a non-divisor of the input, the default, and one
-larger than every input.  Plus: empty extents, and a hypothesis property
-that kernel fallback triggers *exactly* on uncovered expression forms.
+The chunk capacity must be invisible except in the batch protocol's own
+two counters: identical result sets AND identical work counters
+(``batches_emitted`` / ``vector_fallbacks`` excluded).  Plus: empty
+extents, kernel bails, and a hypothesis property that kernel fallback
+triggers *exactly* on uncovered expression forms, against the row-wise
+compiled closures (the vectorizer switched off).
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +21,8 @@ from repro.adl import ast as A
 from repro.adl import builders as B
 from repro.datamodel import VTuple
 from repro.datamodel.errors import EvaluationError
-from repro.engine.compile import vector_covered
+from repro.engine.compile import Compiler, vector_covered
+from repro.engine.interpreter import Interpreter
 from repro.engine.plan import (
     EMPTY_GROUP,
     Batch,
@@ -32,10 +37,13 @@ from repro.engine.stats import Stats
 from repro.storage import MemoryDatabase
 from repro.workload.paper_db import example_database
 
+from tests.engine.golden import BATCH_ONLY, assert_matches_reference
 from tests.engine.test_streaming_parity import (
     CASES,
     EQ,
     GROUP_CELLS,
+    LOGICAL,
+    LOGICAL_JOINS,
     PARTS,
     PID,
     TRUE,
@@ -44,8 +52,8 @@ from tests.engine.test_streaming_parity import (
     flat_db,
 )
 
-#: counters that only batch mode moves — everything else must match
-BATCH_ONLY = ("batches_emitted", "vector_fallbacks")
+THIS = __name__
+OPERATORS = "tests.engine.test_streaming_parity"
 
 #: 1 = every row its own batch; 7 = non-divisor of every input size;
 #: 256 = the default; 10_000 = larger than any test input (one batch)
@@ -59,26 +67,32 @@ def _snap(stats: Stats) -> dict:
     return snap
 
 
+@mock.patch.object(Compiler, "compile_batch", lambda *args: None)
+@mock.patch.object(Compiler, "compile_batch_pred", lambda *args: None)
+def _row_wise(plan, db):
+    """``(rows, stats)`` of ``plan`` with the vectorizer switched off:
+    every batch element runs the row-wise compiled closure, with its
+    counters — the oracle a kernel must reproduce."""
+    stats = Stats()
+    return plan.execute(ExecRuntime(db, stats)), stats
+
+
 class TestBatchTupleParityMatrix:
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_batch_matches_tuple_oracle(self, name, batch_size):
+        assert_matches_reference(OPERATORS, name, batch_size)
         factory, db_factory = CASES[name]
-        oracle_stats = Stats()
-        oracle = factory().execute(ExecRuntime(db_factory(), oracle_stats))
-        stats = Stats()
-        rows = factory().execute(
-            ExecRuntime(db_factory(), stats, batch_size=batch_size)
-        )
-        assert rows == oracle, name
-        assert _snap(stats) == _snap(oracle_stats), name
+        db = db_factory()
+        rows = factory().execute(ExecRuntime(db, Stats(), batch_size=batch_size))
+        assert rows == Interpreter(db).eval(LOGICAL[name]), name
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_iterate_batches_flattens_to_oracle(self, name, batch_size):
         """The raw batch stream itself (not just execute) is row-equal."""
         factory, db_factory = CASES[name]
-        oracle = factory().execute(ExecRuntime(db_factory(), Stats()))
+        oracle = Interpreter(db_factory()).eval(LOGICAL[name])
         rt = ExecRuntime(db_factory(), Stats(), batch_size=batch_size)
         out = []
         for batch in factory().iterate_batches(rt):
@@ -113,17 +127,10 @@ class TestNestedPathKernel:
     @pytest.mark.parametrize("batch_size", (1, 3, 256))
     @pytest.mark.parametrize("name", sorted(NESTED_PATH_CASES))
     def test_deref_kernel_matches_tuple_mode(self, name, batch_size):
-        factory = NESTED_PATH_CASES[name]
-        oracle_stats = Stats()
-        oracle = factory().execute(ExecRuntime(example_database(), oracle_stats))
-        stats = Stats()
-        rows = factory().execute(
-            ExecRuntime(example_database(), stats, batch_size=batch_size)
-        )
-        assert rows == oracle
-        assert _snap(stats) == _snap(oracle_stats)
-        assert stats.oid_derefs == 4  # one per DELIVERY row, in every mode
-        assert stats.vector_fallbacks == 0 and stats.batches_emitted > 0
+        got = assert_matches_reference(THIS, f"nested-path/{name}", batch_size)
+        stats = got["stats"]
+        assert stats["oid_derefs"] == 4  # one per DELIVERY row, at every capacity
+        assert "vector_fallbacks" not in stats and stats["batches_emitted"] > 0
 
 
 def empty_db():
@@ -148,7 +155,7 @@ def empty_db():
 
 class TestEmptyExtents:
     #: every parity case built over the flat database, re-run on empty
-    #: extents — batch mode must agree with tuple mode on nothing at all
+    #: extents — the record holds on nothing at all too
     FLAT_CASES = sorted(
         name for name, (_, db_factory) in CASES.items() if db_factory is flat_db
     )
@@ -156,15 +163,10 @@ class TestEmptyExtents:
     @pytest.mark.parametrize("batch_size", (1, 256))
     @pytest.mark.parametrize("name", FLAT_CASES)
     def test_batch_parity_on_empty_extents(self, name, batch_size):
+        assert_matches_reference(THIS, f"empty/{name}", batch_size)
         factory, _ = CASES[name]
-        oracle_stats = Stats()
-        oracle = factory().execute(ExecRuntime(empty_db(), oracle_stats))
-        stats = Stats()
-        rows = factory().execute(
-            ExecRuntime(empty_db(), stats, batch_size=batch_size)
-        )
-        assert rows == oracle, name
-        assert _snap(stats) == _snap(oracle_stats), name
+        rows = factory().execute(ExecRuntime(empty_db(), Stats(), batch_size=batch_size))
+        assert rows == Interpreter(empty_db()).eval(LOGICAL[name]), name
 
 
 # -- fallback exactness (hypothesis) ----------------------------------------
@@ -269,22 +271,21 @@ class TestFallbackExactness:
     def test_fallback_triggers_exactly_on_uncovered_forms(self, pred, rows):
         db = MemoryDatabase({"X": rows})
 
-        def run(p, batch_size):
+        def run(p):
             stats = Stats()
-            out = Filter("x", p, Scan("X")).execute(
-                ExecRuntime(db, stats, batch_size=batch_size)
-            )
+            out = Filter("x", p, Scan("X")).execute(ExecRuntime(db, stats))
             return out, stats
 
-        oracle, oracle_stats = run(pred, None)
+        oracle, oracle_stats = _row_wise(Filter("x", pred, Scan("X")), db)
+        assert oracle == Interpreter(db).eval(B.sel("x", pred, B.extent("X")))
 
-        covered_rows, covered_stats = run(pred, 256)
+        covered_rows, covered_stats = run(pred)
         assert covered_rows == oracle
         assert _snap(covered_stats) == _snap(oracle_stats)
         # covered + well-typed: the kernel never falls back
         assert covered_stats.vector_fallbacks == 0
 
-        uncovered_rows, uncovered_stats = run(_uncover(pred), 256)
+        uncovered_rows, uncovered_stats = run(_uncover(pred))
         assert uncovered_rows == oracle
         # uncovered: every batch goes through the tuple-wise fallback
         assert uncovered_stats.vector_fallbacks == (1 if rows else 0)
@@ -303,26 +304,25 @@ class TestFallbackExactness:
     @settings(max_examples=60, deadline=None)
     def test_tuple_bodies_fall_back_exactly_on_uncovered_forms(self, body, rows):
         """``Map`` over a tuple constructor: a covered body maps every batch
-        natively with the tuple engine's rows and counters; one uncovered
-        field makes every batch replay."""
+        natively with the row-wise closure's rows and counters; one
+        uncovered field makes every batch replay."""
         db = MemoryDatabase({"X": rows})
 
-        def run(b, batch_size):
+        def run(b):
             stats = Stats()
-            out = MapOp("x", b, Scan("X")).execute(
-                ExecRuntime(db, stats, batch_size=batch_size)
-            )
+            out = MapOp("x", b, Scan("X")).execute(ExecRuntime(db, stats))
             return out, stats
 
-        oracle, oracle_stats = run(body, None)
-        covered_rows, covered_stats = run(body, 256)
+        oracle, oracle_stats = _row_wise(MapOp("x", body, Scan("X")), db)
+        assert oracle == Interpreter(db).eval(B.amap("x", body, B.extent("X")))
+        covered_rows, covered_stats = run(body)
         assert covered_rows == oracle
         assert _snap(covered_stats) == _snap(oracle_stats)
         assert covered_stats.vector_fallbacks == 0
 
         uncovered = _uncover_field(body)
-        uncovered_rows, uncovered_stats = run(uncovered, 256)
-        assert uncovered_rows == run(uncovered, None)[0]
+        uncovered_rows, uncovered_stats = run(uncovered)
+        assert uncovered_rows == Interpreter(db).eval(B.amap("x", uncovered, B.extent("X")))
         assert uncovered_stats.vector_fallbacks == (1 if rows else 0)
 
 
@@ -343,28 +343,14 @@ class TestRuntimeBailParity:
     def test_mixed_type_batch_falls_back_and_matches_tuple_error(self):
         """A runtime anomaly mid-column re-runs element-wise: the error is
         exactly the tuple engine's, and the fallback is counted."""
-        db = MemoryDatabase({"X": [VTuple(a=1), VTuple(a="zzz")]})
-        pred = B.lt(B.attr(B.var("x"), "a"), B.lit(5))
-        plan = Filter("x", pred, Scan("X"))
-
-        tuple_err = batch_err = None
-        try:
-            plan.execute(ExecRuntime(db, Stats()))
-        except Exception as exc:  # noqa: BLE001 - parity check
-            tuple_err = (type(exc), str(exc))
-        stats = Stats()
-        try:
-            plan.execute(ExecRuntime(db, stats, batch_size=256))
-        except Exception as exc:  # noqa: BLE001 - parity check
-            batch_err = (type(exc), str(exc))
-        assert tuple_err is not None
-        assert batch_err == tuple_err
-        assert stats.vector_fallbacks == 1
+        got = assert_matches_reference(THIS, "mixed-type-bail", 256, only=())
+        assert got["error"]
+        assert got["stats"]["vector_fallbacks"] == 1
 
     def test_join_key_kernels_cover_and_match(self):
         db = flat_db()
         plan = HashJoinBase("join", "x", "y", XA, YD, EQ, Scan("X"), Scan("Y"))
-        oracle = plan.execute(ExecRuntime(flat_db(), Stats()))
+        oracle = Interpreter(db).eval(LOGICAL_JOINS["join"])
         stats = Stats()
         rows = plan.execute(ExecRuntime(db, stats, batch_size=2))
         assert rows == oracle
@@ -372,18 +358,17 @@ class TestRuntimeBailParity:
         assert stats.batches_emitted > 0
 
 
-def _run_both(plan, db_factory, batch_size=256):
-    """``(outcome, stats)`` of ``plan`` in tuple mode and in batch mode,
-    where an outcome is the rows or the raised error's type and message."""
-    runs = []
-    for size in (None, batch_size):
-        stats = Stats()
-        try:
-            outcome = plan.execute(ExecRuntime(db_factory(), stats, batch_size=size))
-        except Exception as exc:  # noqa: BLE001 - parity check
-            outcome = (type(exc), str(exc))
-        runs.append((outcome, stats))
-    return runs
+_S, _T = B.attr(B.var("x"), "s"), B.attr(B.var("x"), "t")
+SET_KERNEL_PLANS = {
+    "subseteq": Filter("x", A.SetCompare("subseteq", _S, _T), Scan("X")),
+    "in": Filter("x", A.SetCompare("in", B.lit(1), _S), Scan("X")),
+    "ni": Filter("x", A.SetCompare("ni", _S, B.lit(1)), Scan("X")),
+    "count": MapOp("x", A.Aggregate("count", _S), Scan("X")),
+    "count-in-tuple": MapOp("x", B.tup(n=A.Aggregate("count", _S)), Scan("X")),
+}
+#: an int makes ``len`` / ``in`` raise on their own; a tuple is a
+#: ``Mapping``, so only the kernel's set validation catches it
+BAD_OPERANDS = {"int": 3, "tuple": VTuple(z=1)}
 
 
 class TestSetKernelBails:
@@ -403,42 +388,28 @@ class TestSetKernelBails:
             }
         )
 
-    S, T = B.attr(B.var("x"), "s"), B.attr(B.var("x"), "t")
-
-    @pytest.mark.parametrize(
-        "plan",
-        [
-            Filter("x", A.SetCompare("subseteq", S, T), Scan("X")),
-            Filter("x", A.SetCompare("in", B.lit(1), S), Scan("X")),
-            Filter("x", A.SetCompare("ni", S, B.lit(1)), Scan("X")),
-            MapOp("x", A.Aggregate("count", S), Scan("X")),
-            MapOp("x", B.tup(n=A.Aggregate("count", S)), Scan("X")),
-        ],
-        ids=["subseteq", "in", "ni", "count", "count-in-tuple"],
-    )
-    # an int makes ``len`` / ``in`` raise on their own; a tuple is a
-    # ``Mapping``, so only the kernel's set validation catches it
-    @pytest.mark.parametrize("bad", [3, VTuple(z=1)], ids=["int", "tuple"])
+    @pytest.mark.parametrize("plan", list(SET_KERNEL_PLANS), ids=list(SET_KERNEL_PLANS))
+    @pytest.mark.parametrize("bad", list(BAD_OPERANDS), ids=list(BAD_OPERANDS))
     def test_non_set_operand_replays_with_the_tuple_error(self, plan, bad):
-        (tuple_err, tuple_stats), (batch_err, batch_stats) = _run_both(plan, self._db(bad))
-        assert isinstance(tuple_err, tuple) and tuple_err[0].__name__ == "EvaluationError"
-        assert batch_err == tuple_err
-        assert batch_stats.comparisons == tuple_stats.comparisons
-        assert batch_stats.predicate_evals == tuple_stats.predicate_evals
-        assert batch_stats.vector_fallbacks == 1
+        got = assert_matches_reference(
+            THIS, f"set-kernel-bail/{plan}-{bad}", 256,
+            only=("comparisons", "predicate_evals"),
+        )
+        assert got["error"].startswith("EvaluationError: ")
+        assert got["stats"]["vector_fallbacks"] == 1
 
 
 class TestSharedNestjoinGroups:
     """The hash nestjoin builds one group per key when neither its
     residual nor its result mentions the left variable; every row that
-    probes the key carries that one frozen object, in both modes."""
+    probes the key carries that one frozen object, at every capacity."""
 
     @staticmethod
     def _rows(name, batch_size):
         factory, db_factory = CASES[name]
         return factory().execute(ExecRuntime(db_factory(), Stats(), batch_size=batch_size))
 
-    @pytest.mark.parametrize("batch_size", (None, 1, 7, 256))
+    @pytest.mark.parametrize("batch_size", (1, 7, 256))
     @pytest.mark.parametrize("suffix", sorted(s for s in GROUP_CELLS if s.startswith("shared")))
     def test_rows_with_one_key_share_one_group(self, suffix, batch_size):
         rows = self._rows(f"HashJoinBase-nestjoin-{suffix}", batch_size)
@@ -455,7 +426,7 @@ class TestSharedNestjoinGroups:
         dangling = [row["grp"] for row in rows if row["a"] in (7, 8)]
         assert len(dangling) == 2 and all(g is EMPTY_GROUP for g in dangling)
 
-    @pytest.mark.parametrize("batch_size", (None, 1, 7, 256))
+    @pytest.mark.parametrize("batch_size", (1, 7, 256))
     def test_a_result_compare_counts_once_per_probed_build_row(self, batch_size):
         """``y.e > 2`` runs once per right row of a probed key (keys 1 and 3:
         five rows), not once per matching pair (3*3 + 2*2 = 13)."""
@@ -464,7 +435,7 @@ class TestSharedNestjoinGroups:
         factory().execute(ExecRuntime(db_factory(), stats, batch_size=batch_size))
         assert stats.comparisons == 5
 
-    @pytest.mark.parametrize("batch_size", (None, 1, 7, 256))
+    @pytest.mark.parametrize("batch_size", (1, 7, 256))
     @pytest.mark.parametrize("suffix", ["per-row-result", "per-row-residual"])
     def test_groups_that_mention_x_are_built_per_row(self, suffix, batch_size):
         """A result or residual over ``x`` depends on the left row: equal
@@ -488,9 +459,16 @@ def _membership_db(bad=False, empty_right=False):
     return MemoryDatabase({"S": rows, "P": pids})
 
 
+def _membership_nestjoin():
+    return MembershipHashJoin(
+        "nestjoin", "s", "p", PID, PARTS, "left-set", TRUE, Scan("S"), Scan("P"),
+        as_attr="grp", result=B.var("p"),
+    )
+
+
 class TestMembershipBatchProbe:
     """The left-set semijoin / antijoin with a trivial residual (Example 5)
-    probes natively in batch mode, with the tuple loop's rows and counters."""
+    probes natively, with the row loop's rows and counters."""
 
     @staticmethod
     def _plan(kind):
@@ -502,13 +480,14 @@ class TestMembershipBatchProbe:
     @pytest.mark.parametrize("empty_right", (False, True))
     @pytest.mark.parametrize("kind", ["semijoin", "antijoin"])
     def test_rows_and_stats_match_the_tuple_loop(self, kind, empty_right, batch_size, monkeypatch):
-        db_factory = lambda: _membership_db(empty_right=empty_right)  # noqa: E731
-        (oracle, oracle_stats), _ = _run_both(self._plan(kind), db_factory)
-        # the batch run must not fall back to chunking the tuple loop
+        right = "empty-right" if empty_right else "right"
+        assert_matches_reference(THIS, f"membership/{kind}-{right}", batch_size)
+        # the run must not fall back to chunking the row loop
         monkeypatch.setattr(MembershipHashJoin, "iterate", None)
-        _, (rows, stats) = _run_both(self._plan(kind), db_factory, batch_size)
-        assert rows == oracle
-        assert _snap(stats) == _snap(oracle_stats)
+        stats = Stats()
+        rows = self._plan(kind).execute(
+            ExecRuntime(_membership_db(empty_right=empty_right), stats, batch_size=batch_size)
+        )
         assert stats.vector_fallbacks == 0
         meets = set() if empty_right else {1}
         expected = meets if kind == "semijoin" else {1, 2, 3} - meets
@@ -517,23 +496,51 @@ class TestMembershipBatchProbe:
     @pytest.mark.parametrize("batch_size", (1, 256))
     @pytest.mark.parametrize("kind", ["semijoin", "antijoin"])
     def test_a_non_set_container_raises_the_tuple_error(self, kind, batch_size):
-        db_factory = lambda: _membership_db(bad=True)  # noqa: E731
-        (tuple_err, tuple_stats), (batch_err, batch_stats) = _run_both(
-            self._plan(kind), db_factory, batch_size
-        )
-        assert tuple_err == (
-            EvaluationError, "membership join container is not a set"
-        )
-        assert batch_err == tuple_err
-        assert _snap(batch_stats) == _snap(tuple_stats)
+        got = assert_matches_reference(THIS, f"membership/{kind}-bad", batch_size)
+        assert got["error"] == "EvaluationError: membership join container is not a set"
+        with pytest.raises(EvaluationError):
+            self._plan(kind).execute(
+                ExecRuntime(_membership_db(bad=True), Stats(), batch_size=batch_size)
+            )
 
     def test_other_kinds_and_orientations_keep_the_default_path(self):
         """Only the left-set semi/antijoin with a trivial residual is native:
-        a nestjoin still chunks the tuple loop."""
-        plan = MembershipHashJoin(
-            "nestjoin", "s", "p", PID, PARTS, "left-set", TRUE, Scan("S"), Scan("P"),
-            as_attr="grp", result=B.var("p"),
-        )
-        (oracle, oracle_stats), (rows, stats) = _run_both(plan, _membership_db)
-        assert rows == oracle
-        assert _snap(stats) == _snap(oracle_stats)
+        a nestjoin still chunks the family's row loop."""
+        assert_matches_reference(THIS, "membership/nestjoin", 256)
+
+
+def _executes(plan_factory, db_factory):
+    return lambda stats, size: plan_factory().execute(
+        ExecRuntime(db_factory(), stats, batch_size=size)
+    )
+
+
+def reference_cells():
+    """This module's recorded cells (see ``tests/engine/golden.py``): the
+    flat cases on empty extents, the reference-path kernels, the kernel
+    bails and the membership probe."""
+    cells = {
+        f"empty/{name}": _executes(CASES[name][0], empty_db)
+        for name in TestEmptyExtents.FLAT_CASES
+    }
+    for name, factory in NESTED_PATH_CASES.items():
+        cells[f"nested-path/{name}"] = _executes(factory, example_database)
+    cells["mixed-type-bail"] = _executes(
+        lambda: Filter("x", B.lt(B.attr(B.var("x"), "a"), B.lit(5)), Scan("X")),
+        lambda: MemoryDatabase({"X": [VTuple(a=1), VTuple(a="zzz")]}),
+    )
+    for plan_id, plan in SET_KERNEL_PLANS.items():
+        for bad_id, bad in BAD_OPERANDS.items():
+            cells[f"set-kernel-bail/{plan_id}-{bad_id}"] = _executes(
+                lambda plan=plan: plan, TestSetKernelBails._db(bad)
+            )
+    for kind in ("semijoin", "antijoin"):
+        for right, db_kwargs in (
+            ("right", {}), ("empty-right", {"empty_right": True}), ("bad", {"bad": True})
+        ):
+            cells[f"membership/{kind}-{right}"] = _executes(
+                lambda kind=kind: TestMembershipBatchProbe._plan(kind),
+                lambda db_kwargs=db_kwargs: _membership_db(**db_kwargs),
+            )
+    cells["membership/nestjoin"] = _executes(_membership_nestjoin, _membership_db)
+    return cells

@@ -3,8 +3,9 @@
 and priced as ONE plain join that emits ``f(x, y)`` per matching pair —
 no nestjoin group, no map, no flatten.
 
-Covers the golden plan shapes, the physical-variant × engine-mode parity
-matrix against the interpreter on the *unrewritten* translation, a
+Covers the golden plan shapes, the physical-variant × chunk-capacity
+parity matrix against the interpreter on the *unrewritten* translation
+and the frozen tuple-engine counters (``golden.py``), a
 hypothesis property over random select/where clauses, and the shapes
 that must decline the fusion and still answer correctly.
 """
@@ -29,7 +30,7 @@ from repro.storage import Catalog, MemoryDatabase
 from repro.storage.store import Database
 from repro.translate import compile_oosql
 
-from tests.engine.test_batch_parity import _snap
+from tests.engine.golden import assert_matches_reference
 
 TYPES = TypeCatalog(
     {
@@ -231,6 +232,28 @@ def matrix_oracle(db, residual):
     return oracle(db, MATRIX_TYPES, text)
 
 
+def _cell_name(variant, residual, empty_right):
+    return "-".join(
+        (variant, "plain" if residual == TRUE else "residual", "empty" if empty_right else "full")
+    )
+
+
+def reference_cells():
+    """The parity matrix's cells — recorded from the tuple engine (see
+    ``tests/engine/golden.py``)."""
+    return {
+        _cell_name(variant, residual, empty_right): (
+            lambda stats, size, variant=variant, residual=residual, empty_right=empty_right:
+            VARIANTS[variant](residual).execute(
+                ExecRuntime(matrix_db(empty_right), stats, batch_size=size)
+            )
+        )
+        for variant in VARIANTS
+        for residual in (TRUE, RESIDUAL)
+        for empty_right in (False, True)
+    }
+
+
 class TestParityMatrix:
     @pytest.mark.parametrize("empty_right", (False, True))
     @pytest.mark.parametrize("residual", (TRUE, RESIDUAL), ids=("plain", "residual"))
@@ -242,20 +265,19 @@ class TestParityMatrix:
         want = matrix_oracle(db, residual)
         if not empty_right:
             assert want, "the matrix data must produce output"
-        tuple_stats = Stats()
-        rt = ExecRuntime(db, tuple_stats)
-        streamed = list(VARIANTS[variant](residual).iterate(rt))
+        streamed = list(VARIANTS[variant](residual).stream(ExecRuntime(db, Stats())))
         assert frozenset(streamed) == want
         if not empty_right and residual == TRUE:
             # two distinct pairs, one output tuple: the stream is a bag
             assert len(streamed) > len(want)
         for batch_size in (1, 7, 256):
-            stats = Stats()
             rows = VARIANTS[variant](residual).execute(
-                ExecRuntime(db, stats, batch_size=batch_size)
+                ExecRuntime(db, Stats(), batch_size=batch_size)
             )
             assert rows == want, (variant, batch_size)
-            assert _snap(stats) == _snap(tuple_stats), (variant, batch_size)
+            assert_matches_reference(
+                __name__, _cell_name(variant, residual, empty_right), batch_size
+            )
 
     def test_dangling_probe_rows_emit_nothing(self):
         db = matrix_db()

@@ -1,8 +1,9 @@
 """Native batch grouping for ``Nest`` (PR 9, satellite of query
-shredding): the bulk key-kernel group build must be invisible next to
-the tuple engine — identical rows, identical work counters — while
-actually running the PR-8 kernels (no fallback counts on uniform
-input), and must stay exact on heterogeneous row shapes.
+shredding): the bulk key-kernel group build must reproduce the frozen
+tuple-engine record (``tests/engine/golden.py``) — identical rows,
+identical work counters — while actually running the PR-8 kernels (no
+fallback counts on uniform input), and must stay exact on heterogeneous
+row shapes.
 """
 
 import pytest
@@ -14,15 +15,9 @@ from repro.engine.plan import ExecRuntime, NestOp, Scan
 from repro.engine.stats import Stats
 from repro.storage import MemoryDatabase
 
-BATCH_ONLY = ("batches_emitted", "vector_fallbacks")
+from tests.engine.golden import assert_matches_reference
+
 BATCH_SIZES = (1, 7, 256)
-
-
-def _snap(stats):
-    snap = stats.snapshot()
-    for k in BATCH_ONLY:
-        snap.pop(k, None)
-    return snap
 
 
 def uniform_db(n=40):
@@ -44,18 +39,23 @@ def nest():
     return NestOp(("v",), "vs", Scan("R"))
 
 
+def reference_cells():
+    """The nest over each fixture — the recorded cells (see
+    ``tests/engine/golden.py``)."""
+    return {
+        name: lambda stats, size, db_factory=db_factory: nest().execute(
+            ExecRuntime(db_factory(), stats, batch_size=size)
+        )
+        for name, db_factory in (("uniform", uniform_db), ("hetero", hetero_db))
+    }
+
+
 class TestNestBatchParity:
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     @pytest.mark.parametrize("db_factory", [uniform_db, hetero_db], ids=["uniform", "hetero"])
     def test_rows_and_counters_match_tuple_mode(self, db_factory, batch_size):
-        oracle_stats = Stats()
-        want = nest().execute(ExecRuntime(db_factory(), oracle_stats))
-        stats = Stats()
-        got = nest().execute(
-            ExecRuntime(db_factory(), stats, batch_size=batch_size)
-        )
-        assert got == want
-        assert _snap(stats) == _snap(oracle_stats)
+        name = "uniform" if db_factory is uniform_db else "hetero"
+        assert_matches_reference(__name__, name, batch_size)
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     @pytest.mark.parametrize("db_factory", [uniform_db, hetero_db], ids=["uniform", "hetero"])

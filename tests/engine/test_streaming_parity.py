@@ -1,8 +1,11 @@
-"""Streaming parity: for every physical operator class, the streaming
-interface (``iterate``) and the materializing wrapper (``execute``) must
-produce the same set AND the same work counters, and the result must equal
-the reference :class:`Interpreter`'s evaluation of the operator's logical
-ADL form."""
+"""Streaming parity: for every physical operator class, the row stream
+(``stream``) and the drain (``execute``) must produce the same set AND
+the same work counters, and the result must equal the reference
+:class:`Interpreter`'s evaluation of the operator's logical ADL form.
+
+``CASES`` is the operator matrix the batch, trace and counter tests
+share; ``reference_cells`` hands it to the frozen tuple-engine record
+(``golden.py``)."""
 
 import json
 import os
@@ -547,6 +550,16 @@ for suffix, (lkeys, rkeys, residual, result) in GROUP_CELLS.items():
     )
 
 
+def reference_cells():
+    """Every case, executed — the recorded cells (see ``golden.py``)."""
+    return {
+        name: lambda stats, size, factory=factory, db_factory=db_factory: factory().execute(
+            ExecRuntime(db_factory(), stats, batch_size=size)
+        )
+        for name, (factory, db_factory) in CASES.items()
+    }
+
+
 class TestIterateExecuteParity:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_same_result_and_counters(self, name):
@@ -554,13 +567,19 @@ class TestIterateExecuteParity:
         db = db_factory()
 
         stream_stats = Stats()
-        streamed = frozenset(factory().iterate(ExecRuntime(db, stream_stats)))
+        node = factory()
+        streamed = frozenset(node.stream(ExecRuntime(db, stream_stats)))
 
         exec_stats = Stats()
         executed = factory().execute(ExecRuntime(db, exec_stats))
 
         assert streamed == executed, name
-        assert stream_stats.snapshot() == exec_stats.snapshot(), name
+        streamed_counts, executed_counts = stream_stats.snapshot(), exec_stats.snapshot()
+        if type(node).execute is not PlanNode.execute:
+            # a drained Scan or Eval hands over its finished set unchunked
+            assert streamed_counts.pop("batches_emitted") == 1
+            assert executed_counts.pop("batches_emitted") == 0
+        assert streamed_counts == executed_counts, name
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_interpreter_agrees(self, name):
@@ -597,27 +616,26 @@ GOLDEN_JOIN_COUNTERS = os.path.join(os.path.dirname(__file__), "golden_join_coun
 
 
 def join_counter_table():
-    """``{case: {"tuple": counters, "batch": counters}}`` (non-zero
-    counters only) for every join-family case of the matrix."""
+    """``{case: counters}`` (non-zero counters only, the default chunk
+    capacity) for every join-family case of the matrix."""
     table = {}
     for name in sorted(CASES):
         factory, db_factory = CASES[name]
         if not isinstance(factory(), JOIN_CLASSES):
             continue
-        table[name] = {}
-        for mode, batch_size in (("tuple", None), ("batch", 256)):
-            stats = Stats()
-            factory().execute(ExecRuntime(db_factory(), stats, batch_size=batch_size))
-            table[name][mode] = {k: v for k, v in stats.snapshot().items() if v}
+        stats = Stats()
+        factory().execute(ExecRuntime(db_factory(), stats))
+        table[name] = {k: v for k, v in stats.snapshot().items() if v}
     return table
 
 
 class TestJoinCounterGolden:
     def test_every_join_case_matches_the_golden_stats_table(self):
-        """Row parity is the matrix above; this pins the *counters* of
-        every strategy x kind cell to a table captured before the join
-        family was folded into one emission loop, so a refactor of that
-        loop is shown counter-identical, not just row-identical.
+        """Row parity is the matrix above; this pins *every* counter of
+        every strategy x kind cell, ``batches_emitted`` included, to a
+        table first captured before the join family was folded into one
+        emission loop, so a refactor of that loop is shown
+        counter-identical, not just row-identical.
 
         Semijoins stop at the first match, so their counters depend on
         the iteration order of the right operand's frozenset — i.e. on
@@ -649,21 +667,19 @@ class TestDeadlineAtTheEdge:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_expired_deadline_raises_before_the_first_item(self, name, edge):
         factory, db_factory = CASES[name]
-        rt = ExecRuntime(
-            db_factory(),
-            Stats(),
-            deadline=time.monotonic() - 1,
-            batch_size=256 if edge == "stream_batches" else None,
-        )
+        rt = ExecRuntime(db_factory(), Stats(), deadline=time.monotonic() - 1)
         with pytest.raises(QueryTimeoutError):
             next(iter(getattr(factory(), edge)(rt)))
 
 
 class TestStreamingBehaviour:
+    """A consumer that stops early stops the scan after the chunk it is
+    reading (capacity 1 here: the first page)."""
+
     def test_scan_streams_pages_lazily(self):
         db = paged_db()
         db.reset_io()
-        it = Scan("PART").iterate(ExecRuntime(db, Stats()))
+        it = Scan("PART").stream(ExecRuntime(db, Stats(), batch_size=1))
         next(it)
         assert db.io.pages_read < db.page_count("PART")
 
@@ -672,7 +688,7 @@ class TestStreamingBehaviour:
         db.reset_io()
         it = Filter(
             "p", B.gt(B.attr(B.var("p"), "price"), 0), Scan("PART")
-        ).iterate(ExecRuntime(db, Stats()))
+        ).stream(ExecRuntime(db, Stats(), batch_size=1))
         next(it)
         assert db.io.pages_read < db.page_count("PART")
 
@@ -718,7 +734,7 @@ class TestRenameMissingAttribute:
         db = flat_db()
         plan = RenameOp((("nope", "z"),), Scan("X"))
         with pytest.raises(DataModelError):
-            frozenset(plan.iterate(ExecRuntime(db, Stats())))
+            frozenset(plan.stream(ExecRuntime(db, Stats())))
 
 
 if __name__ == "__main__":

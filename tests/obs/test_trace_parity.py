@@ -1,8 +1,8 @@
 """Trace-vs-Stats parity (PR 10): attaching a recorder must change
-nothing — across the whole streaming-parity operator matrix, tuple and
-batch modes, a traced run produces the same rows AND the byte-identical
-``Stats`` snapshot as an untraced run, and the recorder's own row counts
-agree with what actually flowed."""
+nothing — across the whole streaming-parity operator matrix, through the
+row stream, the batch stream and the drain, a traced run produces the
+same rows AND the byte-identical ``Stats`` snapshot as an untraced run,
+and the recorder's own row counts agree with what actually flowed."""
 
 import pytest
 
@@ -15,7 +15,7 @@ from tests.engine.test_streaming_parity import CASES
 BATCH = 64
 
 
-def _run_tuple(factory, db, trace=None):
+def _run_rows(factory, db, trace=None):
     stats = Stats()
     node = factory()
     rows = list(node.stream(ExecRuntime(db, stats, trace=trace)))
@@ -37,12 +37,13 @@ def _run_batch(factory, db, trace=None):
 
 class TestTraceParity:
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_tuple_mode(self, name):
+    def test_row_stream(self, name):
+        """The row stream: the same metered edge, flattened."""
         factory, db_factory = CASES[name]
-        _, plain_rows, plain_stats = _run_tuple(factory, db_factory())
+        _, plain_rows, plain_stats = _run_rows(factory, db_factory())
 
         recorder = TraceRecorder()
-        node, traced_rows, traced_stats = _run_tuple(
+        node, traced_rows, traced_stats = _run_rows(
             factory, db_factory(), trace=recorder
         )
 
@@ -97,15 +98,16 @@ def test_child_counts_match_stats_counters():
 
 
 def test_untraced_runtime_returns_raw_iterator():
-    """The hoisted-check contract: with no recorder, ``stream`` hands back
-    ``iterate``'s generator itself — zero wrapping on the untraced path."""
+    """The hoisted-check contract: with no recorder, ``stream_batches``
+    hands back ``iterate_batches``'s generator itself — zero wrapping on
+    the untraced path."""
     db = CASES["Scan"][1]()
     node = Scan("X")
     rt = ExecRuntime(db)
     assert rt.trace is None
-    it = node.stream(rt)
-    assert it.__class__ is node.iterate(rt).__class__
-    assert it.gi_code is node.iterate(rt).gi_code
+    it = node.stream_batches(rt)
+    assert it.__class__ is node.iterate_batches(rt).__class__
+    assert it.gi_code is node.iterate_batches(rt).gi_code
 
 
 def test_fill_time_recorded_for_pipeline_breakers():

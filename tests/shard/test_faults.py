@@ -216,8 +216,8 @@ class TestFaultMatrix:
 
     @mode_param
     def test_deadline_carrying_fragments_ship_chunked_rows(self, mode):
-        """A deadline does not change the fragment contract: batch-mode
-        fragments ship ``ChunkedRows`` and the gather reports the same
+        """A deadline does not change the fragment contract: fragments
+        ship ``ChunkedRows`` and the gather reports the same
         counters (``batches_emitted`` included) as a no-deadline run."""
         db, catalog, plan = co_partitioned()
         oracle = Executor(db, catalog=catalog).execute(JOIN)
@@ -338,9 +338,8 @@ class TestOneReportPerBatch:
     into the run's fault record, not written over the previous one."""
 
     @pytest.mark.parametrize("preset", ["transient-once", "crash-once"])
-    @pytest.mark.parametrize("batch_size", [None, 256])
     @mode_param
-    def test_two_gathers_fold_into_one_run_record(self, mode, batch_size, preset):
+    def test_two_gathers_fold_into_one_run_record(self, mode, preset):
         db, catalog, plan, gathers = two_gathers()
         oracle = Executor(db, catalog=catalog).execute(B.union(JOIN, JOIN))
         recorder = TraceRecorder()
@@ -348,7 +347,7 @@ class TestOneReportPerBatch:
                               fault_plan=FaultPlan.parse(preset),
                               retry_policy=FAST) as parallel:
             rt = ExecRuntime(db, Stats(), catalog=catalog, parallel=parallel,
-                             batch_size=batch_size, trace=recorder)
+                             trace=recorder)
             rows = plan.execute(rt)
             assert rows == oracle
             events = rt.fault_events
@@ -382,10 +381,10 @@ class TestOneReportPerBatch:
             assert attempt["error"] == "QueryTimeoutError"
             assert events["error"] == "QueryTimeoutError"
 
-    @pytest.mark.parametrize("batch_size", [None, 256])
-    def test_gather_without_executor_is_lazy(self, monkeypatch, batch_size):
-        """With no executor a gather runs one fragment per pull, and its
-        rows and counters are an inline executor's."""
+    @pytest.mark.parametrize("edge", ["stream", "stream_batches"])
+    def test_gather_without_executor_is_lazy(self, monkeypatch, edge):
+        """With no executor a gather runs one fragment per pull, through
+        either edge, and its rows and counters are an inline executor's."""
         import repro.shard.fragment as fragment
 
         db, catalog, plan = co_partitioned()
@@ -397,17 +396,18 @@ class TestOneReportPerBatch:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(fragment, "execute_fragment", counting)
-        rt = ExecRuntime(db, Stats(), catalog=catalog, batch_size=batch_size)
-        stream = plan.stream_batches(rt) if batch_size else plan.stream(rt)
+        rt = ExecRuntime(db, Stats(), catalog=catalog)
+        batched = edge == "stream_batches"
+        stream = getattr(plan, edge)(rt)
         first = next(stream)
         assert ran == [0]
-        rows = set(first.rows if batch_size else [first])
+        rows = set(first.rows if batched else [first])
         for item in stream:
-            rows.update(item.rows if batch_size else [item])
+            rows.update(item.rows if batched else [item])
         assert ran == list(range(PARTS))
         with ParallelExecutor(db, catalog, workers=PARTS, mode="inline",
                               fault_plan=FaultPlan()) as parallel:
-            shipped, stats, _ = _run(db, catalog, plan, parallel, batch_size=batch_size)
+            shipped, stats, _ = _run(db, catalog, plan, parallel)
         assert rows == shipped
         assert rt.stats.snapshot() == stats.snapshot()
 

@@ -392,9 +392,10 @@ class TestStatsAccounting:
 
 
 class TestBatchModeParity:
-    """PR 8: with batch mode on, gathers ship fragment results as
-    ChunkedRows and re-emit them as whole batches — parallel batch
-    execution must equal serial tuple execution on the same query."""
+    """Gathers ship fragment results as ChunkedRows and re-emit them as
+    whole batches — at a chunk capacity other than the serial run's,
+    parallel execution must equal serial execution and the interpreter
+    on the same query."""
 
     @pytest.mark.parametrize(
         "expr", [JOIN, SEMI, FILTERED], ids=["join", "semijoin", "filtered"]

@@ -3,9 +3,10 @@
 Every nestjoin in the matrix is shredded into its stitch form and both
 forms are executed; the shredded rows must equal the serial nestjoin
 engine's AND the reference interpreter's, across {serial, parallel
-inline, process pool} x {tuple, batch 1/7/256} x {pinned epoch, live}.
-Work counters are checked tuple-vs-batch on the shredded plan (batch
-mode must be invisible modulo its own two counters, the PR-8 contract).
+inline, process pool} x {chunk capacity 1/7/256} x {pinned epoch, live}.
+Work counters of the shredded plan are checked against the frozen
+tuple-engine record (``tests/engine/golden.py``): the chunk capacity
+must be invisible modulo the batch protocol's own two counters.
 
 The process-pool cells re-run under ``REPRO_FAULT_PLAN=crash-once`` in
 CI's fault-injection job — recovery must not change a single row.
@@ -19,11 +20,11 @@ from repro.datamodel import Catalog as TypeCatalog, INT, SetType, TupleType, VTu
 from repro.adl.typecheck import TypeChecker
 from repro.engine.interpreter import Interpreter
 from repro.engine.planner import Executor
-from repro.engine.stats import Stats
 from repro.rewrite.common import RewriteContext
 from repro.shard import ParallelExecutor
 from repro.shred import StitchNest, shred_expr
 from repro.storage import Catalog, EpochView, MemoryDatabase
+from tests.engine.golden import assert_matches_reference
 
 TYPES = TypeCatalog(
     {
@@ -33,8 +34,6 @@ TYPES = TypeCatalog(
 )
 CTX = RewriteContext(checker=TypeChecker(TYPES))
 
-#: counters that only batch mode moves — everything else must match
-BATCH_ONLY = ("batches_emitted", "vector_fallbacks")
 BATCH_SIZES = (1, 7, 256)
 PARTS = 3
 
@@ -79,6 +78,17 @@ def shredded(name):
     return out
 
 
+def reference_cells():
+    """Every shredded shape, planned and executed serially — the recorded
+    cells (see ``tests/engine/golden.py``)."""
+    return {
+        name: lambda stats, size, name=name: Executor(
+            make_db(), stats, batch_size=size
+        ).execute(shredded(name))
+        for name in MATRIX
+    }
+
+
 def catalog_for(db, partitioned=True):
     catalog = Catalog(db)
     catalog.analyze()
@@ -86,13 +96,6 @@ def catalog_for(db, partitioned=True):
         catalog.partition("X", "b", PARTS)
         catalog.partition("Y", "d", PARTS)
     return catalog
-
-
-def _snap(stats):
-    snap = stats.snapshot()
-    for k in BATCH_ONLY:
-        snap.pop(k, None)
-    return snap
 
 
 class TestSerialParity:
@@ -122,15 +125,11 @@ class TestBatchParity:
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     @pytest.mark.parametrize("name", sorted(MATRIX))
     def test_rows_and_counters_match_tuple_mode(self, name, batch_size):
+        got = assert_matches_reference(__name__, name, batch_size)
+        assert got["stats"]["batches_emitted"] > 0
         db = make_db()
-        expr = shredded(name)
-        oracle_stats = Stats()
-        want = Executor(db, oracle_stats).execute(expr)
-        stats = Stats()
-        got = Executor(db, stats, batch_size=batch_size).execute(expr)
-        assert got == want, name
-        assert _snap(stats) == _snap(oracle_stats), name
-        assert stats.batches_emitted > 0
+        rows = Executor(db, batch_size=batch_size).execute(shredded(name))
+        assert rows == Interpreter(db).eval(MATRIX[name]), name
 
     def test_batch_equals_nestjoin_oracle(self):
         db = make_db()
