@@ -8,14 +8,15 @@ filter, map, nest, unnest, project...).
 The join family keeps the paper's two decisions apart.  *What* a join
 means — join / semijoin / antijoin / outerjoin / nestjoin, i.e. what
 happens to dangling tuples and empty groups (Table 3, Fig. 2) — is
-written once, in :class:`_JoinNode`'s row loop.  *How* candidates are
-found is a strategy, and a strategy is only an ``_open``:
-:class:`NestedLoopJoin` (every right tuple), :class:`MembershipHashJoin`
-(``e ∈ x.parts``-style predicates) and :class:`IndexNestedLoopJoin` (a
-registered catalog index).  A new strategy adds an ``_open``, not a loop;
-a change to a kind's semantics is one edit, two with the one join that
-has its own loop: :class:`HashJoinBase` (hash table on either operand's
-keys) probes a batch at a time.
+written once, in :class:`_JoinNode`'s batch loop.  *How* candidates are
+found is a strategy, and a strategy is only an ``_open`` that builds what
+it needs and returns a probe — a batch of streamed rows in, one item per
+row out: :class:`NestedLoopJoin` (every right tuple),
+:class:`HashJoinBase` (a hash table on either operand's keys),
+:class:`MembershipHashJoin` (``e ∈ x.parts``-style predicates) and
+:class:`IndexNestedLoopJoin` (a registered catalog index).  A new
+strategy adds an ``_open``, not a loop, and a change to a kind's
+semantics is one edit.
 
 A hash nestjoin whose residual and result do not mention the left
 variable builds each group once per distinct key, on the key's first
@@ -29,9 +30,11 @@ One protocol: batches
 
 Every operator produces its output as :class:`Batch` chunks of at most
 ``rt.batch_size`` rows (the chunk *capacity*; ``None`` at construction
-means :data:`DEFAULT_BATCH_SIZE`).  ``execute(rt) -> frozenset`` drains
-the batches; it is the entry point of the planner API, the service and
-every pipeline break.  Tuples flow through pipeline operators a chunk at
+means :data:`DEFAULT_BATCH_SIZE`) — except the join family, which emits
+one chunk per chunk of its streamed operand, larger when rows have
+several partners.  ``execute(rt) -> frozenset`` drains the batches; it
+is the entry point of the planner API, the service and every pipeline
+break.  Tuples flow through pipeline operators a chunk at
 a time, so a consumer that stops early (a query like "first supplier
 with a red part") stops its scan after the chunk it is reading, and no
 intermediate result is ever materialized unless an operator genuinely
@@ -41,12 +44,12 @@ An operator implements exactly one loop:
 
 * ``iterate_batches(rt) -> Iterator[Batch]`` — batch-native operators
   (:class:`Scan`, :class:`IndexScan`, :class:`Filter`, :class:`MapOp`,
-  :class:`ProjectOp`, :class:`NestOp`, the :class:`HashJoinBase` probe)
-  hand on or process whole chunks, with :mod:`repro.engine.compile`'s
-  batch kernels;
-* ``iterate(rt) -> Iterator[Value]`` — tuple-native operators (the
-  other joins, unnest, flatten, set operations...) write a row loop,
-  and the base ``iterate_batches`` chunks it.
+  :class:`ProjectOp`, :class:`NestOp`, the whole join family) hand on or
+  process whole chunks, with :mod:`repro.engine.compile`'s batch
+  kernels;
+* ``iterate(rt) -> Iterator[Value]`` — tuple-native operators (unnest,
+  flatten, set operations...) write a row loop, and the base
+  ``iterate_batches`` chunks it.
 
 Expression forms the vectorizing compiler does not cover fall back to
 the row-wise compiled closure per chunk element, counted in
@@ -125,7 +128,7 @@ from __future__ import annotations
 
 import os
 import time
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from operator import not_
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -970,7 +973,7 @@ class SetOp(PlanNode):
 
 
 # ---------------------------------------------------------------------------
-# Join family — one emission loop, four ways to open it
+# Join family — one batch loop, four ways to open it
 # ---------------------------------------------------------------------------
 
 JOIN_KINDS = ("join", "semijoin", "antijoin", "outerjoin", "nestjoin")
@@ -981,11 +984,11 @@ EMPTY_GROUP: frozenset = frozenset()
 
 def attach_group(x: VTuple, as_attr: str, group) -> VTuple:
     """A nestjoin's output row: ``x`` extended by its group under
-    ``as_attr`` — the one attach step of the join family's tail, the hash
-    nestjoin's shared groups and :class:`~repro.shred.stitch.StitchNest`.
-    A group that is already frozen is attached as is (``frozenset(fs) is
-    fs``), so rows that share a frozen group share one object, and every
-    empty group is :data:`EMPTY_GROUP`."""
+    ``as_attr`` — the one attach step of the join family's loop and of
+    :class:`~repro.shred.stitch.StitchNest`.  A group that is already
+    frozen is attached as is (``frozenset(fs) is fs``), so rows that share
+    a frozen group share one object, and every empty group is
+    :data:`EMPTY_GROUP`."""
     fields = dict(x._fields)
     fields[as_attr] = frozenset(group) if group else EMPTY_GROUP
     return trusted_tuple(fields)
@@ -1009,34 +1012,12 @@ def _nest_group(
     return frozenset(group) if group else EMPTY_GROUP
 
 
-def _join_tail(
-    kind: str,
-    x: VTuple,
-    matched: bool,
-    group,
-    null_pad: VTuple,
-    as_attr: Optional[str],
-) -> Optional[Value]:
-    """The per-left-tuple emission after match iteration, shared by the
-    family's row loop (:meth:`_JoinNode.iterate`) and the hash join's
-    batch probe: semijoin/antijoin emit the bare left tuple on (no) match,
-    outerjoin null-pads dangling tuples, nestjoin always attaches its
-    collected group.  ``None`` means "emit nothing" (plain joins already
-    emitted pairs during iteration)."""
-    if kind == "semijoin":
-        return x if matched else None
-    if kind == "antijoin":
-        return None if matched else x
-    if kind == "outerjoin":
-        return None if matched else concat(x, null_pad)
-    if kind == "nestjoin":
-        return attach_group(x, as_attr, group)
-    return None
-
-
-#: What a strategy's ``_open`` hands the row loop: ``candidates(x)``, the
-#: right rows that may pair with the left row ``x``.
-Candidates = Callable[[VTuple], Iterable[VTuple]]
+#: What a strategy's ``_open(rt, exists)`` returns, after its counted
+#: build work: ``probe(rows)`` takes one batch of streamed rows and yields,
+#: lazily and in order, one item per row — the row's candidate partners,
+#: or, when ``exists`` holds (a semijoin or antijoin without a residual),
+#: whether it has any.  A candidate list's own truth serves as well.
+Probe = Callable[[List[VTuple]], Iterable]
 
 
 class _JoinNode(PlanNode):
@@ -1046,16 +1027,25 @@ class _JoinNode(PlanNode):
     outerjoin / nestjoin — Table 3's dangling-tuple and empty-set
     behaviour) from how it is evaluated (Section 7's "many different
     ways").  This base owns the first: the shared fields, the kind check
-    and :meth:`iterate`, the one row loop that applies the residual,
-    emits ``result(x, y)`` / ``x ∘ y`` pairs, stops a semijoin at its
-    first match, collects a nestjoin's group and null-pads an outerjoin's
-    dangling tuples.  A subclass is one *strategy* and supplies only
-    :meth:`_open` — what it builds, and where the candidate partners of
-    one streamed left row come from, with the strategy's own work
-    counters — except :class:`HashJoinBase`, which replaces the loop with
-    its batch probe.  (Underscore-named: never planned or instantiated
-    itself.)
+    and :meth:`iterate_batches`, the family's one loop.  Per batch of the
+    streamed operand it applies the residual, emits ``result(x, y)`` /
+    ``x ∘ y`` pairs, stops a semijoin at its first match, tests every
+    candidate of an antijoin, null-pads an outerjoin's dangling tuples
+    and attaches a nestjoin's group.  A subclass is one *strategy* and
+    supplies only ``_open``: what it builds, and the :data:`Probe` that
+    finds the candidate partners of a batch, with the strategy's own work
+    counters.  (Underscore-named: never planned or instantiated itself.)
     """
+
+    #: the materialized operand; only a plain hash join may build left,
+    #: and then the right operand streams
+    build_side = "right"
+
+    #: a hash table hands every probe of one key the same bucket object:
+    #: a nestjoin group that cannot depend on the left row is then built
+    #: once per bucket (the paper's Section 6 hash nestjoin, "evaluate the
+    #: inner query once")
+    shares_buckets = False
 
     def __init__(
         self,
@@ -1093,47 +1083,140 @@ class _JoinNode(PlanNode):
 
         return f" ; emits {pretty(self.result)}"
 
-    def _open(self, rt: ExecRuntime, env: Dict[str, Value]) -> Candidates:
-        """Strategy hook: do the build work (counted) and return
-        :data:`Candidates`.  ``env`` is the loop's environment — the left
-        row is already bound in it when ``candidates`` runs."""
-        raise NotImplementedError
-
     def _residual(self, rt: ExecRuntime) -> Optional[Callable]:
         """The per-candidate predicate, ``None`` when trivially true."""
         if self.residual == A.Literal(True):
             return None
         return rt.compiled_pred(self.residual)
 
-    def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
-        env: Dict[str, Value] = {}
-        candidates = self._open(rt, env)
+    def _build(
+        self,
+        rt: ExecRuntime,
+        child: PlanNode,
+        key_exprs: Tuple[A.Expr, ...],
+        var: str,
+        exists: bool,
+    ):
+        """A hash table over the materialized ``child``: one bulk key-kernel
+        pass per key expression, one ``hash_inserts`` per row.  A single
+        key hashes its bare value, as every probe does.  An ``exists``
+        probe only asks for a key, so it gets the set of keys."""
+        rows = list(self._consume(child, rt))
+        if not rows:
+            return set() if exists else {}
+        cols = [rt.batch_fn(k, var)(rows) for k in key_exprs]
+        rt.stats.hash_inserts += len(rows)
+        keys = cols[0] if len(cols) == 1 else zip(*cols)
+        if exists:
+            return set(keys)
+        table: Dict[Value, List[VTuple]] = {}
+        for y, key in zip(rows, keys):
+            table.setdefault(key, []).append(y)
+        return table
+
+    @staticmethod
+    def _probe_table(
+        rt: ExecRuntime, table, key_exprs: Tuple[A.Expr, ...], var: str, exists: bool
+    ) -> Probe:
+        """Probe ``table`` (a :meth:`_build` result) with the keys of a
+        batch's rows (bound to ``var``), one bulk key-kernel pass per key
+        expression: one ``tuples_visited`` and one ``hash_probes`` per row.
+        A row's candidates are its key's bucket — every probe of one key
+        gets the same object — or ``()``."""
+        kernels = [rt.batch_fn(k, var) for k in key_exprs]
+        stats = rt.stats
+        empty = repeat(())
+
+        def probe(rows: List[VTuple]) -> Iterator:
+            stats.tuples_visited += len(rows)
+            stats.hash_probes += len(rows)
+            cols = [kern(rows) for kern in kernels]
+            keys = cols[0] if len(cols) == 1 else zip(*cols)
+            return map(table.__contains__, keys) if exists else map(table.get, keys, empty)
+
+        return probe
+
+    def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
+        kind, lvar, rvar, as_attr = self.kind, self.lvar, self.rvar, self.as_attr
         residual = self._residual(rt)
         result = rt.compiled(self.result) if self.result is not None else None
+        exists = residual is None and kind in ("semijoin", "antijoin")
+        probe = self._open(rt, exists)
+        streamed, xvar, yvar = (
+            (self.right, rvar, lvar) if self.build_side == "left" else (self.left, lvar, rvar)
+        )
         null_pad = VTuple({a: None for a in self.right_attrs})
-        kind, lvar, rvar, as_attr = self.kind, self.lvar, self.rvar, self.as_attr
-        emits_pairs = kind in ("join", "outerjoin")
+        # nestjoin groups shared per bucket when the group cannot depend on
+        # the left row; local to this open
+        shared: Optional[Dict[int, frozenset]] = (
+            {}
+            if kind == "nestjoin"
+            and self.shares_buckets
+            and lvar not in free_vars(self.result)
+            and lvar not in free_vars(self.residual)
+            else None
+        )
+        env: Dict[str, Value] = {}
         stats = rt.stats
-        for x in self.left.stream(rt):
-            env[lvar] = x
-            matched = False
-            group = set() if kind == "nestjoin" else ()
-            for y in candidates(x):
-                env[rvar] = y
-                if residual is not None and not residual(env):
-                    continue
-                matched = True
-                if emits_pairs:
-                    stats.output_tuples += 1
-                    yield concat(x, y) if result is None else result(env)
-                elif kind == "semijoin":
-                    break
+        for batch in streamed.stream_batches(rt):
+            rows = batch.rows
+            items = probe(rows)
+            out: List[Value] = []
+            append = out.append
+            try:
+                if exists:
+                    out.extend(
+                        compress(rows, items if kind == "semijoin" else map(not_, items))
+                    )
+                elif shared is not None:
+                    get = shared.get
+                    for x, ys in zip(rows, items):
+                        group = get(id(ys))
+                        if group is None:
+                            group = _nest_group(ys, env, rvar, residual, result)
+                            shared[id(ys)] = group
+                        append(attach_group(x, as_attr, group))
                 elif kind == "nestjoin":
-                    group.add(result(env))
-            tail = _join_tail(kind, x, matched, group, null_pad, as_attr)
-            if tail is not None:
-                stats.output_tuples += 1
-                yield tail
+                    for x, ys in zip(rows, items):
+                        env[lvar] = x
+                        group = _nest_group(ys, env, rvar, residual, result)
+                        append(attach_group(x, as_attr, group))
+                elif kind == "join":
+                    for x, ys in zip(rows, items):
+                        env[xvar] = x
+                        for y in ys:
+                            env[yvar] = y
+                            if residual is None or residual(env):
+                                append(
+                                    concat(env[lvar], env[rvar])
+                                    if result is None
+                                    else result(env)
+                                )
+                else:
+                    # a semijoin stops at its first match; an antijoin
+                    # tests every candidate; an outerjoin pads a dangler
+                    for x, ys in zip(rows, items):
+                        env[lvar] = x
+                        matched = False
+                        for y in ys:
+                            env[rvar] = y
+                            if residual is None or residual(env):
+                                matched = True
+                                if kind == "semijoin":
+                                    break
+                                if kind == "outerjoin":
+                                    append(concat(x, y))
+                        if kind == "semijoin":
+                            if matched:
+                                append(x)
+                        elif not matched:
+                            append(x if kind == "antijoin" else concat(x, null_pad))
+            finally:
+                # rows emitted before a failing row still count
+                stats.output_tuples += len(out)
+            if out:
+                stats.batches_emitted += 1
+                yield Batch(out)
 
 
 class NestedLoopJoin(_JoinNode):
@@ -1169,10 +1252,11 @@ class NestedLoopJoin(_JoinNode):
         return f"{self.lvar},{self.rvar}: {pretty(self.pred)}" + self._emit_note()
 
     def _residual(self, rt: ExecRuntime) -> Callable:
-        # the whole predicate, evaluated (and counted) on every pair
+        # the whole predicate, evaluated (and counted) on every pair; so
+        # ``exists`` never holds here
         return rt.compiled_pred(self.pred)
 
-    def _open(self, rt: ExecRuntime, env: Dict[str, Value]) -> Candidates:
+    def _open(self, rt: ExecRuntime, exists: bool) -> Probe:
         right = self._consume(self.right, rt)
         stats = rt.stats
         # the O(|L|*|R|) loop is the engine's worst case and its inner
@@ -1180,14 +1264,14 @@ class NestedLoopJoin(_JoinNode):
         # outer tuple (hoisted: free when none is set)
         check = rt.check_deadline if rt.deadline is not None else None
 
-        def candidates(x: VTuple) -> Iterator[VTuple]:
+        def candidates() -> Iterator[VTuple]:
             if check is not None:
                 check()
             for y in right:
                 stats.tuples_visited += 1
                 yield y
 
-        return candidates
+        return lambda rows: (candidates() for _ in rows)
 
 
 class HashJoinBase(_JoinNode):
@@ -1199,16 +1283,19 @@ class HashJoinBase(_JoinNode):
     flip it to ``"left"`` when the left operand is the smaller input —
     only for the symmetric plain ``join`` kind, since
     semijoin/antijoin/outerjoin/nestjoin semantics are anchored to the
-    left operand surviving row by row.  The probe is this class's own
-    batch loop (:meth:`iterate_batches`), not the family's row loop: key
-    columns come from batch kernels, and the residual-free semijoin and
-    antijoin decide whole batches at C speed.
+    left operand surviving row by row.  The probe takes a batch's key
+    columns from batch kernels and looks them up at C speed: a row's
+    candidates are its key's bucket, and a residual-free semijoin or
+    antijoin only asks whether the key is in the table.
 
-    A nestjoin whose residual and result do not mention the left variable
-    builds each group once per distinct key, on the key's first probe;
-    every left row with that key shares the one frozen group, and every
-    dangling row :data:`EMPTY_GROUP`.
+    Every probe of one key gets the same bucket, so a nestjoin whose
+    residual and result do not mention the left variable builds each
+    group once per distinct key, on the key's first probe; every left
+    row with that key shares the one frozen group, and every dangling row
+    :data:`EMPTY_GROUP`.
     """
+
+    shares_buckets = True
 
     def __init__(
         self,
@@ -1249,146 +1336,12 @@ class HashJoinBase(_JoinNode):
             keys += f" ; residual {pretty(self.residual)}"
         return keys + self._emit_note()
 
-    def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
-        lvar, rvar, as_attr = self.lvar, self.rvar, self.as_attr
-        # the probe operand streams in batches against the built table;
-        # only the symmetric plain join ever builds left
-        if self.build_side == "left":
-            table = self._build_batched(rt, self.left, self.left_keys, lvar)
-            probe, probe_keys, probe_var, build_var = self.right, self.right_keys, rvar, lvar
-        else:
-            table = self._build_batched(rt, self.right, self.right_keys, rvar)
-            probe, probe_keys, probe_var, build_var = self.left, self.left_keys, lvar, rvar
-        key_kernels = [rt.batch_fn(k, probe_var) for k in probe_keys]
-        residual = self._residual(rt)
-        result = rt.compiled(self.result) if self.result is not None else None
-        null_pad = VTuple({a: None for a in self.right_attrs})
-        env: Dict[str, Value] = {}
-        kind = self.kind
-        stats = rt.stats
-        empty = ()
-        lookup = table.get
-        # nestjoin groups shared per key, built on the key's first probe
-        # when the group cannot depend on the left row; local to this open
-        shared: Optional[Dict[Value, frozenset]] = (
-            {}
-            if kind == "nestjoin"
-            and lvar not in free_vars(self.result)
-            and lvar not in free_vars(self.residual)
-            else None
-        )
-        for batch in probe.stream_batches(rt):
-            rows = batch.rows
-            stats.tuples_visited += len(rows)
-            stats.hash_probes += len(rows)
-            cols = [kern(rows) for kern in key_kernels]
-            # single-key joins hash the bare key value (the build side
-            # below agrees) — no per-row 1-tuple allocation
-            keys = cols[0] if len(cols) == 1 else list(zip(*cols))
-            if residual is None and kind == "semijoin":
-                out = list(compress(rows, map(table.__contains__, keys)))
-                stats.output_tuples += len(out)
-                if out:
-                    stats.batches_emitted += 1
-                    yield Batch(out)
-                continue
-            if residual is None and kind == "antijoin":
-                out = [x for x, k in zip(rows, keys) if k not in table]
-                stats.output_tuples += len(out)
-                if out:
-                    stats.batches_emitted += 1
-                    yield Batch(out)
-                continue
-            out: List[Value] = []
-            append = out.append
-            if kind == "join":
-                # emitting probe: pairs go straight into the output batch;
-                # a dangling probe row costs one dict miss, allocates nothing
-                for row, key in zip(rows, keys):
-                    bucket = lookup(key)
-                    if bucket is None:
-                        continue
-                    env[probe_var] = row
-                    for other in bucket:
-                        env[build_var] = other
-                        if residual is None or residual(env):
-                            append(
-                                concat(env[lvar], env[rvar])
-                                if result is None
-                                else result(env)
-                            )
-                if out:
-                    stats.output_tuples += len(out)
-                    stats.batches_emitted += 1
-                    yield Batch(out)
-                continue
-            if shared is not None:
-                get = shared.get
-                for x, key in zip(rows, keys):
-                    group = get(key)
-                    if group is None:
-                        bucket = lookup(key)
-                        if bucket is None:
-                            group = EMPTY_GROUP
-                        else:
-                            group = shared[key] = _nest_group(
-                                bucket, env, rvar, residual, result
-                            )
-                    append(attach_group(x, as_attr, group))
-                stats.output_tuples += len(out)
-                if out:
-                    stats.batches_emitted += 1
-                    yield Batch(out)
-                continue
-            for x, key in zip(rows, keys):
-                bucket = table.get(key, empty)
-                if kind == "nestjoin":
-                    env[lvar] = x
-                    stats.output_tuples += 1
-                    group = _nest_group(bucket, env, rvar, residual, result)
-                    append(attach_group(x, as_attr, group))
-                    continue
-                matched = False
-                if bucket:
-                    env[lvar] = x
-                    for y in bucket:
-                        env[rvar] = y
-                        if residual is None or residual(env):
-                            matched = True
-                            if kind == "outerjoin":
-                                stats.output_tuples += 1
-                                append(concat(x, y))
-                            elif kind == "semijoin":
-                                break
-                tail = _join_tail(kind, x, matched, (), null_pad, as_attr)
-                if tail is not None:
-                    stats.output_tuples += 1
-                    append(tail)
-            if out:
-                stats.batches_emitted += 1
-                yield Batch(out)
-
-    def _build_batched(
-        self, rt: ExecRuntime, child: PlanNode, key_exprs: Tuple[A.Expr, ...], var: str
-    ) -> Dict[Value, List[VTuple]]:
-        """Batched build: one bulk key-kernel pass per key expression over
-        the materialized build input, instead of one closure call per row
-        and key."""
-        table: Dict[Value, List[VTuple]] = {}
-        rows = list(self._consume(child, rt))
-        if not rows:
-            return table
-        kernels = [rt.batch_fn(k, var) for k in key_exprs]
-        cols = [kern(rows) for kern in kernels]
-        rt.stats.hash_inserts += len(rows)
-        if len(cols) == 1:
-            # bare keys, matching the probe side's single-key convention
-            for y, k in zip(rows, cols[0]):
-                table.setdefault(k, []).append(y)
-        else:
-            for y, key in zip(rows, zip(*cols)):
-                table.setdefault(key, []).append(y)
-        return table
+    def _open(self, rt: ExecRuntime, exists: bool) -> Probe:
+        left = (self.left, self.left_keys, self.lvar)
+        right = (self.right, self.right_keys, self.rvar)
+        built, probed = (left, right) if self.build_side == "left" else (right, left)
+        table = self._build(rt, *built, exists)
+        return self._probe_table(rt, table, probed[1], probed[2], exists)
 
 
 def _set_members(value: Value) -> frozenset:
@@ -1404,13 +1357,16 @@ class MembershipHashJoin(_JoinNode):
 
     * ``probe_side="left-set"`` — the left tuple carries the set; the hash
       table maps the right element expression to right tuples; every member
-      of the left set probes the table (Example Queries 5 and 6);
+      of the left set probes the table (Example Queries 5 and 6).  Without
+      a residual, a semijoin or antijoin only asks whether the set meets
+      the table's keys: one C-level ``isdisjoint`` per row;
     * ``probe_side="right-set"`` — the right tuple carries the set; the
       table is *multi-keyed* on the set members and the left element
       expression probes it.
 
     Either way the right operand is the build side (pipeline break) and the
-    left streams.
+    left streams.  Counters: one ``hash_inserts`` per key inserted, one
+    ``tuples_visited`` per probe row and one ``hash_probes`` per lookup.
     """
 
     break_note = "builds right"
@@ -1447,85 +1403,46 @@ class MembershipHashJoin(_JoinNode):
             + self._emit_note()
         )
 
-    def _open(self, rt: ExecRuntime, env: Dict[str, Value]) -> Candidates:
-        element = rt.compiled(self.element)
-        container = rt.compiled(self.container)
-        left_set = self.probe_side == "left-set"
-        table: Dict[Value, List[VTuple]] = {}
+    def _open(self, rt: ExecRuntime, exists: bool) -> Probe:
         stats = rt.stats
-        for y in self._consume(self.right, rt):
-            env[self.rvar] = y
-            for key in (element(env),) if left_set else _set_members(container(env)):
-                table.setdefault(key, []).append(y)
-                stats.hash_inserts += 1
-        lookup = table.get
+        if self.probe_side == "right-set":
+            table: Dict[Value, List[VTuple]] = {}
+            build = list(self._consume(self.right, rt))
+            sets = rt.batch_fn(self.container, self.rvar)(build) if build else ()
+            for y, members in zip(build, sets):
+                for key in _set_members(members):
+                    table.setdefault(key, []).append(y)
+                    stats.hash_inserts += 1
+            return self._probe_table(rt, table, (self.element,), self.lvar, exists)
 
-        def probe_members(x: VTuple) -> List[VTuple]:
-            # one probe per member of the left tuple's set; a right tuple
-            # reached through several members is a candidate once
-            stats.tuples_visited += 1
-            seen: List[VTuple] = []
-            marked = set()
-            for member in _set_members(container(env)):
-                stats.hash_probes += 1
-                for y in lookup(member, ()):
-                    if id(y) not in marked:
-                        marked.add(id(y))
-                        seen.append(y)
-            return seen
-
-        def probe_element(x: VTuple) -> Sequence[VTuple]:
-            stats.tuples_visited += 1
-            key = element(env)
-            stats.hash_probes += 1
-            return lookup(key, ())
-
-        return probe_members if left_set else probe_element
-
-    def iterate_batches(self, rt: ExecRuntime) -> Iterator[Batch]:
-        """Native batch probe for the Example 5 shape: a left-set semijoin
-        or antijoin with a trivial residual decides each row by whether
-        its set meets the build table's keys (one C-level ``isdisjoint``
-        per row).  Every other orientation and kind chunks the family's
-        row loop.  Counters equal the row loop's: one ``hash_inserts`` per
-        build row, one ``tuples_visited`` per probe row and one
-        ``hash_probes`` per member."""
-        if (
-            self.probe_side != "left-set"
-            or self.kind not in ("semijoin", "antijoin")
-            or self.residual != A.Literal(True)
-        ):
-            yield from super().iterate_batches(rt)
-            return
-        stats = rt.stats
-        build = list(self._consume(self.right, rt))
-        keys = set(rt.batch_fn(self.element, self.rvar)(build)) if build else set()
-        stats.hash_inserts += len(build)
-        disjoint = keys.isdisjoint
+        table = self._build(rt, self.right, (self.element,), self.rvar, exists)
         container = rt.batch_fn(self.container, self.lvar)
-        anti = self.kind == "antijoin"
-        for batch in self.left.stream_batches(rt):
-            rows = batch.rows
+
+        def probe_members(sets: List[Value]) -> Iterator:
+            # one probe per member of a left row's set; a right tuple
+            # reached through several members is a candidate once
+            for members in sets:
+                stats.tuples_visited += 1
+                members = _set_members(members)
+                stats.hash_probes += len(members)
+                if exists:
+                    yield not table.isdisjoint(members)
+                else:
+                    yield {id(y): y for m in members for y in table.get(m, ())}.values()
+
+        if not exists:
+            return lambda rows: probe_members(container(rows))
+
+        def probe_meets(rows: List[VTuple]) -> Iterator:
             sets = container(rows)
             if set(map(type, sets)) - {frozenset}:
-                # row by row, as the row loop counts and raises
-                out = []
-                for x, members in zip(rows, sets):
-                    stats.tuples_visited += 1
-                    members = _set_members(members)
-                    stats.hash_probes += len(members)
-                    if disjoint(members) is anti:
-                        stats.output_tuples += 1
-                        out.append(x)
-            else:
-                stats.tuples_visited += len(rows)
-                stats.hash_probes += sum(map(len, sets))
-                hits = map(disjoint, sets)
-                out = list(compress(rows, hits if anti else map(not_, hits)))
-                stats.output_tuples += len(out)
-            if out:
-                stats.batches_emitted += 1
-                yield Batch(out)
+                # row by row, so the rows before a non-set are counted
+                return probe_members(sets)
+            stats.tuples_visited += len(rows)
+            stats.hash_probes += sum(map(len, sets))
+            return map(not_, map(table.isdisjoint, sets))
+
+        return probe_meets
 
 
 class IndexNestedLoopJoin(_JoinNode):
@@ -1534,8 +1451,8 @@ class IndexNestedLoopJoin(_JoinNode):
     one of the paper's Section 6 join strategies the rewrite to joins
     makes available.
 
-    The left operand streams; each tuple evaluates ``left_key`` and looks
-    the value up in the catalog index on ``extent.attr``.  There is **no
+    The left operand streams; each batch evaluates ``left_key`` and looks
+    every value up in the catalog index on ``extent.attr``.  There is **no
     pipeline break and no build phase**: the right extent is never scanned,
     which is exactly the win over a hash join when the probe side is small
     and the indexed side is large.  ``residual`` filters candidate pairs
@@ -1581,17 +1498,17 @@ class IndexNestedLoopJoin(_JoinNode):
             text += f" ; residual {pretty(self.residual)}"
         return text + self._emit_note()
 
-    def _open(self, rt: ExecRuntime, env: Dict[str, Value]) -> Candidates:
+    def _open(self, rt: ExecRuntime, exists: bool) -> Probe:
         index = _catalog_index(rt, self.extent, self.attr, self.index_name)
-        key_fn = rt.compiled(self.left_key)
+        key = rt.batch_fn(self.left_key, self.lvar)
         stats = rt.stats
 
-        def candidates(x: VTuple) -> Iterable[VTuple]:
-            stats.tuples_visited += 1
-            stats.index_probes += 1
-            return index.lookup(key_fn(env))
+        def probe(rows: List[VTuple]) -> Iterator:
+            stats.tuples_visited += len(rows)
+            stats.index_probes += len(rows)
+            return map(index.lookup, key(rows))
 
-        return candidates
+        return probe
 
 
 class CartesianProduct(PlanNode):

@@ -105,10 +105,6 @@ def is_set_oriented(expr: A.Expr) -> bool:
     return nested_extent_count(expr) == 0
 
 
-def expr_size(expr: A.Expr) -> int:
-    return sum(1 for _ in expr.walk())
-
-
 def replace_subexpr(root: A.Expr, target: A.Expr, replacement: A.Expr) -> A.Expr:
     """Replace every structural occurrence of ``target`` in ``root``.
 
@@ -124,10 +120,6 @@ def replace_subexpr(root: A.Expr, target: A.Expr, replacement: A.Expr) -> A.Expr
         return expr.map_children(rec)
 
     return rec(root)
-
-
-def contains_subexpr(root: A.Expr, target: A.Expr) -> bool:
-    return any(node == target for node in root.walk())
 
 
 @dataclass(frozen=True)

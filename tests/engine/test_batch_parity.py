@@ -21,6 +21,7 @@ from repro.adl import ast as A
 from repro.adl import builders as B
 from repro.datamodel import VTuple
 from repro.datamodel.errors import EvaluationError
+from repro.engine import plan as plan_module
 from repro.engine.compile import Compiler, vector_covered
 from repro.engine.interpreter import Interpreter
 from repro.engine.plan import (
@@ -468,7 +469,8 @@ def _membership_nestjoin():
 
 class TestMembershipBatchProbe:
     """The left-set semijoin / antijoin with a trivial residual (Example 5)
-    probes natively, with the row loop's rows and counters."""
+    asks only whether each row's set meets the build keys, with the tuple
+    engine's rows and counters."""
 
     @staticmethod
     def _plan(kind):
@@ -482,8 +484,9 @@ class TestMembershipBatchProbe:
     def test_rows_and_stats_match_the_tuple_loop(self, kind, empty_right, batch_size, monkeypatch):
         right = "empty-right" if empty_right else "right"
         assert_matches_reference(THIS, f"membership/{kind}-{right}", batch_size)
-        # the run must not fall back to chunking the row loop
-        monkeypatch.setattr(MembershipHashJoin, "iterate", None)
+        # the run must take the ``isdisjoint`` probe: the candidate probe
+        # checks every container with ``_set_members``
+        monkeypatch.setattr(plan_module, "_set_members", None)
         stats = Stats()
         rows = self._plan(kind).execute(
             ExecRuntime(_membership_db(empty_right=empty_right), stats, batch_size=batch_size)
@@ -504,8 +507,8 @@ class TestMembershipBatchProbe:
             )
 
     def test_other_kinds_and_orientations_keep_the_default_path(self):
-        """Only the left-set semi/antijoin with a trivial residual is native:
-        a nestjoin still chunks the family's row loop."""
+        """Only the left-set semi/antijoin with a trivial residual asks
+        ``isdisjoint``: a nestjoin probes for candidates."""
         assert_matches_reference(THIS, "membership/nestjoin", 256)
 
 

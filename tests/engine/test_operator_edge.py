@@ -57,7 +57,8 @@ def edge_db(dangling=False):
 
 
 #: name -> (plan factory, the batch-native child to watch, logical form):
-#: a row loop over a batch-native child, one per tuple-native operator kind
+#: an operator over a batch-native child — the row loops of flatten, unnest
+#: and union, and the nested-loop join, whose deadline poll is its own
 SHAPES = {
     "flatten-map": (
         lambda: FlattenOp(MapOp("x", B.attr(X, "ms"), Scan("X"))),
@@ -113,6 +114,21 @@ class TestOneLoop:
             if {"iterate", "iterate_batches"} <= set(vars(cls))
         ]
         assert both == []
+
+    def test_the_join_family_has_one_loop(self):
+        """Every join strategy is an ``_open``: the kinds' emission lives
+        in ``_JoinNode.iterate_batches`` alone."""
+        import repro.shard.nodes  # noqa: F401 - registers subclasses
+        import repro.shred.stitch  # noqa: F401
+
+        loops = [
+            cls.__name__
+            for cls in _subclasses(P._JoinNode)
+            if {"iterate", "iterate_batches"} & set(vars(cls))
+        ]
+        assert loops == []
+        assert "iterate_batches" in vars(P._JoinNode)
+        assert "iterate" not in vars(P._JoinNode)
 
     def test_the_row_stream_is_the_batch_edge_flattened(self):
         rt = ExecRuntime(edge_db(), Stats())

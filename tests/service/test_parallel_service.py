@@ -124,7 +124,10 @@ class TestPerShapeCompileLocks:
     concurrently; one shape still compiles exactly once."""
 
     @staticmethod
-    def _slow_service(db, catalog, delay=0.15, **kw):
+    def _slow_service(db, catalog, delay=0.15, meet=None, **kw):
+        """A service whose compiles are slow (``delay``), or, given a
+        barrier ``meet``, each wait there for the others to be in flight."""
+
         class SlowCompileService(QueryService):
             concurrent_peak = 0
             _active = 0
@@ -136,7 +139,10 @@ class TestPerShapeCompileLocks:
                     cls._active += 1
                     cls.concurrent_peak = max(cls.concurrent_peak, cls._active)
                 try:
-                    time.sleep(delay)  # two slow-to-compile shapes
+                    if meet is not None:
+                        meet.wait()
+                    else:
+                        time.sleep(delay)
                     return super()._compile(shape, param_names)
                 finally:
                     with cls._gauge:
@@ -150,19 +156,28 @@ class TestPerShapeCompileLocks:
             "select x.i from x in X where x.a = 1",
             "select x.i from x in X where x.a = 2",  # distinct literal = distinct shape
         ]
-        svc = self._slow_service(db, catalog, max_workers=4)
+        # each compile waits at the barrier until the other is in flight
+        # too; serialized compiles never meet, and the barrier breaks at
+        # its timeout
+        meet = threading.Barrier(2, timeout=10)
+        svc = self._slow_service(db, catalog, meet=meet, max_workers=4)
+        errors = []
+
+        def run(text):
+            try:
+                svc.execute(text)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
         with svc:
-            threads = [
-                threading.Thread(target=svc.execute, args=(text,)) for text in shapes
-            ]
-            start = time.perf_counter()
+            threads = [threading.Thread(target=run, args=(text,)) for text in shapes]
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
-            elapsed = time.perf_counter() - start
+                t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert not meet.broken and errors == []
         assert type(svc).concurrent_peak == 2  # both compiles in flight at once
-        assert elapsed < 0.29  # not serialized (2 x 0.15s)
         assert svc.compilations == 2
 
     def test_same_shape_still_compiles_once(self):
