@@ -89,7 +89,7 @@ def main():
         print("  " + tiny_plan.splitlines()[0])
 
         banner("3. What ships to a worker: ADL text + shard bindings")
-        plan = par_executor.planner.plan(expr)
+        plan = par_executor.plan(expr)
         join_node = plan.children()[0]  # the PartitionedHashJoin under the gather
         spec = join_node.payloads({})[0]
         print(f"  fragment text : {spec.text}")

@@ -14,22 +14,25 @@ The package implements the paper's full stack:
   (hash/sort/membership joins, nestjoin, PNHL, materialize) and planner;
 * :mod:`repro.workload` — the paper's example data and benchmark harness.
 
-Quick use::
+Quick use — text to plan is ``compile_oosql`` → ``optimize`` →
+``plan_query``, the pipeline ``QueryService`` runs per query shape::
 
-    from repro import compile_oosql, optimize, Executor
+    from repro import Executor, compile_oosql, optimize
     from repro.workload import example_schema, example_database
 
     schema, db = example_schema(), example_database()
     adl = compile_oosql('select s.sname from s in SUPPLIER '
                         'where exists p in PART : p.oid in s.parts_supplied',
                         schema)
-    plan = optimize(adl, schema)          # Section 4 strategy
-    result = Executor(db).execute(plan.expr)
+    chosen = optimize(adl, schema)        # Section 4 strategy
+    executor = Executor(db)               # plans through plan_query
+    print(executor.explain(chosen.expr))  # join-order headers, then the tree
+    result = executor.execute(chosen.expr)
 """
 
 from repro.adl.pretty import pretty, pretty_tree
 from repro.engine.interpreter import Interpreter, evaluate
-from repro.engine.planner import Executor, Planner
+from repro.engine.planner import Executor, Planner, plan_query
 from repro.engine.stats import Stats
 from repro.oosql.parser import parse
 from repro.rewrite.strategy import OptimizationResult, Optimizer, optimize
@@ -54,6 +57,7 @@ __all__ = [
     "evaluate",
     "optimize",
     "parse",
+    "plan_query",
     "pretty",
     "pretty_tree",
     "translate",

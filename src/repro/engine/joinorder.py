@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
@@ -705,17 +706,31 @@ def reorder_joins(
     """Reorder every eligible plain-join region of ``expr``; returns the
     (possibly) rewritten expression plus one decision record per region."""
     decisions: List[JoinOrderDecision] = []
+    return _reorder(model, catalog, decisions, expr), decisions
 
-    def rec(node: A.Expr) -> A.Expr:
-        if isinstance(node, A.Join) and not free_vars(node):
-            result = _reorder_region(node, model, catalog, rec)
-            if result is not None:
-                new_expr, decision = result
-                decisions.append(decision)
-                return new_expr
-        return node.map_children(rec)
 
-    return rec(expr), decisions
+def _reorder(model: CostModel, catalog, decisions: list, node: A.Expr) -> A.Expr:
+    # module-level recursion, not a closure naming itself: a compile
+    # leaves no reference cycle behind
+    rec = partial(_reorder, model, catalog, decisions)
+    if isinstance(node, A.Join) and not free_vars(node):
+        result = _reorder_region(node, model, catalog, rec)
+        if result is not None:
+            new_expr, decision = result
+            decisions.append(decision)
+            return new_expr
+    return node.map_children(rec)
+
+
+def _rebuild(node: A.Expr, leaf_iter, rec) -> A.Expr:
+    if isinstance(node, A.Join):
+        return dataclasses.replace(
+            node,
+            left=_rebuild(node.left, leaf_iter, rec),
+            right=_rebuild(node.right, leaf_iter, rec),
+            pred=rec(node.pred),
+        )
+    return next(leaf_iter).base_expr
 
 
 def _reorder_region(
@@ -747,19 +762,7 @@ def _reorder_region(
         # decision per region: sub-joins are not re-enumerated), swapping
         # in the already-recursed leaves in lockstep with the original
         # in-order leaf sequence
-        leaf_iter = iter(graph.leaves)
-
-        def rebuild(node: A.Expr) -> A.Expr:
-            if isinstance(node, A.Join):
-                return dataclasses.replace(
-                    node,
-                    left=rebuild(node.left),
-                    right=rebuild(node.right),
-                    pred=rec(node.pred),
-                )
-            return next(leaf_iter).base_expr
-
-        out = rebuild(expr)
+        out = _rebuild(expr, iter(graph.leaves), rec)
         shape, cost = graph.original, original_cost
     decision = JoinOrderDecision(
         chosen=_render_shape(graph, shape),

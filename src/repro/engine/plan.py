@@ -30,11 +30,10 @@ One protocol: batches
 
 Every operator produces its output as :class:`Batch` chunks of at most
 ``rt.batch_size`` rows (the chunk *capacity*; ``None`` at construction
-means :data:`DEFAULT_BATCH_SIZE`) — except the join family, which emits
-one chunk per chunk of its streamed operand, larger when rows have
-several partners.  ``execute(rt) -> frozenset`` drains the batches; it
-is the entry point of the planner API, the service and every pipeline
-break.  Tuples flow through pipeline operators a chunk at
+means :data:`DEFAULT_BATCH_SIZE`), a join's too: it cuts the pairs one
+streamed chunk finds to the capacity.  ``execute(rt) -> frozenset``
+drains the batches; it is the entry point of the planner API, the
+service and every pipeline break.  Tuples flow through pipeline operators a chunk at
 a time, so a consumer that stops early (a query like "first supplier
 with a red part") stops its scan after the chunk it is reading, and no
 intermediate result is ever materialized unless an operator genuinely
@@ -408,6 +407,10 @@ class PlanNode:
     est_rows: Optional[float] = None
     est_cost: Optional[float] = None
 
+    #: The root's join-order decisions (set by the planner, one
+    #: ``explain`` header each); empty on every other node.
+    join_orders: tuple = ()
+
     def iterate(self, rt: ExecRuntime) -> Iterator[Value]:
         """A tuple-native operator's row loop (chunked by the default
         :meth:`iterate_batches`)."""
@@ -477,7 +480,9 @@ class PlanNode:
         *,
         annotate: Optional[Callable[["PlanNode"], str]] = None,
     ) -> str:
-        """Render the physical tree.
+        """Render the physical tree, under one ``-- join order: ...``
+        header per decision the root carries — the one renderer of every
+        explain surface.
 
         ``annotate`` is the one extension point for per-node suffixes:
         when given, ``annotate(node)`` replaces the static
@@ -485,6 +490,7 @@ class PlanNode:
         recorder's est-vs-actual annotation through here rather than
         maintaining a second string-builder.
         """
+        parts = [decision.render() for decision in self.join_orders]
         detail = self.describe()
         line = f"{indent}{self.label}" + (f" [{detail}]" if detail else "")
         if self.break_note:
@@ -496,7 +502,7 @@ class PlanNode:
         )
         if suffix:
             line += f" {suffix}"
-        parts = [line]
+        parts.append(line)
         parts.extend(
             child.explain(indent + "  ", annotate=annotate)
             for child in self.children()
@@ -1158,6 +1164,7 @@ class _JoinNode(PlanNode):
         )
         env: Dict[str, Value] = {}
         stats = rt.stats
+        size = rt.batch_size
         for batch in streamed.stream_batches(rt):
             rows = batch.rows
             items = probe(rows)
@@ -1214,7 +1221,12 @@ class _JoinNode(PlanNode):
             finally:
                 # rows emitted before a failing row still count
                 stats.output_tuples += len(out)
-            if out:
+            if len(out) > size:
+                # rows with several partners: cut the output to the capacity
+                for start in range(0, len(out), size):
+                    stats.batches_emitted += 1
+                    yield Batch(out[start : start + size])
+            elif out:
                 stats.batches_emitted += 1
                 yield Batch(out)
 

@@ -3,11 +3,14 @@
 Rewriting a nested query into a join query pays off because "the optimizer
 may choose from a number of different join processing strategies"
 (Section 5.1).  This planner makes that choice — and, given a
-:class:`~repro.storage.catalog.Catalog`, makes it *cost-based*.  Before
-physical selection even starts, multi-join regions are re-ordered by the
-left-deep DP enumeration in :mod:`repro.engine.joinorder` (disable with
-``reorder=False``), so the tree being priced is already the cheapest
-order the cost model can find.  Then:
+:class:`~repro.storage.catalog.Catalog`, makes it *cost-based*.
+:func:`plan_query` is the last phase of the one compile pipeline
+(``compile_oosql`` → ``optimize`` → ``plan_query``), through which the
+service, its warm start, :class:`Executor` and shipped fragments plan.
+First, multi-join regions are re-ordered by the left-deep DP enumeration
+in :mod:`repro.engine.joinorder` (disable with ``reorder=False``), so the
+tree being priced is already the cheapest order the cost model can find;
+the decisions ride on the plan's root as ``join_orders``.  Then:
 
 * join predicates are decomposed into conjuncts; equality conjuncts whose
   sides depend on one operand each become **hash-join keys**, membership
@@ -56,7 +59,7 @@ from repro.engine.cost import (
     CostModel, Estimate, PREDICATE_COST, _bound_attr, co_partitioned, flat_join,
     fragment_base, shard_balance,
 )
-from repro.engine.joinorder import JoinOrderDecision, reorder_joins
+from repro.engine.joinorder import reorder_joins
 from repro.engine.plan import ExecRuntime, PlanNode
 from repro.engine.stats import Stats
 
@@ -131,8 +134,9 @@ class Planner:
     its first applicable alternative.  Under cost-based planning every maximal
     plain-join region of three or more operands is first re-enumerated by
     the DP join-order search (:mod:`repro.engine.joinorder`) —
-    ``reorder=False`` plans the rewriter's order as-is.  Each region's
-    decision is kept in :attr:`last_join_orders` for ``explain()``.
+    ``reorder=False`` plans the rewriter's order as-is.  The region
+    decisions are attached to the returned plan's root as
+    :attr:`~repro.engine.plan.PlanNode.join_orders`.
     """
 
     def __init__(
@@ -152,24 +156,13 @@ class Planner:
         #: > 1 enables partition-parallel candidates (the cost model still
         #: decides; this is capacity, not a switch)
         self.parallel_workers = parallel_workers
-        self.last_join_orders: List[JoinOrderDecision] = []
 
     def plan(self, expr: A.Expr) -> PlanNode:
-        # ``last_join_orders`` is assigned exactly once, after planning
-        # (never cleared then refilled), so concurrent planners sharing
-        # this instance each observe a complete decision list — last plan
-        # wins, matching the "last explain" reading of the attribute
-        decisions: List[JoinOrderDecision] = []
-        try:
-            if self.cost_model is not None and self.reorder:
-                expr, decisions = reorder_joins(expr, self.cost_model, self.catalog)
-            node = self._plan(expr)
-        except BaseException:
-            # a failed plan must not leave the previous query's decisions
-            # attributed to this one
-            self.last_join_orders = []
-            raise
-        self.last_join_orders = decisions
+        if self.cost_model is None or not self.reorder:
+            return self._plan(expr)
+        expr, decisions = reorder_joins(expr, self.cost_model, self.catalog)
+        node = self._plan(expr)
+        node.join_orders = tuple(decisions)
         return node
 
     # -- dispatch ------------------------------------------------------------
@@ -622,6 +615,18 @@ class Planner:
         return node
 
 
+def plan_query(
+    expr: A.Expr,
+    catalog=None,
+    *,
+    reorder: bool = True,
+    parallel_workers: int = 0,
+) -> PlanNode:
+    """The planning phase: the chosen rewritten ADL → a physical plan
+    carrying its join-order decisions (see :class:`Planner`)."""
+    return Planner(catalog, reorder=reorder, parallel_workers=parallel_workers).plan(expr)
+
+
 class Executor:
     """Facade: plan + execute ADL expressions against a database.
 
@@ -629,8 +634,8 @@ class Executor:
     physical selection (with DP join reordering — ``reorder=False``
     plans the rewriter's join order as-is) and provides the runtime
     indexes.
-    ``explain()`` prepends one ``-- join order: ...`` header per
-    reordered region.
+    ``explain()`` prepends one ``-- join order: ...`` header per join
+    region the DP decided.
     """
 
     def __init__(
@@ -646,6 +651,7 @@ class Executor:
         self.db = db
         self.stats = stats if stats is not None else Stats()
         self.catalog = catalog
+        self.reorder = reorder
         #: optional :class:`repro.shard.executor.ParallelExecutor`; its
         #: worker count feeds the planner's parallel candidates and its
         #: pool runs gather fragments (caller owns its lifecycle)
@@ -653,10 +659,13 @@ class Executor:
         #: the chunk capacity threaded into every runtime (``None``: the
         #: engine's default, see :class:`~repro.engine.plan.ExecRuntime`)
         self.batch_size = batch_size
-        self.planner = Planner(
-            catalog,
-            reorder=reorder,
-            parallel_workers=parallel.workers if parallel is not None else 0,
+
+    def plan(self, expr: A.Expr) -> PlanNode:
+        return plan_query(
+            expr,
+            self.catalog,
+            reorder=self.reorder,
+            parallel_workers=self.parallel.workers if self.parallel is not None else 0,
         )
 
     def _runtime(self, params=None, trace=None) -> ExecRuntime:
@@ -671,31 +680,24 @@ class Executor:
         )
 
     def execute(self, expr: A.Expr, params=None):
-        plan = self.planner.plan(expr)
-        return plan.execute(self._runtime(params))
+        return self.plan(expr).execute(self._runtime(params))
 
     def explain(self, expr: A.Expr) -> str:
-        plan = self.planner.plan(expr)
-        headers = [d.render() for d in self.planner.last_join_orders]
-        return "\n".join(headers + [plan.explain()])
+        return self.plan(expr).explain()
 
     def explain_analyze(self, expr: A.Expr, params=None):
-        """EXPLAIN ANALYZE: run ``expr`` traced and return an
-        :class:`~repro.obs.analyze.AnalyzeResult` whose text is the
-        ordinary ``explain()`` tree annotated with per-operator
-        ``(est≈N, actual=M, X.Xms)`` plus cross-process fragment spans —
-        the same renderer as ``explain()``, driven through its
-        ``annotate`` hook."""
+        """EXPLAIN ANALYZE: run ``expr`` traced; the
+        :class:`~repro.obs.analyze.AnalyzeResult` text is ``explain()``
+        annotated per operator, plus cross-process fragment spans."""
         from repro.obs.analyze import AnalyzeResult
         from repro.obs.trace import TraceRecorder
 
-        plan = self.planner.plan(expr)
-        headers = [d.render() for d in self.planner.last_join_orders]
+        plan = self.plan(expr)
         recorder = TraceRecorder()
         rows = plan.execute(self._runtime(params, trace=recorder))
         return AnalyzeResult(
             rows=rows,
-            text=recorder.render(plan, headers),
+            text=recorder.render(plan),
             trace=recorder.summary(plan),
             misestimates=recorder.misestimates(plan),
         )

@@ -259,13 +259,11 @@ class TraceRecorder:
                 )
         return lines
 
-    def render(self, plan, headers: Optional[List[str]] = None) -> str:
+    def render(self, plan) -> str:
         """The annotated EXPLAIN ANALYZE text: the ordinary ``explain()``
-        tree with per-node actuals, then the cross-process span section."""
-        parts = list(headers or [])
-        parts.append(plan.explain(annotate=self.annotation))
-        parts.extend(self._span_lines(plan))
-        return "\n".join(parts)
+        headers and tree with per-node actuals, then the cross-process
+        span section."""
+        return "\n".join([plan.explain(annotate=self.annotation)] + self._span_lines(plan))
 
     def summary(self, plan=None) -> dict:
         """A JSON-friendly digest: per-operator snapshots (plan order when

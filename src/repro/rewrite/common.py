@@ -18,6 +18,7 @@ Two notions from the paper are made operational here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Tuple
 
 from repro.adl import ast as A
@@ -113,13 +114,9 @@ def replace_subexpr(root: A.Expr, target: A.Expr, replacement: A.Expr) -> A.Expr
     Matching is plain structural equality; the rules only call this with
     targets they just located in ``root``, so a match always exists.
     """
-
-    def rec(expr: A.Expr) -> A.Expr:
-        if expr == target:
-            return replacement
-        return expr.map_children(rec)
-
-    return rec(root)
+    if root == target:
+        return replacement
+    return root.map_children(partial(replace_subexpr, target=target, replacement=replacement))
 
 
 @dataclass(frozen=True)

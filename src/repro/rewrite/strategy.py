@@ -393,10 +393,10 @@ def optimize(
     schema: Optional[Schema] = None,
     priority: Sequence[str] = DEFAULT_PRIORITY,
     catalog=None,
+    parallel_workers: int = 0,
 ) -> OptimizationResult:
-    """One-shot Section 4 optimization of an ADL expression.
-
-    ``catalog`` (a storage :class:`~repro.storage.catalog.Catalog`)
-    switches option selection from first-success to cost-ranked.
-    """
-    return Optimizer(schema, priority, catalog=catalog).optimize(expr)
+    """The rewrite phase of the compile pipeline: Section 4 optimization
+    of an ADL expression, cost-ranked given a storage ``catalog``, priced
+    for ``parallel_workers`` (see :class:`Optimizer`)."""
+    optimizer = Optimizer(schema, priority, catalog=catalog, parallel_workers=parallel_workers)
+    return optimizer.optimize(expr)

@@ -177,15 +177,6 @@ class PlanCache:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def shapes(self) -> Tuple[str, ...]:
-        """The currently cached shapes, LRU-oldest first (for tooling)."""
-        with self._lock:
-            return tuple(self._entries)
-
     def entries(self) -> Tuple[CachedPlan, ...]:
         """A point-in-time snapshot of every cached entry, LRU-oldest
         first — the warm-start persistence path (PR 7) serializes from

@@ -86,8 +86,8 @@ from repro.datamodel.errors import (
     ServiceError,
 )
 from repro.datamodel.values import Value
-from repro.engine.plan import ExecRuntime
-from repro.engine.planner import Planner
+from repro.engine.plan import DEFAULT_BATCH_SIZE, ExecRuntime
+from repro.engine.planner import plan_query
 from repro.engine.stats import Stats
 from repro.obs import (
     MetricsRegistry,
@@ -96,7 +96,7 @@ from repro.obs import (
     TraceRecorder,
     misestimate,
 )
-from repro.rewrite.strategy import Optimizer
+from repro.rewrite.strategy import optimize
 from repro.service.cache import CachedPlan, PlanCache
 from repro.service.prepared import (
     PreparedStatement,
@@ -104,9 +104,10 @@ from repro.service.prepared import (
     normalize_shape,
     schema_fingerprint,
 )
-from repro.shard.executor import COUNTERS as PARALLEL_COUNTERS
+from repro.shard.executor import COUNTERS as PARALLEL_COUNTERS, check_mode
 from repro.shard.nodes import Exchange
 from repro.storage.store import EpochView
+from repro.translate.translator import compile_oosql
 
 #: The service's own counters, each named once: ``(attribute, stats()
 #: section, metric name, help)``.  ``__init__`` zeroes them,
@@ -377,9 +378,10 @@ class QueryService:
         exchange route through a :class:`repro.shard.ParallelExecutor`
         — a forked ``multiprocessing`` pool (``parallel_mode="process"``,
         the default) or the in-process fragment loop
-        (``parallel_mode="inline"``).  The pool's worker snapshot is
-        retired and re-forked whenever the catalog version moves, the
-        same trigger that retires cached plans.
+        (``parallel_mode="inline"``; any other mode is refused at
+        construction).  The pool's worker snapshot is retired and
+        re-forked whenever the catalog version moves, the same trigger
+        that retires cached plans.
     fault_plan / retry_policy:
         PR-6 fault tolerance knobs forwarded to the parallel executor: a
         deterministic :class:`~repro.faults.FaultPlan` to inject (tests;
@@ -411,17 +413,19 @@ class QueryService:
         shapes (as canonical re-parseable plan text) to this JSON file,
         and construction restores them — each entry dropped unless the
         catalog version *and* the schema fingerprint still match.
-    batch_size:
-        The chunk capacity of every run: operators emit batches of at
-        most this many rows (deadlines are polled per batch); ``None``
-        means the engine's default
-        (:data:`~repro.engine.plan.DEFAULT_BATCH_SIZE`).  Expression forms
-        without a batch kernel fall back to the row-wise compiled closure
-        per batch element.  Observable, never silent:
-        ``QueryResult.stats`` carries ``batches_emitted`` /
-        ``vector_fallbacks`` per run and :meth:`stats` aggregates them
-        service-wide under ``"batch"``.
+    slow_query_s:
+        Slow-query log threshold (PR 10); ``None`` logs nothing.
+
+    Runs execute in batches of at most :attr:`batch_size` rows, and
+    compiles reorder join regions whenever there is a catalog; neither is
+    a knob.  ``QueryResult.stats`` counts ``batches_emitted`` /
+    ``vector_fallbacks`` per run, :meth:`stats` service-wide (``"batch"``).
     """
+
+    @property
+    def batch_size(self) -> int:
+        """The chunk capacity of every run (read-only)."""
+        return DEFAULT_BATCH_SIZE
 
     def __init__(
         self,
@@ -433,7 +437,6 @@ class QueryService:
         max_in_flight: Optional[int] = None,
         queue_depth: int = 16,
         cache_size: int = 64,
-        reorder: bool = True,
         parallel_workers: int = 0,
         parallel_mode: str = "process",
         fault_plan=None,
@@ -442,7 +445,6 @@ class QueryService:
         queue_wait_s: Optional[float] = None,
         session_max_in_flight: Optional[int] = None,
         cache_persist_path: Optional[str] = None,
-        batch_size: Optional[int] = 256,
         slow_query_s: Optional[float] = None,
     ) -> None:
         if max_workers < 1:
@@ -451,7 +453,6 @@ class QueryService:
         self.schema = schema
         self.catalog = catalog if catalog is not None else getattr(db, "catalog", None)
         self.cache = PlanCache(cache_size)
-        self.reorder = reorder
         self.max_in_flight = max_in_flight if max_in_flight is not None else max_workers
         if self.max_in_flight < 1:
             raise ServiceError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
@@ -477,6 +478,7 @@ class QueryService:
         self._compile_locks: Dict[str, list] = {}
         self._compile_locks_guard = threading.Lock()
         self.parallel_workers = parallel_workers
+        check_mode(parallel_mode)
         self.parallel_mode = parallel_mode
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
@@ -519,10 +521,6 @@ class QueryService:
         self.metrics = MetricsRegistry()
         #: session id → outstanding submissions (queued or executing)
         self._session_outstanding: Dict[str, int] = {}
-        # -- batch execution (PR 8)
-        if batch_size is not None and batch_size < 1:
-            raise ServiceError(f"batch_size must be >= 1 or None, got {batch_size}")
-        self.batch_size = batch_size
         self._wire_metrics()
         if cache_persist_path:
             self._restore_plan_cache(cache_persist_path)
@@ -633,15 +631,7 @@ class QueryService:
         real queries see (it still compiles — and caches — on a miss, so
         the answer is always the plan executions will actually run).
         """
-        shape, param_names = normalize_shape(text)
-        entry = self.cache.peek(shape, self._catalog_version())
-        if entry is None:
-            with self._shape_lock(shape):
-                entry = self.cache.peek(shape, self._catalog_version())
-                if entry is None:
-                    entry = self._compile(shape, param_names)
-                    self.cache.put(entry)
-        return entry.explain
+        return self._lookup_or_compile(*normalize_shape(text), count=False)[0].explain
 
     # -- snapshot pinning (PR 7) ----------------------------------------------
     def _pin_epoch(self, epoch: Optional[int] = None) -> int:
@@ -693,11 +683,13 @@ class QueryService:
                     self._compile_locks.pop(shape, None)
 
     def _lookup_or_compile(
-        self, shape: str, param_names: Tuple[str, ...]
+        self, shape: str, param_names: Tuple[str, ...], count: bool = True
     ) -> Tuple[CachedPlan, bool]:
         """Return ``(entry, was_hit)`` — ``was_hit`` is False iff this call
-        had to compile (or wait for a concurrent compile of) the shape."""
-        entry = self.cache.get(shape, self._catalog_version())
+        had to compile (or wait for a concurrent compile of) the shape.
+        ``count=False`` looks up with a counter-free peek."""
+        lookup = self.cache.get if count else self.cache.peek
+        entry = lookup(shape, self._catalog_version())
         if entry is not None:
             return entry, True
         # one compile at a time *per shape*: concurrent first executions of
@@ -716,9 +708,8 @@ class QueryService:
             return entry, False
 
     def _compile(self, shape: str, param_names: Tuple[str, ...]) -> CachedPlan:
-        """The full PR 1–3 pipeline, run once per shape per catalog version."""
-        from repro.translate.translator import compile_oosql
-
+        """The compile pipeline — ``compile_oosql`` → ``optimize`` →
+        ``plan_query`` — run once per shape per catalog version."""
         # snapshot the version *before* optimizing: a bump landing during
         # compilation (concurrent create_index/analyze, or planning's own
         # lazy statistics refresh) makes this entry stale on arrival — the
@@ -727,13 +718,12 @@ class QueryService:
         # instead could pin a pre-DDL plan under the post-DDL version
         # forever.
         version = self._catalog_version()
-        adl = compile_oosql(shape, self.schema)
-        optimizer = Optimizer(
+        chosen = optimize(
+            compile_oosql(shape, self.schema),
             self.schema,
             catalog=self.catalog,
             parallel_workers=self.parallel_workers,
         )
-        chosen = optimizer.optimize(adl)
         entry = self._cached_plan(
             shape, version, chosen.expr, param_names, chosen.option, chosen.set_oriented
         )
@@ -752,11 +742,7 @@ class QueryService:
     ) -> CachedPlan:
         """Plan the chosen rewritten ``expr`` and wrap it as a cache entry —
         the one builder a compile and a warm-start restore share."""
-        plan = Planner(
-            self.catalog,
-            reorder=self.reorder,
-            parallel_workers=self.parallel_workers,
-        ).plan(expr)
+        plan = plan_query(expr, self.catalog, parallel_workers=self.parallel_workers)
         return CachedPlan(
             shape=shape,
             catalog_version=version,
@@ -956,9 +942,7 @@ class QueryService:
             # epoch's view (PR 7) — the runtime picks the epoch up and
             # threads it into every shipped fragment
             view = EpochView(self.db, pinned) if pinned is not None else self.db
-            runtime = ExecRuntime(
-                view, Stats(), catalog=self.catalog, batch_size=self.batch_size
-            )
+            runtime = ExecRuntime(view, Stats(), catalog=self.catalog)
         runtime.rebind(
             bindings,
             deadline=deadline,

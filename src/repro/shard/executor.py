@@ -155,6 +155,13 @@ COUNTERS = (
 )
 
 
+def check_mode(mode: str) -> None:
+    """Reject a parallel mode other than ``"process"`` or ``"inline"``
+    (the executor's and the service's one check)."""
+    if mode not in ("process", "inline"):
+        raise ServiceError(f"unknown parallel mode {mode!r}")
+
+
 def fold_report(events: dict, report: dict) -> None:
     """Fold one batch's report into a run's fault record: retries add up,
     attempts append, ``degraded`` sticks, and the mode, breaker state and
@@ -239,8 +246,7 @@ class ParallelExecutor:
     ) -> None:
         if workers < 1:
             raise ServiceError(f"parallel workers must be >= 1, got {workers}")
-        if mode not in ("process", "inline"):
-            raise ServiceError(f"unknown parallel mode {mode!r}")
+        check_mode(mode)
         self.db = db
         self.catalog = catalog if catalog is not None else getattr(db, "catalog", None)
         self.workers = workers

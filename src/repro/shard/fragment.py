@@ -246,7 +246,7 @@ def execute_fragment(
 
     from repro.adl.parser import parse_adl
     from repro.engine.plan import ExecRuntime
-    from repro.engine.planner import Planner
+    from repro.engine.planner import plan_query
 
     started = time.perf_counter() if spec.trace is not None else 0.0
     if fault_plan is not None:
@@ -263,7 +263,7 @@ def execute_fragment(
 
         db = EpochView(db, spec.epoch)
     view = ShardView(db, partitions, spec.shard_map, stats)
-    plan = Planner().plan(expr)
+    plan = plan_query(expr)
     rt = ExecRuntime(
         view,
         stats,

@@ -33,6 +33,7 @@ exists" from "the alternative priced worse".
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.adl import ast as A
@@ -76,17 +77,15 @@ def shred_expr(expr: A.Expr, ctx: RewriteContext) -> Optional[A.Expr]:
     """Translate every eligible nestjoin in ``expr`` (bottom-up) into its
     stitch form.  Returns the shredded expression, or ``None`` when no
     nestjoin was eligible — the caller then has no candidate to price."""
-    changed = False
+    out = _shred(ctx, expr)
+    # ``map_children`` keeps an unchanged subtree's identity
+    return out if out is not expr else None
 
-    def rec(node: A.Expr) -> A.Expr:
-        nonlocal changed
-        node = node.map_children(rec)
-        if isinstance(node, A.NestJoin):
-            shredded = shred_nestjoin(node, ctx)
-            if shredded is not None:
-                changed = True
-                return shredded
-        return node
 
-    out = rec(expr)
-    return out if changed else None
+def _shred(ctx: RewriteContext, node: A.Expr) -> A.Expr:
+    node = node.map_children(partial(_shred, ctx))
+    if isinstance(node, A.NestJoin):
+        shredded = shred_nestjoin(node, ctx)
+        if shredded is not None:
+            return shredded
+    return node

@@ -110,18 +110,14 @@ class TestChainReordering:
 
     def test_chosen_order_starts_from_the_small_end(self, setup):
         db, catalog = setup
-        planner = Planner(catalog)
-        planner.plan(chain_query())
-        (decision,) = planner.last_join_orders
+        (decision,) = Planner(catalog).plan(chain_query()).join_orders
         assert decision.reordered
         assert decision.chosen == "R4 ⋈ R3 ⋈ R2 ⋈ R1"
         assert decision.original == "R1 ⋈ R2 ⋈ R3 ⋈ R4"
 
     def test_dp_order_estimated_cheaper_than_rewriter_order(self, setup):
         db, catalog = setup
-        planner = Planner(catalog)
-        planner.plan(chain_query())
-        (decision,) = planner.last_join_orders
+        (decision,) = Planner(catalog).plan(chain_query()).join_orders
         assert decision.chosen_cost < decision.original_cost
 
     def test_build_sides_follow_the_small_operands(self, setup):
@@ -135,9 +131,7 @@ class TestChainReordering:
     def test_skewing_cardinalities_flips_the_order(self):
         db = chain_db(5, 20, 300, 300)  # now R1 is the small end
         catalog = analyzed(db)
-        planner = Planner(catalog)
-        planner.plan(chain_query())
-        (decision,) = planner.last_join_orders
+        (decision,) = Planner(catalog).plan(chain_query()).join_orders
         assert not decision.reordered  # the rewriter's order is already best
         assert decision.chosen == "R1 ⋈ R2 ⋈ R3 ⋈ R4"
 
@@ -155,9 +149,7 @@ class TestChainReordering:
 
     def test_reorder_false_keeps_rewriter_order(self, setup):
         db, catalog = setup
-        planner = Planner(catalog, reorder=False)
-        planner.plan(chain_query())
-        assert planner.last_join_orders == []
+        assert Planner(catalog, reorder=False).plan(chain_query()).join_orders == ()
 
 
 class TestStarReordering:
@@ -170,9 +162,7 @@ class TestStarReordering:
 
     def test_selective_dimension_joins_first(self, setup):
         db, catalog = setup
-        planner = Planner(catalog)
-        planner.plan(star_query())
-        (decision,) = planner.last_join_orders
+        (decision,) = Planner(catalog).plan(star_query()).join_orders
         assert decision.reordered
         order = decision.chosen.split(" ⋈ ")
         assert set(order) == {"C", "D1", "D2", "D3"}
@@ -224,19 +214,18 @@ class TestGraphExtraction:
     def test_two_leaf_regions_left_alone(self):
         db = chain_db(300, 300, 20, 5)
         catalog = analyzed(db)
-        planner = Planner(catalog)
-        planner.plan(
+        plan = Planner(catalog).plan(
             B.join(B.extent("R1"), B.extent("R2"), "x", "y",
                    B.eq(av("x", "a1"), av("y", "a2")))
         )
-        assert planner.last_join_orders == []
+        assert plan.join_orders == ()
 
     def test_no_catalog_no_reordering(self):
         db = chain_db(300, 300, 20, 5)
         ex = Executor(db)
         text = ex.explain(chain_query())
         assert "-- join order" not in text
-        assert ex.planner.last_join_orders == []
+        assert ex.plan(chain_query()).join_orders == ()
 
 
 class TestCrossProducts:
@@ -255,9 +244,8 @@ class TestCrossProducts:
                 B.eq(av("t", "b3"), av("y", "b2")),
             ),
         )
-        planner = Planner(catalog)
-        plan = planner.plan(query)
-        (decision,) = planner.last_join_orders
+        plan = Planner(catalog).plan(query)
+        (decision,) = plan.join_orders
         # R1 and R3 share no predicate: the rewriter's order crosses them
         assert decision.original.startswith("R1 ⋈ R3")
         assert decision.reordered
@@ -292,9 +280,7 @@ class TestCrossProducts:
             "y",
             B.eq(av("t", "a1"), av("y", "a2")),
         )
-        planner = Planner(catalog)
-        planner.plan(query)
-        (decision,) = planner.last_join_orders
+        (decision,) = Planner(catalog).plan(query).join_orders
         # the R1⋈R2 component (40 rows) is joined, then crossed with S
         assert "S" in decision.chosen
         assert_parity(db, catalog, query)
@@ -305,9 +291,7 @@ class TestNestedRegions:
         db = chain_db(300, 300, 20, 5)
         catalog = analyzed(db)
         query = B.project(B.sel("v", B.eq(av("v", "i4"), B.lit(1)), chain_query()), "i1")
-        planner = Planner(catalog)
-        planner.plan(query)
-        (decision,) = planner.last_join_orders
+        (decision,) = Planner(catalog).plan(query).join_orders
         assert decision.reordered
         oracle = Interpreter(db).eval(query)
         assert Executor(db, catalog=catalog).execute(query) == oracle
@@ -332,9 +316,7 @@ class TestNestedRegions:
             "s", "c",
             B.eq(av("s", "s1"), av("c", "c4")),
         )
-        planner = Planner(catalog)
-        planner.plan(query)
-        assert len(planner.last_join_orders) == 1
+        assert len(Planner(catalog).plan(query).join_orders) == 1
         text = Executor(db, catalog=catalog).explain(query)
         assert text.count("-- join order") == 1
         oracle = Interpreter(db).eval(query)
@@ -350,8 +332,6 @@ class TestNestedRegions:
             "inner",
             B.eq(av("outer", "b3"), av("inner", "b2")),
         )
-        planner = Planner(catalog)
-        planner.plan(query)
-        assert len(planner.last_join_orders) == 1
+        assert len(Planner(catalog).plan(query).join_orders) == 1
         oracle = Interpreter(db).eval(query)
         assert Executor(db, catalog=catalog).execute(query) == oracle

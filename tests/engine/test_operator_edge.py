@@ -252,3 +252,29 @@ class TestChunkCapacity:
 
     def test_none_is_the_default_capacity(self):
         assert ExecRuntime(edge_db(), Stats()).batch_size == P.DEFAULT_BATCH_SIZE
+
+    @pytest.mark.parametrize("size", [1, 4, 256])
+    @pytest.mark.parametrize("kind", ["join", "outerjoin"])
+    def test_a_join_cuts_its_output_to_the_capacity(self, kind, size):
+        """8 x 8 rows over two key values: each left row finds four
+        partners, so a streamed chunk yields four times its size — and
+        the join still emits chunks of at most the capacity."""
+        db = MemoryDatabase(
+            {
+                "L": [VTuple(a=i % 2, i=i) for i in range(8)],
+                "R": [VTuple(b=i % 2, j=i) for i in range(8)],
+            }
+        )
+        pred = B.eq(XA, B.attr(Y, "b"))
+        expr = (
+            B.join(B.extent("L"), B.extent("R"), "x", "y", pred)
+            if kind == "join"
+            else B.outerjoin(B.extent("L"), B.extent("R"), "x", "y", pred, ("b", "j"))
+        )
+        plan = Executor(db).plan(expr)
+        assert isinstance(plan, P.HashJoinBase)
+        batches = list(plan.stream_batches(ExecRuntime(db, Stats(), batch_size=size)))
+        full = min(size, 32)
+        assert [len(b) for b in batches] == [full] * (32 // full)
+        rows = frozenset(row for b in batches for row in b.rows)
+        assert rows == Interpreter(db).eval(expr)

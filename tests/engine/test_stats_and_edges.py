@@ -96,7 +96,7 @@ class TestExplain:
 
     def test_operators_iterator(self, db):
         expr = B.sel("x", B.lit(True), B.extent("X"))
-        plan = Executor(db).planner.plan(expr)
+        plan = Executor(db).plan(expr)
         kinds = [type(op).__name__ for op in plan.operators()]
         assert kinds == ["Filter", "Scan"]
 

@@ -129,7 +129,7 @@ def test_never_executed_nodes_are_marked():
     assert shredded is not None
     with ParallelExecutor(db, catalog, workers=2, mode="inline") as parallel:
         ex = Executor(db, catalog=catalog, parallel=parallel)
-        plan = ex.planner.plan(shredded)
+        plan = ex.plan(shredded)
         if not any(isinstance(op, Exchange) for op in plan.operators()):
             return  # tiny plan stayed serial; nothing shipped
         ar = ex.explain_analyze(shredded)
@@ -164,7 +164,7 @@ def test_copartitioned_shredded_acceptance():
 
     with ParallelExecutor(db, catalog, workers=3, mode="process") as parallel:
         ex = Executor(db, catalog=catalog, parallel=parallel, batch_size=256)
-        plan = ex.planner.plan(shredded)
+        plan = ex.plan(shredded)
         ops = list(plan.operators())
         assert any(isinstance(op, StitchNest) for op in ops)
         assert any(isinstance(op, Exchange) for op in ops)

@@ -67,7 +67,7 @@ def test_lru_eviction_order():
     cache.put(_entry("b"))
     cache.get("a", 0)          # refresh a
     cache.put(_entry("c"))     # evicts b
-    assert cache.shapes() == ("a", "c")
+    assert tuple(e.shape for e in cache.entries()) == ("a", "c")
     assert cache.stats.evictions == 1
 
 

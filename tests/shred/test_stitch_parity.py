@@ -117,7 +117,7 @@ class TestSerialParity:
     def test_stitch_plan_node_is_used(self):
         db = make_db()
         ex = Executor(db)
-        plan = ex.planner.plan(shredded("figure3-equi"))
+        plan = ex.plan(shredded("figure3-equi"))
         assert any(isinstance(op, StitchNest) for op in plan.operators())
 
 
@@ -175,7 +175,7 @@ class TestParallelParity:
         catalog = catalog_for(db)
         with ParallelExecutor(db, catalog, workers=PARTS, mode="inline") as parallel:
             ex = Executor(db, catalog=catalog, parallel=parallel)
-            plan = ex.planner.plan(shredded("figure3-equi"))
+            plan = ex.plan(shredded("figure3-equi"))
             ops = list(plan.operators())
             assert any(isinstance(op, StitchNest) for op in ops)
             assert any(isinstance(op, Exchange) for op in ops)
