@@ -13,6 +13,11 @@ the optimizer's decisions flow through the cost model:
    ``explain()`` before (``reorder=False`` — the rewriter's left-to-right
    order) and after (DP join reordering), including the
    ``-- join order:`` header with both orders' estimated costs.
+3. **Index joins in the join order** (a 3-extent region whose filtered
+   extent is indexed): the DP and the physical planner price a join from
+   one list of alternatives, so a pushed-down conjunct stacked on the
+   filtered extent still lets the reordered plan probe its index; a
+   region already in its cheapest order keeps the rewriter's tree.
 
 Run:  PYTHONPATH=src python examples/cost_guided_optimizer.py
 """
@@ -99,9 +104,50 @@ def join_reordering_tour():
     print(f"\nboth orders produce identical results: {same}")
 
 
+def index_join_order_tour():
+    banner("3. Index joins in the join order — a selection stacked on an index")
+    db = MemoryDatabase(
+        {
+            "R1": [VTuple(a1=i % 50) for i in range(5)],
+            "R2": [VTuple(a2=i % 50, b2=i) for i in range(200)],
+            "R3": [VTuple(b3=i, c3=i % 7, i3=i) for i in range(4000)],
+        }
+    )
+    catalog = Catalog(db)
+    catalog.analyze()
+    catalog.create_index("R3", "b3")
+
+    def av(var, attr):
+        return B.attr(B.var(var), attr)
+
+    # t.i3 >= 0 names R3 only: the DP pushes it onto R3's filtered leaf
+    region = B.join(
+        B.join(
+            B.sel("z", B.lt(av("z", "c3"), 5), B.extent("R3")), B.extent("R2"),
+            "z", "y", B.eq(av("z", "b3"), av("y", "b2")),
+        ),
+        B.extent("R1"), "t", "x",
+        B.conj(B.eq(av("t", "a2"), av("x", "a1")), B.ge(av("t", "i3"), 0)),
+    )
+    reordered = Executor(db, catalog=catalog)
+    print(reordered.explain(region))
+    same = reordered.execute(region) == Executor(
+        db, catalog=catalog, reorder=False).execute(region)
+    print(f"\nidentical to the rewriter's order: {same}")
+
+    kept = B.join(
+        B.join(B.extent("R1"), B.extent("R2"), "x", "y",
+               B.eq(av("x", "a1"), av("y", "a2"))),
+        B.extent("R3"), "t", "z", B.eq(av("t", "b2"), av("z", "b3")),
+    )
+    print("\nalready cheapest — the rewriter's tree is kept:")
+    print(reordered.explain(kept))
+
+
 def main():
     paper_query_tour()
     join_reordering_tour()
+    index_join_order_tour()
 
 
 if __name__ == "__main__":

@@ -24,9 +24,10 @@ statistics survive filters and projections.
 alternatives in abstract work units (roughly "one tuple touched"):
 
 * hash join — build-side rows are charged :data:`HASH_INSERT_COST` each,
-  probe-side rows :data:`HASH_PROBE_COST`; since either operand may be
-  the build side, the planner prices both orientations and keeps the
-  cheaper, which is how the build side lands on the smaller input;
+  probe-side rows :data:`HASH_PROBE_COST`; since either operand of a
+  plain join may be the build side, both orientations are listed and
+  the cheaper wins, which is how the build side lands on the smaller
+  input;
 * index nested-loop join — no build at all: the probe side pays
   :data:`INDEX_PROBE_COST` per tuple against a persistent catalog index,
   plus one touch per fetched match.  This wins when the probe side is
@@ -37,6 +38,13 @@ alternatives in abstract work units (roughly "one tuple touched"):
 * nested loops — the quadratic fallback, ``|L| × |R|`` predicate
   evaluations; it is priced, not banned, so tiny inputs can still choose
   it.
+
+A join's alternatives exist in one place: :func:`join_alternatives`
+lists them, priced, from the operand estimates and the output rows —
+its equi keys come from one :class:`JoinRecipe`, its index access from
+one :func:`index_path` lookup.  The physical planner attaches a build to
+each entry, the join-order DP takes the cheapest serial entry per pair,
+and the shredding estimate takes the partition-wise entry.
 
 All constants are deliberately coarse: the goal is *ordering*
 alternatives correctly under order-of-magnitude skews, not predicting
@@ -49,41 +57,120 @@ cost, making every choice inspectable and testable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.adl import ast as A
+from repro.adl.builders import conjoin, conjuncts
 from repro.adl.freevars import free_vars
-from repro.storage.catalog import Catalog, ExtentStats
+from repro.storage.catalog import Catalog, ExtentStats, NamedIndex
+
+#: ``(left_attr, right_attr)`` of one equi key; ``None`` where that side
+#: is not a directly-bound attribute
+KeyPair = Tuple[Optional[str], Optional[str]]
 
 
 def _bound_attr(expr: A.Expr, var: str) -> Optional[str]:
-    """``var.attr`` → ``attr`` (single path step), else ``None``.
-
-    Shared by the estimator's selectivity rules and the planner's
-    index-applicability checks — both must agree on what counts as a
-    directly-bound attribute.
-    """
+    """``var.attr`` → ``attr`` (single path step), else ``None``."""
     if isinstance(expr, A.AttrAccess) and expr.base == A.Var(var):
         return expr.attr
     return None
 
 
-def _equi_attr_pairs(pred: A.Expr, lvar: str, rvar: str):
-    """Directly-bound ``(left_attr, right_attr)`` pairs of the equality
-    conjuncts of a join predicate — the shapes partition-wise execution
-    can route by (shared with the stitch estimate's co-partitioning
-    check)."""
-    if isinstance(pred, A.And):
-        return _equi_attr_pairs(pred.left, lvar, rvar) + _equi_attr_pairs(
-            pred.right, lvar, rvar
+class JoinRecipe:
+    """The decomposition of a join predicate into physical ingredients:
+    oriented equi keys, at most one membership conjunct, the residual."""
+
+    def __init__(self, lvar: str, rvar: str, pred: A.Expr) -> None:
+        self.lvar, self.rvar = lvar, rvar
+        self.equi_left: List[A.Expr] = []
+        self.equi_right: List[A.Expr] = []
+        self.membership: Optional[Tuple[A.Expr, A.Expr, str]] = None
+        residual: List[A.Expr] = []
+        for conjunct in conjuncts(pred):
+            if isinstance(conjunct, A.Compare) and conjunct.op == "=":
+                sides = self._orient(conjunct.left, conjunct.right, lvar, rvar)
+                if sides is not None:
+                    self.equi_left.append(sides[0])
+                    self.equi_right.append(sides[1])
+                    continue
+            if (
+                self.membership is None
+                and isinstance(conjunct, A.SetCompare)
+                and conjunct.op == "in"
+            ):
+                element, container = conjunct.left, conjunct.right
+                elem_vars = free_vars(element)
+                cont_vars = free_vars(container)
+                if elem_vars <= {rvar} and cont_vars <= {lvar} and rvar in elem_vars:
+                    self.membership = (element, container, "left-set")
+                    continue
+                if elem_vars <= {lvar} and cont_vars <= {rvar} and lvar in elem_vars:
+                    self.membership = (element, container, "right-set")
+                    continue
+            residual.append(conjunct)
+        self.residual = conjoin(residual)
+
+    @staticmethod
+    def _orient(a: A.Expr, b: A.Expr, lvar: str, rvar: str):
+        a_vars, b_vars = free_vars(a), free_vars(b)
+        if a_vars <= {lvar} and b_vars <= {rvar} and lvar in a_vars and rvar in b_vars:
+            return a, b
+        if a_vars <= {rvar} and b_vars <= {lvar} and rvar in a_vars and lvar in b_vars:
+            return b, a
+        return None
+
+    def key_pairs(self) -> List[KeyPair]:
+        """The equi keys as attribute names, one pair per key — what
+        index access and shard routing can use."""
+        return [
+            (_bound_attr(l, self.lvar), _bound_attr(r, self.rvar))
+            for l, r in zip(self.equi_left, self.equi_right)
+        ]
+
+    def residual_with_membership(self) -> A.Expr:
+        """The residual including the membership conjunct (used when a
+        different physical strategy consumes the equi keys)."""
+        if self.membership is None:
+            return self.residual
+        return conjoin(
+            [A.SetCompare("in", self.membership[0], self.membership[1]), self.residual]
         )
-    if isinstance(pred, A.Compare) and pred.op == "=":
-        for a, b in ((pred.left, pred.right), (pred.right, pred.left)):
-            l_attr = _bound_attr(a, lvar)
-            r_attr = _bound_attr(b, rvar)
-            if l_attr is not None and r_attr is not None:
-                return [(l_attr, r_attr)]
-    return []
+
+
+@dataclass(frozen=True)
+class IndexPath:
+    """How an index nested-loop join reaches its right operand: the
+    registered index ``named``, probed with equi key number ``key``;
+    ``selections`` are the σ nodes stacked over the indexed extent
+    (innermost first), applied to every fetched match as residual."""
+
+    named: NamedIndex
+    key: int
+    selections: Tuple[A.Select, ...]
+
+
+def index_path(
+    catalog: Optional[Catalog], right: A.Expr, right_attrs: Sequence[Optional[str]]
+) -> Optional[IndexPath]:
+    """The index-join lookup: ``right`` is an extent under any stack of
+    selections, and the first equi key (``right_attrs``, in key order)
+    with a registered single-valued index on that extent is probed."""
+    if catalog is None:
+        return None
+    selections: List[A.Select] = []
+    node = right
+    while isinstance(node, A.Select):
+        selections.append(node)
+        node = node.source
+    if not isinstance(node, A.ExtentRef):
+        return None
+    for key, attr in enumerate(right_attrs):
+        if attr is None:
+            continue
+        named = catalog.index_on(node.name, attr)
+        if named is not None and not named.multi:
+            return IndexPath(named, key, tuple(reversed(selections)))
+    return None
 
 
 def fragment_base(operand: A.Expr) -> Optional[str]:
@@ -119,9 +206,7 @@ def shard_balance(*partitionings) -> Optional[float]:
 def co_partitioned(lp, rp, key_pairs) -> bool:
     """Are two operands' registered partitionings ``lp`` / ``rp`` aligned
     on one of the join's directly-bound ``(left_attr, right_attr)`` key
-    pairs — same part count, each side split on its key?  The
-    partition-wise test both the stitch estimate and the physical
-    planner's candidate enumeration apply."""
+    pairs — same part count, each side split on its key?"""
     if lp is None or rp is None or lp.parts != rp.parts:
         return False
     return any(
@@ -135,8 +220,7 @@ def flat_join(expr: A.Expr) -> Optional[A.NestJoin]:
 
     That shape *is* the plain join ``{f(x, y) | x ∈ L, y ∈ R, p}``: each
     group is built only to be unioned away again.  The estimator prices
-    it and the planner plans it as one emitting join — both must agree on
-    the match, so it lives here.
+    it and the planner plans it as one emitting join.
     """
     if not isinstance(expr, A.Flatten) or not isinstance(expr.source, A.Map):
         return None
@@ -450,70 +534,35 @@ class CardinalityEstimator:
         """Shredded evaluation (PR 9): inner flat join + group build +
         outer re-stream.
 
-        The serial estimate is the nestjoin's join arithmetic *plus* the
-        stitch's own work (hash group build over the flat pairs, and the
-        outer re-stream that re-attaches groups), so a serial stitch can
-        never price below the fused nestjoin — the paper's tiny queries
-        provably stay unshredded.  With worker capacity and co-partitioned
-        operands the inner flat join is additionally priced as a
-        partition-wise parallel join (the very strategy the physical
-        planner will pick for it), and the cheaper inner price wins —
-        which is how shredding pays off on partitioned data.
+        The inner join is :meth:`stitch_join`; on top of it the stitch
+        pays only the work the fused nestjoin does *not* — the group-build
+        hash insert per flat pair (the per-pair result evaluation is
+        already in the join's ``pair_rows`` term, exactly where the fused
+        form pays it) plus the outer re-stream emitting every left tuple
+        with its (possibly empty) group.  Strictly positive, so a *serial*
+        stitch always prices above the fused nestjoin and the paper's
+        tiny queries stay unshredded.
         """
         left = self.estimate(expr.left)
-        right = self.estimate(expr.right)
-        sel = self.join_selectivity(expr.pred, expr.lvar, expr.rvar, left, right)
-        pair_rows = left.rows * right.rows * sel
-        # the inner flat join, priced exactly like the A.Join case above
-        join_cost = (
-            left.cost
-            + right.cost
-            + (left.rows + right.rows) * TUPLE_COST
-            + pair_rows * TUPLE_COST
-        )
-        if self.parallel_workers > 1:
-            parallel = self._parallel_stitch_join_cost(expr, left, right, pair_rows)
-            if parallel is not None and parallel < join_cost:
-                join_cost = parallel
-        # the stitch proper: only the work the fused nestjoin does *not*
-        # pay — the group-build hash insert per flat pair (the per-pair
-        # result evaluation is already in the join's ``pair_rows`` term,
-        # exactly where the fused form pays it) plus the outer re-stream
-        # emitting every left tuple with its (possibly empty) group.
-        # Strictly positive, so a *serial* stitch always prices above the
-        # fused nestjoin and the paper's tiny queries stay unshredded.
-        stitch_cost = pair_rows * HASH_INSERT_COST + left.cost + left.rows * TUPLE_COST
-        return Estimate(left.rows, join_cost + stitch_cost, left.extent)
+        join = self.stitch_join(expr)
+        stitch_cost = join.rows * HASH_INSERT_COST + left.cost + left.rows * TUPLE_COST
+        return Estimate(left.rows, join.cost + stitch_cost, left.extent)
 
-    def _parallel_stitch_join_cost(
-        self, expr, left: Estimate, right: Estimate, out_rows: float
-    ) -> Optional[float]:
-        """Partition-wise price of the stitch's inner flat join, or
-        ``None`` when the operands are not co-partitioned on an equi key
-        pair.  Mirrors the physical planner's partition-wise candidate —
-        same strategy, same build/probe orientation, same skew balance —
-        so the logical ranking agrees with what the planner will build.
-        """
-        if self.catalog is None:
-            return None
-        l_ext = fragment_base(expr.left)
-        r_ext = fragment_base(expr.right)
-        if l_ext is None or r_ext is None:
-            return None
-        lp = self.catalog.partitioning(l_ext)
-        rp = self.catalog.partitioning(r_ext)
-        if not co_partitioned(lp, rp, _equi_attr_pairs(expr.pred, expr.lvar, expr.rvar)):
-            return None
-        model = CostModel(self.catalog)
-        return model.parallel_join_cost(
-            "partition-wise",
-            right,
-            left,
-            out_rows,
-            lp.parts,
-            self.parallel_workers,
-            balance=shard_balance(lp, rp),
-        )
+    def stitch_join(self, expr) -> Estimate:
+        """The stitch's inner flat join: the emitting join's estimate, or
+        — with worker capacity and co-partitioned operands — its
+        partition-wise alternative when that is cheaper, which is how
+        shredding pays off on partitioned data."""
+        join = self._estimate_join(expr, emitting=True)
+        if self.parallel_workers > 1:
+            recipe = JoinRecipe(expr.lvar, expr.rvar, expr.pred)
+            for alt in join_alternatives(
+                self, "join", self.estimate(expr.left), self.estimate(expr.right),
+                join.rows, recipe.key_pairs(), operands=(expr.left, expr.right),
+            ):
+                if alt.strategy == "partition-wise" and alt.cost < join.cost:
+                    return Estimate(join.rows, alt.cost)
+        return join
 
     # -- selectivity ---------------------------------------------------------
     # ``source`` / ``left`` / ``right`` are extent names, ``None``, or child
@@ -602,7 +651,9 @@ class CardinalityEstimator:
 
 
 class CostModel:
-    """Prices the planner's physical alternatives from child estimates.
+    """The catalog's estimator plus the per-strategy cost formulas that
+    :func:`join_alternatives` and the planner's selection choices price
+    with (pure functions of child estimates).
 
     Batch and tuple execution are priced alike: batching changes a plan's
     constant factor, not its shape.
@@ -616,9 +667,8 @@ class CostModel:
         return self.estimator.estimate(expr)
 
     # -- join alternatives ---------------------------------------------------
-    def hash_join_cost(
-        self, build: Estimate, probe: Estimate, out_rows: float
-    ) -> float:
+    @staticmethod
+    def hash_join_cost(build: Estimate, probe: Estimate, out_rows: float) -> float:
         return (
             build.cost
             + probe.cost
@@ -627,21 +677,17 @@ class CostModel:
             + out_rows * TUPLE_COST
         )
 
-    def index_nl_join_cost(self, probe: Estimate, out_rows: float) -> float:
-        # no build: the persistent index replaces scanning the indexed
-        # side entirely, so only probes and fetched matches are charged
-        return probe.cost + probe.rows * INDEX_PROBE_COST + out_rows * TUPLE_COST
-
+    @staticmethod
     def index_join_cost(
-        self,
+        stats: Optional[ExtentStats],
         probe: Estimate,
-        named,
+        named: NamedIndex,
         pair_conjuncts: int,
         out_rows: Optional[float] = None,
     ) -> float:
-        """The full price of an index nested-loop join probing the
-        registered index ``named`` — the one place it is computed, for the
-        planner's candidate and the join-order DP alike.
+        """An index nested-loop join probing ``named`` (``stats``: its
+        extent's).  No build: the persistent index replaces scanning the
+        indexed side, so only probes and fetched matches are charged.
 
         Fan-out per probe comes from the indexed attribute's distinct
         count, else from the index as built.  The index fetches
@@ -649,21 +695,19 @@ class CostModel:
         conjuncts are then evaluated per fetched pair.  ``out_rows``, when
         given, additionally charges output rows beyond the fetched pairs.
         """
-        stats = self.catalog.stats(named.extent)
         if stats is not None and stats.distinct_count(named.attr):
             fanout = stats.cardinality / stats.distinct_count(named.attr)
         else:
             fanout = named.built_cardinality / max(len(named.index), 1)
         fetched = probe.rows * fanout
-        cost = self.index_nl_join_cost(probe, fetched)
+        cost = probe.cost + probe.rows * INDEX_PROBE_COST + fetched * TUPLE_COST
         cost += pair_conjuncts * fetched * PREDICATE_COST
         if out_rows is not None:
             cost += max(out_rows - fetched, 0.0)
         return cost
 
-    def nested_loop_cost(
-        self, left: Estimate, right: Estimate, out_rows: float
-    ) -> float:
+    @staticmethod
+    def nested_loop_cost(left: Estimate, right: Estimate, out_rows: float) -> float:
         return (
             left.cost
             + right.cost
@@ -671,8 +715,8 @@ class CostModel:
             + out_rows * TUPLE_COST
         )
 
+    @staticmethod
     def parallel_join_cost(
-        self,
         strategy: str,
         build: Estimate,
         probe: Estimate,
@@ -735,23 +779,163 @@ class CostModel:
         return startup + elapsed + gather
 
     # -- selection alternatives ----------------------------------------------
-    def index_scan_cost(self, matching_rows: float) -> float:
+    @staticmethod
+    def index_scan_cost(matching_rows: float) -> float:
         return INDEX_PROBE_COST + matching_rows * TUPLE_COST
 
-    def filter_scan_cost(self, source: Estimate) -> float:
+    @staticmethod
+    def filter_scan_cost(source: Estimate) -> float:
         return source.cost + source.rows * PREDICATE_COST
+
+
+class JoinAlternative(NamedTuple):
+    """One priced physical alternative of a join.  A partitioned one
+    (``parts`` > 0) also carries ``route``: the attributes its left and
+    right inputs are split on (``None``: read whole)."""
+
+    strategy: str
+    cost: float
+    parts: int = 0
+    route: KeyPair = (None, None)
+
+
+def join_alternatives(
+    estimator: Optional[CardinalityEstimator],
+    kind: str,
+    left: Estimate,
+    right: Estimate,
+    out_rows: float,
+    keys: Sequence[KeyPair],
+    *,
+    membership: bool = False,
+    index: Optional[IndexPath] = None,
+    charge_out_rows: bool = False,
+    operands: Optional[Tuple[A.Expr, A.Expr]] = None,
+) -> List[JoinAlternative]:
+    """Every physical alternative of one join, priced, in preference
+    order — the order that breaks cost ties:
+
+    * ``index`` — index nested-loop join along ``index``;
+    * ``hash-right`` / ``hash-left`` — hash join building that side, on
+      the equi ``keys`` (building left only for a plain ``join``);
+    * ``membership`` — membership hash join, when there is no equi key;
+    * ``nested-loops`` — always applicable, so the list is never empty;
+    * with worker capacity, for a ``join`` or ``semijoin`` on equi keys
+      whose logical ``operands`` are each a :func:`fragment_base`
+      extent: ``partition-wise`` (co-partitioned operands),
+      ``broadcast`` (a partitioned left operand) and ``repartition`` (a
+      directly-bound key pair).
+
+    ``charge_out_rows`` adds the output rows an index join's probes do
+    not fetch (the join-order DP's subset estimate can exceed them).
+    """
+    entries: List[JoinAlternative] = []
+    if index is not None:
+        stats = estimator.catalog.stats(index.named.extent)
+        cost = CostModel.index_join_cost(
+            stats, left, index.named, len(keys) - 1 + len(index.selections),
+            out_rows if charge_out_rows else None,
+        )
+        entries.append(JoinAlternative("index", cost))
+    if keys:
+        entries.append(
+            JoinAlternative("hash-right", CostModel.hash_join_cost(right, left, out_rows))
+        )
+        if kind == "join":
+            entries.append(
+                JoinAlternative("hash-left", CostModel.hash_join_cost(left, right, out_rows))
+            )
+    elif membership:
+        entries.append(
+            JoinAlternative("membership", CostModel.hash_join_cost(right, left, out_rows))
+        )
+    entries.append(
+        JoinAlternative("nested-loops", CostModel.nested_loop_cost(left, right, out_rows))
+    )
+    if (
+        operands is not None
+        and estimator.catalog is not None
+        and estimator.parallel_workers > 1
+        and kind in ("join", "semijoin")
+        and keys
+    ):
+        shards = fragment_base(operands[0]), fragment_base(operands[1])
+        if None not in shards:
+            entries.extend(
+                _partitioned_alternatives(estimator, left, right, out_rows, keys, *shards)
+            )
+    return entries
+
+
+def _partitioned_alternatives(
+    estimator: CardinalityEstimator,
+    left: Estimate,
+    right: Estimate,
+    out_rows: float,
+    keys: Sequence[KeyPair],
+    l_ext: str,
+    r_ext: str,
+) -> List[JoinAlternative]:
+    """The partitioned hash joins of :func:`join_alternatives`.
+    ``semijoin`` participates — each left tuple lands in exactly one
+    fragment with all of its matches co-located, so the union of fragment
+    outputs is exact; the remaining join kinds stay serial."""
+    catalog = estimator.catalog
+    workers = estimator.parallel_workers
+    lp = catalog.partitioning(l_ext)
+    rp = catalog.partitioning(r_ext)
+
+    def priced(strategy: str, parts: int, route: KeyPair, balance) -> JoinAlternative:
+        cost = CostModel.parallel_join_cost(
+            strategy, right, left, out_rows, parts, workers, balance=balance
+        )
+        return JoinAlternative(strategy, cost, parts, route)
+
+    entries: List[JoinAlternative] = []
+    if co_partitioned(lp, rp, keys):
+        entries.append(
+            priced("partition-wise", lp.parts, (lp.attr, rp.attr), shard_balance(lp, rp))
+        )
+    if lp is not None:
+        entries.append(priced("broadcast", lp.parts, (lp.attr, None), shard_balance(lp)))
+    repart = next(((l, r) for l, r in keys if l and r), None)
+    if repart is not None:
+
+        def repart_balance(ext, attr, pe):
+            # a stored partitioning on this very attribute measured the
+            # real hash spread; otherwise the distinct count bounds it
+            # (nd values over the buckets put ≥ 1/nd in the hottest one)
+            if pe is not None and pe.attr == attr:
+                return shard_balance(pe)
+            nd = estimator.distinct_for(ext, attr)
+            return 1.0 / nd if nd else None
+
+        shares = [
+            share
+            for share in (
+                repart_balance(l_ext, repart[0], lp),
+                repart_balance(r_ext, repart[1], rp),
+            )
+            if share
+        ]
+        entries.append(
+            priced("repartition", workers, repart, max(shares) if shares else None)
+        )
+    return entries
+
+
+def format_number(x: float) -> str:
+    """An estimate as ``explain()`` prints it: integral at 100 and
+    above, one decimal below."""
+    if x >= 100 or x == int(x):
+        return str(int(round(x)))
+    return f"{x:.1f}"
 
 
 def format_estimate(rows: Optional[float], cost: Optional[float]) -> str:
     """The ``explain()`` annotation: ``(rows≈12, cost≈340)``."""
     if rows is None:
         return ""
-
-    def fmt(x: float) -> str:
-        if x >= 100 or x == int(x):
-            return str(int(round(x)))
-        return f"{x:.1f}"
-
     if cost is None:
-        return f"(rows≈{fmt(rows)})"
-    return f"(rows≈{fmt(rows)}, cost≈{fmt(cost)})"
+        return f"(rows≈{format_number(rows)})"
+    return f"(rows≈{format_number(rows)}, cost≈{format_number(cost)})"

@@ -14,10 +14,13 @@ maximal region of plain joins is
    residual predicates applied at the first join that covers them;
 2. **re-enumerated by dynamic programming** over left-deep orders,
    scored with the PR-2 cardinality model
-   (:class:`~repro.engine.cost.CostModel`): per pair the enumerator prices
-   a hash join with either build side, an index nested-loop join when the
-   right operand is an indexed extent (a pushed-down selection may ride
-   along as a residual), and nested loops, keeping the cheapest.
+   (:class:`~repro.engine.cost.CostModel`): per pair the enumerator reads
+   the join's serial alternatives from
+   :func:`~repro.engine.cost.join_alternatives` — the list the physical
+   planner builds from — and keeps the cheapest: a hash join with either
+   build side, an index nested-loop join when the right operand is an
+   indexed extent under any stack of selections (pushed-down conjuncts
+   included; they ride along as residual), and nested loops.
    Cross products are avoided unless the graph is disconnected, in which
    case connected components are ordered independently and then combined
    smallest-first;
@@ -54,6 +57,9 @@ from repro.engine.cost import (
     RESIDUAL_SELECTIVITY,
     CostModel,
     Estimate,
+    format_number,
+    index_path,
+    join_alternatives,
 )
 
 TRUE = A.Literal(True)
@@ -127,19 +133,14 @@ class JoinOrderDecision:
     candidates: Tuple[Tuple[str, float], ...] = ()
 
     def render(self) -> str:
-        def fmt(x: float) -> str:
-            if x >= 100 or x == int(x):
-                return str(int(round(x)))
-            return f"{x:.1f}"
-
-        line = f"-- join order: {self.chosen} (cost≈{fmt(self.chosen_cost)}"
+        line = f"-- join order: {self.chosen} (cost≈{format_number(self.chosen_cost)}"
         if not self.reordered:
             line += "; rewriter order kept"
         else:
-            line += f"; rewriter order {self.original} cost≈{fmt(self.original_cost)}"
+            line += f"; rewriter order {self.original} cost≈{format_number(self.original_cost)}"
         if self.candidates:
             shown = ", ".join(
-                f"{order}≈{fmt(cost)}" for order, cost in self.candidates[:4]
+                f"{order}≈{format_number(cost)}" for order, cost in self.candidates[:4]
             )
             line += f"; candidates: {shown}"
         return line + ")"
@@ -469,47 +470,18 @@ class _Enumerator:
             return self.est[next(iter(ids))]
         return Estimate(self.rows(ids), cost)
 
-    def _connecting_edges(
+    def _join_keys(
         self, left: FrozenSet[int], right: FrozenSet[int]
-    ) -> List[JoinEdge]:
-        return [
-            e
-            for e in self.graph.edges
-            if (e.left in left and e.right in right)
-            or (e.left in right and e.right in left)
-        ]
-
-    def _inlj_cost(
-        self, probe: Estimate, right_leaf: int, edges: List[JoinEdge], out_rows: float
-    ) -> Optional[float]:
-        """Price an index nested-loop join probing ``right_leaf``'s extent
-        with the planner candidate's own formula (a pushed-down selection
-        over the indexed extent rides along as a residual)."""
-        catalog = self.graph.catalog
-        if catalog is None:
-            return None
-        expr = self.graph.leaves[right_leaf].expr
-        filtered = False
-        while isinstance(expr, A.Select):
-            filtered = True
-            expr = expr.source
-        if not isinstance(expr, A.ExtentRef):
-            return None
-        for edge in edges:
-            attr = edge.right_attr if edge.right == right_leaf else edge.left_attr
-            named = catalog.index_on(expr.name, attr)
-            if named is None or named.multi:
-                continue
-            return self.model.index_join_cost(
-                probe,
-                named,
-                len(edges) - 1 + (1 if filtered else 0),
-                # the DP's subset estimate can exceed what the probes
-                # fetch; those rows are charged here (the planner's
-                # candidate prices the fetched pairs only)
-                out_rows=out_rows,
-            )
-        return None
+    ) -> List[Tuple[str, str]]:
+        """The ``(left_attr, right_attr)`` equi keys joining two leaf
+        sets — one per connecting edge, in edge order."""
+        keys = []
+        for e in self.graph.edges:
+            if e.left in left and e.right in right:
+                keys.append((e.left_attr, e.right_attr))
+            elif e.left in right and e.right in left:
+                keys.append((e.right_attr, e.left_attr))
+        return keys
 
     def combine_cost(
         self,
@@ -518,22 +490,23 @@ class _Enumerator:
         right_ids: FrozenSet[int],
         right_cost: float,
     ) -> float:
-        """Cheapest physical cost of joining two already-priced subplans —
-        the same candidate set the planner enumerates per join."""
-        out_ids = left_ids | right_ids
-        out_rows = self.rows(out_ids)
+        """Cheapest serial alternative of joining two already-priced
+        subplans (:func:`~repro.engine.cost.join_alternatives`)."""
+        out_rows = self.rows(left_ids | right_ids)
         left = self._estimate_of(left_ids, left_cost)
         right = self._estimate_of(right_ids, right_cost)
-        edges = self._connecting_edges(left_ids, right_ids)
-        candidates = [self.model.nested_loop_cost(left, right, out_rows)]
-        if edges:
-            candidates.append(self.model.hash_join_cost(right, left, out_rows))
-            candidates.append(self.model.hash_join_cost(left, right, out_rows))
-            if len(right_ids) == 1:
-                inlj = self._inlj_cost(left, next(iter(right_ids)), edges, out_rows)
-                if inlj is not None:
-                    candidates.append(inlj)
-        return min(candidates)
+        keys = self._join_keys(left_ids, right_ids)
+        index = None
+        if keys and len(right_ids) == 1:
+            leaf = self.graph.leaves[next(iter(right_ids))]
+            index = index_path(self.graph.catalog, leaf.expr, [r for _, r in keys])
+        alternatives = join_alternatives(
+            self.model.estimator, "join", left, right, out_rows, keys,
+            index=index,
+            # the DP's subset estimate can exceed what the probes fetch
+            charge_out_rows=True,
+        )
+        return min(alt.cost for alt in alternatives)
 
     def score_shape(self, shape: Shape) -> Tuple[FrozenSet[int], float]:
         """Cost of a fixed tree shape under the same pricing — used to

@@ -16,14 +16,17 @@ the decisions ride on the plan's root as ``join_orders``.  Then:
   sides depend on one operand each become **hash-join keys**, membership
   conjuncts (``e ∈ set``) become **membership hash joins**, everything
   else stays as a residual filter;
-* every join gets **one ordered list of physical alternatives**
-  (:meth:`Planner._join_alternatives`) — an **index nested-loop join**
-  probing a registered persistent index, hash join building right, hash
-  join building left (plain joins), membership hash join, nested loops —
-  each a ``(price, build)`` pair.  With a catalog the planner keeps the
-  cheapest under the :mod:`~repro.engine.cost` model (ties keep list
-  order), with cardinalities propagated bottom-up from catalog
-  statistics; without one it takes the first alternative in list order;
+* every join gets **one ordered list of priced physical alternatives**
+  from :func:`~repro.engine.cost.join_alternatives` — an **index
+  nested-loop join** probing a registered persistent index (the right
+  operand an indexed extent under any stack of selections), hash join
+  building right, hash join building left (plain joins), membership hash
+  join, nested loops, and with worker capacity the partition-wise,
+  broadcast and repartition hash joins — the same list the join-order DP
+  prices pairs with.  The planner builds the cheapest entry (ties keep
+  list order), with cardinalities propagated bottom-up from catalog
+  statistics; without a catalog every entry is free, so it takes the
+  first;
 * a flat from-clause select the rewriter left as
   ``⊔(α[z : z.as](L ⊣⟨x,y : p ; f ; as⟩ R))``
   (:func:`~repro.engine.cost.flat_join`) goes through the same
@@ -43,12 +46,16 @@ the decisions ride on the plan's root as ``join_orders``.  Then:
 Without a catalog "the first alternative in list order" means a hash
 join whenever an equi conjunct exists, build side on the right (no index
 can be known).  Under cost-based planning every node is annotated with
-estimated rows and cost, rendered by ``explain()``.
+estimated rows and a cumulative cost, rendered by ``explain()``: a join,
+an index scan or a partitioned join carries its chosen alternative's
+price; any other operator its planned children's prices plus its own
+increment, so the root's price is the chosen plan's.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from operator import attrgetter
+from typing import Iterable, Optional
 
 from repro.adl import ast as A
 from repro.adl.builders import conjoin, conjuncts
@@ -56,8 +63,8 @@ from repro.adl.freevars import free_vars
 from repro.adl.subst import substitute
 from repro.engine import plan as P
 from repro.engine.cost import (
-    CostModel, Estimate, PREDICATE_COST, _bound_attr, co_partitioned, flat_join,
-    fragment_base, shard_balance,
+    CostModel, Estimate, IndexPath, JoinAlternative, JoinRecipe, PREDICATE_COST,
+    _bound_attr, flat_join, fragment_base, index_path, join_alternatives,
 )
 from repro.engine.joinorder import reorder_joins
 from repro.engine.plan import ExecRuntime, PlanNode
@@ -65,66 +72,9 @@ from repro.engine.stats import Stats
 
 TRUE = A.Literal(True)
 
-#: One physical alternative of a join: ``price(model, left_est, right_est,
-#: out_rows)`` is its estimated cost, ``build()`` plans its operands and
-#: constructs the node (called for the winner only).
-Price = Callable[[CostModel, Estimate, Estimate, float], float]
-Build = Callable[[], PlanNode]
-
-
-class JoinRecipe:
-    """The decomposition of a join predicate into physical ingredients."""
-
-    def __init__(self, lvar: str, rvar: str, pred: A.Expr) -> None:
-        self.equi_left: List[A.Expr] = []
-        self.equi_right: List[A.Expr] = []
-        self.membership: Optional[Tuple[A.Expr, A.Expr, str]] = None
-        residual: List[A.Expr] = []
-        for conjunct in conjuncts(pred):
-            if isinstance(conjunct, A.Compare) and conjunct.op == "=":
-                sides = self._orient(conjunct.left, conjunct.right, lvar, rvar)
-                if sides is not None:
-                    self.equi_left.append(sides[0])
-                    self.equi_right.append(sides[1])
-                    continue
-            if (
-                self.membership is None
-                and isinstance(conjunct, A.SetCompare)
-                and conjunct.op == "in"
-            ):
-                element, container = conjunct.left, conjunct.right
-                elem_vars = free_vars(element)
-                cont_vars = free_vars(container)
-                if elem_vars <= {rvar} and cont_vars <= {lvar} and rvar in elem_vars:
-                    self.membership = (element, container, "left-set")
-                    continue
-                if elem_vars <= {lvar} and cont_vars <= {rvar} and lvar in elem_vars:
-                    self.membership = (element, container, "right-set")
-                    continue
-            residual.append(conjunct)
-        self.residual = conjoin(residual)
-
-    @staticmethod
-    def _orient(a: A.Expr, b: A.Expr, lvar: str, rvar: str):
-        a_vars, b_vars = free_vars(a), free_vars(b)
-        if a_vars <= {lvar} and b_vars <= {rvar} and lvar in a_vars and rvar in b_vars:
-            return a, b
-        if a_vars <= {rvar} and b_vars <= {lvar} and rvar in a_vars and lvar in b_vars:
-            return b, a
-        return None
-
-    @property
-    def hashable(self) -> bool:
-        return bool(self.equi_left) or self.membership is not None
-
-    def residual_with_membership(self) -> A.Expr:
-        """The residual including the membership conjunct (used when a
-        different physical strategy consumes the equi keys)."""
-        if self.membership is None:
-            return self.residual
-        return conjoin(
-            [A.SetCompare("in", self.membership[0], self.membership[1]), self.residual]
-        )
+#: operand estimate of a join planned without a catalog: every alternative
+#: then costs nothing, so the first in list order wins
+UNPRICED = Estimate(0.0, 0.0)
 
 
 class Planner:
@@ -147,15 +97,14 @@ class Planner:
         parallel_workers: int = 0,
     ) -> None:
         self.catalog = catalog
+        # parallel_workers > 1 lists the partition-parallel alternatives
+        # (the cost model still decides; this is capacity, not a switch)
         self.cost_model: Optional[CostModel] = (
             CostModel(catalog, parallel_workers=parallel_workers)
             if catalog is not None
             else None
         )
         self.reorder = reorder
-        #: > 1 enables partition-parallel candidates (the cost model still
-        #: decides; this is capacity, not a switch)
-        self.parallel_workers = parallel_workers
 
     def plan(self, expr: A.Expr) -> PlanNode:
         if self.cost_model is None or not self.reorder:
@@ -168,10 +117,14 @@ class Planner:
     # -- dispatch ------------------------------------------------------------
     def _plan(self, expr: A.Expr) -> PlanNode:
         node = self._dispatch(expr)
-        if self.cost_model is not None and node.est_rows is None:
-            estimate = self.cost_model.estimate(expr)
-            node.est_rows = estimate.rows
-            node.est_cost = estimate.cost
+        model = self.cost_model
+        if model is not None and node.est_rows is None:
+            operand_costs = (
+                model.estimate(getattr(expr, name)).cost
+                for name in ("source", "left", "right")
+                if hasattr(expr, name)
+            )
+            _price(node, model.estimate(expr), operand_costs)
         return node
 
     def _dispatch(self, expr: A.Expr) -> PlanNode:
@@ -225,7 +178,7 @@ class Planner:
         from repro.shred.stitch import StitchNest
 
         inner = A.Join(expr.left, expr.right, expr.lvar, expr.rvar, expr.pred)
-        return StitchNest(
+        node = StitchNest(
             expr.lvar,
             expr.rvar,
             expr.as_attr,
@@ -234,6 +187,12 @@ class Planner:
             self._plan(expr.left),
             self._plan(inner),
         )
+        model = self.cost_model
+        if model is not None:
+            _price(node, model.estimate(expr), (
+                model.estimate(expr.left).cost, model.estimator.stitch_join(expr).cost
+            ))
+        return node
 
     # -- selections ------------------------------------------------------------
     def _plan_select(self, expr: A.Select) -> PlanNode:
@@ -311,154 +270,84 @@ class Planner:
         )
 
         recipe = JoinRecipe(expr.lvar, expr.rvar, expr.pred)
-        alternatives = self._join_alternatives(expr, kind, recipe, common)
         # correlated operands (free variables beyond the join's own) cannot
         # be hashed once; fall back to tuple-at-a-time evaluation
         if free_vars(expr.right) or free_vars(expr.left):
-            return alternatives[-1][1]()  # nested loops
+            return self._serial_join(expr, kind, recipe, common, "nested-loops", None)
 
         model = self.cost_model
+        keys = recipe.key_pairs()
+        index = index_path(self.catalog, expr.right, [r for _, r in keys])
+        estimator, operands = None, None
         if model is None:
-            # nothing to price with: the first applicable alternative —
-            # hash join (building right) on an equi conjunct, else a
-            # membership hash join, else nested loops
-            return alternatives[0][1]()
-
-        out = model.estimate(flat if flat is not None else expr)
-        left_est = model.estimate(expr.left)
-        right_est = model.estimate(expr.right)
-        candidates = [
-            (price(model, left_est, right_est, out.rows), build)
-            for price, build in alternatives
-        ]
-        # partition-parallel alternatives enter the same enumeration: the
-        # cost model, not a flag, decides when a parallel plan wins (ties
-        # keep the earlier — serial — candidate); emitting joins stay serial
-        if (
-            self.parallel_workers > 1
-            and kind in ("join", "semijoin")
-            and recipe.equi_left
-            and result is None
-        ):
-            candidates.extend(
-                self._parallel_candidates(expr, kind, recipe, left_est, right_est, out)
-            )
-        cost, build = min(candidates, key=lambda c: c[0])
-        node = build()
-        node.est_rows = out.rows
-        node.est_cost = cost
+            out, left_est, right_est = UNPRICED, UNPRICED, UNPRICED
+        else:
+            estimator = model.estimator
+            out = model.estimate(flat if flat is not None else expr)
+            left_est = model.estimate(expr.left)
+            right_est = model.estimate(expr.right)
+            # emitting joins stay serial: the fragment template ships a
+            # plain join
+            if result is None:
+                operands = (expr.left, expr.right)
+        alternatives = join_alternatives(
+            estimator, kind, left_est, right_est, out.rows, keys,
+            membership=recipe.membership is not None, index=index, operands=operands,
+        )
+        # ties keep the earlier entry: serial before partitioned
+        best = min(alternatives, key=attrgetter("cost"))
+        if best.parts:
+            node = self._partitioned_join(expr, kind, best, out)
+        else:
+            node = self._serial_join(expr, kind, recipe, common, best.strategy, index)
+        if model is not None:
+            node.est_rows = out.rows
+            node.est_cost = best.cost
         return node
 
-    def _join_alternatives(self, expr, kind, recipe, common) -> List[Tuple[Price, Build]]:
-        """The serial physical alternatives of one join, each a ``(price,
-        build)`` pair, in preference order (the order that breaks cost
-        ties, and the order the no-catalog planner takes the first of):
-        index nested-loop join (no build), hash join building right, hash
-        join building left (plain joins only), membership hash join,
-        nested loops — always applicable, so the list is never empty."""
+    def _serial_join(
+        self, expr, kind, recipe: JoinRecipe, common, strategy: str,
+        index: Optional[IndexPath],
+    ) -> PlanNode:
+        """Build the serial join ``strategy`` names (see
+        :func:`~repro.engine.cost.join_alternatives`)."""
         lvar, rvar = expr.lvar, expr.rvar
-        alternatives: List[Tuple[Price, Build]] = []
-
-        inlj = self._inlj_candidate(expr, kind, recipe, common)
-        if inlj is not None:
-            alternatives.append(inlj)
-
-        if recipe.equi_left:
-            keys = tuple(recipe.equi_left), tuple(recipe.equi_right)
-            # membership conjunct (if any) stays residual when equi keys exist
-            residual = recipe.residual_with_membership()
-
-            def hash_join(build_side: str) -> Build:
-                return lambda: P.HashJoinBase(
-                    kind, lvar, rvar, *keys, residual,
-                    self._plan(expr.left), self._plan(expr.right),
-                    build_side=build_side, **common,
-                )
-
-            alternatives.append(
-                (lambda m, l, r, rows: m.hash_join_cost(r, l, rows), hash_join("right"))
-            )
-            if kind == "join":
-                alternatives.append(
-                    (lambda m, l, r, rows: m.hash_join_cost(l, r, rows), hash_join("left"))
-                )
-        elif recipe.membership is not None:
-            alternatives.append((
-                lambda m, l, r, rows: m.hash_join_cost(r, l, rows),
-                lambda: P.MembershipHashJoin(
-                    kind, lvar, rvar, *recipe.membership, recipe.residual,
-                    self._plan(expr.left), self._plan(expr.right), **common,
-                ),
-            ))
-
-        alternatives.append((
-            lambda m, l, r, rows: m.nested_loop_cost(l, r, rows),
-            lambda: P.NestedLoopJoin(
-                kind, lvar, rvar, expr.pred,
-                self._plan(expr.left), self._plan(expr.right), **common,
-            ),
-        ))
-        return alternatives
-
-    def _inlj_candidate(self, expr, kind, recipe, common) -> Optional[Tuple[Price, Build]]:
-        """An index nested-loop join alternative, when the right operand is
-        an indexed extent — bare, or under a pushed-down selection, which
-        then rides along as a residual predicate applied after the probe."""
-        if self.catalog is None:
-            return None
-        pushed: Optional[A.Expr] = None
-        right = expr.right
-        if isinstance(right, A.Select) and isinstance(right.source, A.ExtentRef):
-            pushed = (
-                right.pred
-                if right.var == expr.rvar
-                else substitute(right.pred, {right.var: A.Var(expr.rvar)})
-            )
-            right = right.source
-        if not isinstance(right, A.ExtentRef):
-            return None
-        if not recipe.equi_left:
-            return None
-        extent = right.name
-        pick = None
-        for i, right_key in enumerate(recipe.equi_right):
-            attr = _bound_attr(right_key, expr.rvar)
-            if attr is None:
-                continue
-            named = self.catalog.index_on(extent, attr)
-            if named is None or named.multi:
-                continue
-            pick = (i, attr, named)
-            break
-        if pick is None:
-            return None
-        i, attr, named = pick
-
-        leftover = [
-            A.Compare("=", l, r)
-            for j, (l, r) in enumerate(zip(recipe.equi_left, recipe.equi_right))
-            if j != i
-        ]
-        # the pushed-down selection filters fetched matches before any
-        # other residual work sees them
-        pushed_parts = [pushed] if pushed is not None else []
-        residual = conjoin(
-            pushed_parts
-            + leftover
-            + [p for p in [recipe.residual_with_membership()] if p != TRUE]
-        )
-        pair_conjuncts = len(leftover) + len(pushed_parts)
-
-        def build() -> PlanNode:
+        if strategy == "index":
+            key = index.key
+            leftover = [
+                A.Compare("=", l, r)
+                for j, (l, r) in enumerate(zip(recipe.equi_left, recipe.equi_right))
+                if j != key
+            ]
+            # the selections over the indexed extent filter fetched matches
+            # before any other residual work sees them
+            pushed = [
+                sel.pred if sel.var == rvar else substitute(sel.pred, {sel.var: A.Var(rvar)})
+                for sel in index.selections
+            ]
+            rest = recipe.residual_with_membership()
+            residual = conjoin(pushed + leftover + ([rest] if rest != TRUE else []))
+            named = index.named
             return P.IndexNestedLoopJoin(
-                kind, expr.lvar, expr.rvar, recipe.equi_left[i],
-                extent, attr, named.name, residual, self._plan(expr.left),
+                kind, lvar, rvar, recipe.equi_left[key], named.extent, named.attr,
+                named.name, residual, self._plan(expr.left), **common,
+            )
+        left, right = self._plan(expr.left), self._plan(expr.right)
+        if strategy in ("hash-right", "hash-left"):
+            # a membership conjunct stays residual when equi keys exist
+            return P.HashJoinBase(
+                kind, lvar, rvar, tuple(recipe.equi_left), tuple(recipe.equi_right),
+                recipe.residual_with_membership(), left, right,
+                build_side="left" if strategy == "hash-left" else "right", **common,
+            )
+        if strategy == "membership":
+            return P.MembershipHashJoin(
+                kind, lvar, rvar, *recipe.membership, recipe.residual, left, right,
                 **common,
             )
+        return P.NestedLoopJoin(kind, lvar, rvar, expr.pred, left, right, **common)
 
-        return (lambda m, l, r, rows: m.index_join_cost(l, named, pair_conjuncts), build)
-
-    # -- partition-parallel candidates (PR 5) --------------------------------
+    # -- partition-parallel joins (PR 5) --------------------------------------
     def _operand_chain(self, operand: A.Expr, base: PlanNode) -> PlanNode:
         """Rebuild an operand's filter chain over ``base`` — the
         per-partition input description ``explain()`` renders."""
@@ -468,22 +357,13 @@ class Planner:
             )
         return base
 
-    def _parallel_candidates(
-        self, expr, kind, recipe, left_est: Estimate, right_est: Estimate, out: Estimate
-    ) -> List[Tuple[float, object]]:
-        """Partitioned hash-join alternatives for one join.
-
-        Three strategies, all priced by
-        :meth:`~repro.engine.cost.CostModel.parallel_join_cost`:
-        partition-wise when the inputs are co-partitioned on a join-key
-        pair, broadcast when the left input is partitioned (the right is
-        read whole by every fragment), and repartition (shared-scan hash
-        filter of both inputs, ``workers``-way) whenever both join keys
-        are directly-bound attributes.  ``semijoin`` participates — each
-        left tuple lands in exactly one fragment with all of its matches
-        co-located, so the union of fragment outputs is exact; the
-        remaining join kinds stay serial (a documented simplification).
-        """
+    def _partitioned_join(
+        self, expr, kind, alt: JoinAlternative, out: Estimate
+    ) -> PlanNode:
+        """Build a partitioned hash join (``partition-wise``,
+        ``broadcast`` or ``repartition``) under its gather exchange: each
+        of ``alt.parts`` fragments joins the operand shards ``alt.route``
+        splits them into."""
         import dataclasses
 
         from repro.shard.fragment import (
@@ -494,117 +374,45 @@ class Planner:
         )
         from repro.shard.nodes import Exchange, PartitionedHashJoin, PartitionedScan
 
-        model = self.cost_model
-        workers = self.parallel_workers
-        l_ext = fragment_base(expr.left)
-        r_ext = fragment_base(expr.right)
-        if l_ext is None or r_ext is None:
-            return []
+        l_ext, r_ext = fragment_base(expr.left), fragment_base(expr.right)
+        l_attr, r_attr = alt.route
+        parts = alt.parts
         template = dataclasses.replace(
             expr,
             left=rebind_extent(expr.left, LEFT_PLACEHOLDER),
             right=rebind_extent(expr.right, RIGHT_PLACEHOLDER),
         )
-        key_pairs = [
-            (_bound_attr(l, expr.lvar), _bound_attr(r, expr.rvar))
-            for l, r in zip(recipe.equi_left, recipe.equi_right)
-        ]
-        lp = self.catalog.partitioning(l_ext)
-        rp = self.catalog.partitioning(r_ext)
 
-        def candidate(strategy, parts, bindings, left_node_fn, right_node_fn,
-                      balance=None):
-            cost = model.parallel_join_cost(
-                strategy, right_est, left_est, out.rows, parts, workers,
-                balance=balance,
+        def shard_scan(operand, ext, attr):
+            scan = self._annotate(PartitionedScan(ext, attr, parts), ext)
+            return self._operand_chain(operand, scan)
+
+        if alt.strategy == "repartition":
+            left = Exchange("repartition", self._plan(expr.left), parts, key_attr=l_attr)
+            right = Exchange("repartition", self._plan(expr.right), parts, key_attr=r_attr)
+        else:
+            left = shard_scan(expr.left, l_ext, l_attr)
+            right = (
+                shard_scan(expr.right, r_ext, r_attr)
+                if alt.strategy == "partition-wise"
+                else Exchange("broadcast", self._plan(expr.right), parts)
             )
-
-            def build() -> PlanNode:
-                join = PartitionedHashJoin(
-                    kind, expr.lvar, expr.rvar, expr.pred, strategy, parts,
-                    template, bindings, left_node_fn(), right_node_fn(),
-                )
-                join.est_rows = out.rows
-                join.est_cost = cost
-                gather = Exchange("gather", join, parts)
-                return gather
-
-            return (cost, build)
-
-        candidates: List[Tuple[float, object]] = []
-
-        def left_shards() -> PlanNode:
-            scan = PartitionedScan(l_ext, lp.attr, lp.parts)
-            return self._operand_chain(expr.left, self._annotate(scan, l_ext))
-
-        if co_partitioned(lp, rp, key_pairs):
-            parts = lp.parts
-            bindings = [
-                {
-                    LEFT_PLACEHOLDER: ShardRef(l_ext, lp.attr, parts, i),
-                    RIGHT_PLACEHOLDER: ShardRef(r_ext, rp.attr, parts, i),
-                }
-                for i in range(parts)
-            ]
-            candidates.append(candidate(
-                "partition-wise", parts, bindings, left_shards,
-                lambda: self._operand_chain(
-                    expr.right, self._annotate(
-                        PartitionedScan(r_ext, rp.attr, rp.parts), r_ext)),
-                balance=shard_balance(lp, rp),
-            ))
-
-        if lp is not None:
-            parts = lp.parts
-            bindings = [
-                {
-                    LEFT_PLACEHOLDER: ShardRef(l_ext, lp.attr, parts, i),
-                    RIGHT_PLACEHOLDER: ShardRef(r_ext),
-                }
-                for i in range(parts)
-            ]
-            candidates.append(candidate(
-                "broadcast", parts, bindings, left_shards,
-                lambda: Exchange("broadcast", self._plan(expr.right), parts),
-                balance=shard_balance(lp),
-            ))
-
-        repart = next(((l, r) for l, r in key_pairs if l and r), None)
-        if repart is not None and workers > 1:
-            l_attr, r_attr = repart
-            bindings = [
-                {
-                    LEFT_PLACEHOLDER: ShardRef(l_ext, l_attr, workers, i),
-                    RIGHT_PLACEHOLDER: ShardRef(r_ext, r_attr, workers, i),
-                }
-                for i in range(workers)
-            ]
-            def repart_balance(ext, attr, pe):
-                # a stored partitioning on this very attribute measured the
-                # real hash spread; otherwise the distinct count bounds it
-                # (nd values over the buckets put ≥ 1/nd in the hottest one)
-                if pe is not None and pe.attr == attr:
-                    return shard_balance(pe)
-                nd = model.estimator.distinct_for(ext, attr)
-                return 1.0 / nd if nd else None
-
-            shares = [
-                share
-                for share in (
-                    repart_balance(l_ext, l_attr, lp),
-                    repart_balance(r_ext, r_attr, rp),
-                )
-                if share
-            ]
-            candidates.append(candidate(
-                "repartition", workers, bindings,
-                lambda: Exchange(
-                    "repartition", self._plan(expr.left), workers, key_attr=l_attr),
-                lambda: Exchange(
-                    "repartition", self._plan(expr.right), workers, key_attr=r_attr),
-                balance=max(shares) if shares else None,
-            ))
-        return candidates
+        bindings = [
+            {
+                LEFT_PLACEHOLDER: ShardRef(l_ext, l_attr, parts, i),
+                RIGHT_PLACEHOLDER: (
+                    ShardRef(r_ext, r_attr, parts, i) if r_attr else ShardRef(r_ext)
+                ),
+            }
+            for i in range(parts)
+        ]
+        join = PartitionedHashJoin(
+            kind, expr.lvar, expr.rvar, expr.pred, alt.strategy, parts,
+            template, bindings, left, right,
+        )
+        join.est_rows = out.rows
+        join.est_cost = alt.cost
+        return Exchange("gather", join, parts)
 
     def _annotate(self, node: PlanNode, extent: str) -> PlanNode:
         """Attach the extent's estimate to a constructed scan node."""
@@ -613,6 +421,18 @@ class Planner:
             node.est_rows = est.rows
             node.est_cost = est.cost
         return node
+
+
+def _price(node: PlanNode, estimate: Estimate, operand_costs: Iterable[float]) -> None:
+    """Annotate a node the estimator prices as one logical operator:
+    ``estimate``'s rows, and as cost its planned children's prices plus
+    its own increment — ``estimate``'s cost above ``operand_costs``, the
+    estimator's costs of those same children (read only as far as the
+    node has children)."""
+    node.est_rows = estimate.rows
+    node.est_cost = estimate.cost
+    for child, cost in zip(node.children(), operand_costs):
+        node.est_cost += child.est_cost - cost
 
 
 def plan_query(

@@ -1,7 +1,7 @@
 """Parallel physical operators: partitioned scans, exchanges, joins.
 
 These nodes join the planner's candidate enumeration
-(:meth:`repro.engine.planner.Planner._parallel_candidates`) with real
+(:func:`repro.engine.cost.join_alternatives`) with real
 cost formulas (:meth:`repro.engine.cost.CostModel.parallel_join_cost`),
 so the cost model — not a flag — decides when a parallel plan beats the
 serial one.  ``explain()`` renders partition counts and exchange kinds

@@ -5,7 +5,8 @@ import pytest
 from repro.adl import ast as A
 from repro.adl import builders as B
 from repro.engine import plan as P
-from repro.engine.planner import Executor, JoinRecipe, Planner
+from repro.engine.cost import JoinRecipe
+from repro.engine.planner import Executor, Planner
 from repro.datamodel import VTuple, vset
 from repro.storage import MemoryDatabase
 
@@ -27,7 +28,6 @@ def db():
 class TestJoinRecipe:
     def test_detects_equi_keys(self):
         recipe = JoinRecipe("x", "y", EQ)
-        assert recipe.hashable
         assert recipe.equi_left == [B.attr(B.var("x"), "a")]
         assert recipe.equi_right == [B.attr(B.var("y"), "d")]
         assert recipe.residual == A.Literal(True)
@@ -61,13 +61,13 @@ class TestJoinRecipe:
     def test_non_equi_not_hashable(self):
         pred = B.lt(B.attr(B.var("x"), "a"), B.attr(B.var("y"), "d"))
         recipe = JoinRecipe("x", "y", pred)
-        assert not recipe.hashable
+        assert not recipe.equi_left and recipe.membership is None
         assert recipe.residual == pred
 
     def test_same_side_equality_is_residual(self):
         pred = B.eq(B.attr(B.var("x"), "a"), B.attr(B.var("x"), "b"))
         recipe = JoinRecipe("x", "y", pred)
-        assert not recipe.hashable
+        assert not recipe.equi_left and recipe.membership is None
 
 
 class TestOperatorSelection:
