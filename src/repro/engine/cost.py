@@ -43,8 +43,10 @@ A join's alternatives exist in one place: :func:`join_alternatives`
 lists them, priced, from the operand estimates and the output rows —
 its equi keys come from one :class:`JoinRecipe`, its index access from
 one :func:`index_path` lookup.  The physical planner attaches a build to
-each entry, the join-order DP takes the cheapest serial entry per pair,
-and the shredding estimate takes the partition-wise entry.
+each entry and prices it from the operands' *plans*; the join-order DP
+takes the cheapest serial entry per pair.  A plan's price is therefore
+the one price of a query: the rewrite optimizer ranks its candidates by
+their plans' prices too.
 
 All constants are deliberately coarse: the goal is *ordering*
 alternatives correctly under order-of-magnitude skews, not predicting
@@ -317,12 +319,8 @@ class CardinalityEstimator:
         self, catalog: Optional[Catalog], parallel_workers: int = 0
     ) -> None:
         self.catalog = catalog
-        #: worker capacity of the owning planner/optimizer: > 1 lets the
-        #: stitch estimate (PR 9) price its inner flat join as a
-        #: partition-wise parallel join when the operands are
-        #: co-partitioned — the same capacity the physical planner's
-        #: parallel candidates use, threaded here so *logical* candidate
-        #: ranking (nestjoin vs shredded) sees the same opportunity
+        #: worker capacity of the owning planner: > 1 lets
+        #: :func:`join_alternatives` list the partitioned hash joins
         self.parallel_workers = parallel_workers
         self._memo: dict = {}  # id(expr) -> (expr, Estimate); strong refs pin ids
 
@@ -507,8 +505,8 @@ class CardinalityEstimator:
         sel = self.join_selectivity(expr.pred, expr.lvar, expr.rvar, left, right)
         pair_rows = left.rows * right.rows * sel
         # default cost: hash-ish (both sides touched once); the planner
-        # re-prices physical alternatives explicitly, this is only for
-        # enclosing operators
+        # prices a join's physical alternatives over its planned operands,
+        # and enclosing operators read only their own increment from this
         cost = left.cost + right.cost + (left.rows + right.rows) * TUPLE_COST
         if emitting:
             return Estimate(pair_rows, cost + pair_rows * TUPLE_COST)
@@ -534,35 +532,19 @@ class CardinalityEstimator:
         """Shredded evaluation (PR 9): inner flat join + group build +
         outer re-stream.
 
-        The inner join is :meth:`stitch_join`; on top of it the stitch
-        pays only the work the fused nestjoin does *not* — the group-build
-        hash insert per flat pair (the per-pair result evaluation is
-        already in the join's ``pair_rows`` term, exactly where the fused
-        form pays it) plus the outer re-stream emitting every left tuple
-        with its (possibly empty) group.  Strictly positive, so a *serial*
-        stitch always prices above the fused nestjoin and the paper's
-        tiny queries stay unshredded.
+        The inner join is the serial emitting join; on top of it the
+        stitch pays only the work the fused nestjoin does *not* — the
+        group-build hash insert per flat pair (the per-pair result
+        evaluation is already in the join's ``pair_rows`` term, exactly
+        where the fused form pays it) plus the outer re-stream emitting
+        every left tuple with its (possibly empty) group.  A planned
+        stitch is priced the same way over its planned children, whose
+        inner join may be partition-wise (see the physical planner).
         """
         left = self.estimate(expr.left)
-        join = self.stitch_join(expr)
+        join = self._estimate_join(expr, emitting=True)
         stitch_cost = join.rows * HASH_INSERT_COST + left.cost + left.rows * TUPLE_COST
         return Estimate(left.rows, join.cost + stitch_cost, left.extent)
-
-    def stitch_join(self, expr) -> Estimate:
-        """The stitch's inner flat join: the emitting join's estimate, or
-        — with worker capacity and co-partitioned operands — its
-        partition-wise alternative when that is cheaper, which is how
-        shredding pays off on partitioned data."""
-        join = self._estimate_join(expr, emitting=True)
-        if self.parallel_workers > 1:
-            recipe = JoinRecipe(expr.lvar, expr.rvar, expr.pred)
-            for alt in join_alternatives(
-                self, "join", self.estimate(expr.left), self.estimate(expr.right),
-                join.rows, recipe.key_pairs(), operands=(expr.left, expr.right),
-            ):
-                if alt.strategy == "partition-wise" and alt.cost < join.cost:
-                    return Estimate(join.rows, alt.cost)
-        return join
 
     # -- selectivity ---------------------------------------------------------
     # ``source`` / ``left`` / ``right`` are extent names, ``None``, or child

@@ -46,10 +46,10 @@ the decisions ride on the plan's root as ``join_orders``.  Then:
 Without a catalog "the first alternative in list order" means a hash
 join whenever an equi conjunct exists, build side on the right (no index
 can be known).  Under cost-based planning every node is annotated with
-estimated rows and a cumulative cost, rendered by ``explain()``: a join,
-an index scan or a partitioned join carries its chosen alternative's
-price; any other operator its planned children's prices plus its own
-increment, so the root's price is the chosen plan's.
+estimated rows and a cumulative cost, rendered by ``explain()`` and built
+from its planned children: a join prices its alternatives over its
+planned operands, any other operator adds its own work — so the root's
+price is the chosen plan's, the price the rewrite optimizer ranks with.
 """
 
 from __future__ import annotations
@@ -63,8 +63,9 @@ from repro.adl.freevars import free_vars
 from repro.adl.subst import substitute
 from repro.engine import plan as P
 from repro.engine.cost import (
-    CostModel, Estimate, IndexPath, JoinAlternative, JoinRecipe, PREDICATE_COST,
-    _bound_attr, flat_join, fragment_base, index_path, join_alternatives,
+    HASH_INSERT_COST, PREDICATE_COST, TUPLE_COST, CostModel, Estimate, IndexPath,
+    JoinAlternative, JoinRecipe, _bound_attr, flat_join, fragment_base, index_path,
+    join_alternatives,
 )
 from repro.engine.joinorder import reorder_joins
 from repro.engine.plan import ExecRuntime, PlanNode
@@ -172,26 +173,24 @@ class Planner:
     # -- query shredding (PR 9) ------------------------------------------------
     def _plan_stitch(self, expr: A.Stitch) -> PlanNode:
         """Shredded evaluation: plan the *flat* inner join through the
-        full pipeline — cost-based physical selection, index joins, and
-        (with worker capacity) the partition-parallel candidates — and
-        stitch its output back onto the re-streamed outer subplan."""
+        full pipeline (index joins and, with worker capacity, the
+        partition-parallel candidates included) and stitch its output back
+        onto the re-streamed outer subplan.  Priced as both planned
+        children plus one group insert per flat pair and one touch per
+        left row."""
         from repro.shred.stitch import StitchNest
 
         inner = A.Join(expr.left, expr.right, expr.lvar, expr.rvar, expr.pred)
+        left, pairs = self._plan(expr.left), self._plan(inner)
         node = StitchNest(
-            expr.lvar,
-            expr.rvar,
-            expr.as_attr,
-            expr.result,
-            expr.key_attrs,
-            self._plan(expr.left),
-            self._plan(inner),
+            expr.lvar, expr.rvar, expr.as_attr, expr.result, expr.key_attrs, left, pairs
         )
-        model = self.cost_model
-        if model is not None:
-            _price(node, model.estimate(expr), (
-                model.estimate(expr.left).cost, model.estimator.stitch_join(expr).cost
-            ))
+        if self.cost_model is not None:
+            node.est_rows = left.est_rows
+            node.est_cost = (
+                left.est_cost + pairs.est_cost
+                + pairs.est_rows * HASH_INSERT_COST + left.est_rows * TUPLE_COST
+            )
         return node
 
     # -- selections ------------------------------------------------------------
@@ -270,10 +269,11 @@ class Planner:
         )
 
         recipe = JoinRecipe(expr.lvar, expr.rvar, expr.pred)
+        left, right = self._plan(expr.left), self._plan(expr.right)
         # correlated operands (free variables beyond the join's own) cannot
         # be hashed once; fall back to tuple-at-a-time evaluation
         if free_vars(expr.right) or free_vars(expr.left):
-            return self._serial_join(expr, kind, recipe, common, "nested-loops", None)
+            return P.NestedLoopJoin(kind, expr.lvar, expr.rvar, expr.pred, left, right, **common)
 
         model = self.cost_model
         keys = recipe.key_pairs()
@@ -284,8 +284,9 @@ class Planner:
         else:
             estimator = model.estimator
             out = model.estimate(flat if flat is not None else expr)
-            left_est = model.estimate(expr.left)
-            right_est = model.estimate(expr.right)
+            # the operands as planned: their rows, and their plans' prices
+            left_est = Estimate(left.est_rows, left.est_cost)
+            right_est = Estimate(right.est_rows, right.est_cost)
             # emitting joins stay serial: the fragment template ships a
             # plain join
             if result is None:
@@ -297,9 +298,9 @@ class Planner:
         # ties keep the earlier entry: serial before partitioned
         best = min(alternatives, key=attrgetter("cost"))
         if best.parts:
-            node = self._partitioned_join(expr, kind, best, out)
+            node = self._partitioned_join(expr, kind, best, out, left, right)
         else:
-            node = self._serial_join(expr, kind, recipe, common, best.strategy, index)
+            node = self._serial_join(expr, kind, recipe, common, best.strategy, index, left, right)
         if model is not None:
             node.est_rows = out.rows
             node.est_cost = best.cost
@@ -307,10 +308,11 @@ class Planner:
 
     def _serial_join(
         self, expr, kind, recipe: JoinRecipe, common, strategy: str,
-        index: Optional[IndexPath],
+        index: Optional[IndexPath], left: PlanNode, right: PlanNode,
     ) -> PlanNode:
         """Build the serial join ``strategy`` names (see
-        :func:`~repro.engine.cost.join_alternatives`)."""
+        :func:`~repro.engine.cost.join_alternatives`) over the planned
+        operands (an index join probes the index instead of ``right``)."""
         lvar, rvar = expr.lvar, expr.rvar
         if strategy == "index":
             key = index.key
@@ -330,9 +332,8 @@ class Planner:
             named = index.named
             return P.IndexNestedLoopJoin(
                 kind, lvar, rvar, recipe.equi_left[key], named.extent, named.attr,
-                named.name, residual, self._plan(expr.left), **common,
+                named.name, residual, left, **common,
             )
-        left, right = self._plan(expr.left), self._plan(expr.right)
         if strategy in ("hash-right", "hash-left"):
             # a membership conjunct stays residual when equi keys exist
             return P.HashJoinBase(
@@ -358,12 +359,13 @@ class Planner:
         return base
 
     def _partitioned_join(
-        self, expr, kind, alt: JoinAlternative, out: Estimate
+        self, expr, kind, alt: JoinAlternative, out: Estimate,
+        planned_left: PlanNode, planned_right: PlanNode,
     ) -> PlanNode:
         """Build a partitioned hash join (``partition-wise``,
         ``broadcast`` or ``repartition``) under its gather exchange: each
         of ``alt.parts`` fragments joins the operand shards ``alt.route``
-        splits them into."""
+        splits them into; an exchanged operand is its planned one."""
         import dataclasses
 
         from repro.shard.fragment import (
@@ -388,14 +390,14 @@ class Planner:
             return self._operand_chain(operand, scan)
 
         if alt.strategy == "repartition":
-            left = Exchange("repartition", self._plan(expr.left), parts, key_attr=l_attr)
-            right = Exchange("repartition", self._plan(expr.right), parts, key_attr=r_attr)
+            left = Exchange("repartition", planned_left, parts, key_attr=l_attr)
+            right = Exchange("repartition", planned_right, parts, key_attr=r_attr)
         else:
             left = shard_scan(expr.left, l_ext, l_attr)
             right = (
                 shard_scan(expr.right, r_ext, r_attr)
                 if alt.strategy == "partition-wise"
-                else Exchange("broadcast", self._plan(expr.right), parts)
+                else Exchange("broadcast", planned_right, parts)
             )
         bindings = [
             {

@@ -24,23 +24,25 @@ parameter so the ablation benchmark can permute priorities.
 **Cost-ranked selection.**  The paper picks the *first* option that
 succeeds; which rewrite shape actually wins is data-dependent.  Given a
 storage :class:`~repro.storage.catalog.Catalog`, the optimizer instead
-runs *every* option pipeline, prices each successful candidate with the
-:mod:`~repro.engine.cost` model (after DP join reordering, so candidates
-are compared at their best order), and keeps the cheapest — the paper's
-priority order survives only as the tie-break.  Every candidate's
-estimated cost is recorded on its :class:`~repro.rewrite.trace.RewriteTrace`
+runs *every* option pipeline, plans each distinct successful candidate
+once (:func:`~repro.engine.planner.plan_query`, join order included) and
+keeps the one whose plan is cheapest — the paper's priority order
+survives only as the tie-break.  A candidate's price is its plan's
+``est_cost``, recorded on its :class:`~repro.rewrite.trace.RewriteTrace`
 so ablations can show when the fixed order disagrees with the statistics.
 Without a catalog the first-success behavior is unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.adl import ast as A
 from repro.adl.typecheck import TypeChecker
 from repro.datamodel.schema import Schema
+from repro.engine.plan import PlanNode
+from repro.engine.planner import plan_query
 from repro.rewrite.common import RewriteContext, nested_extent_count
 from repro.rewrite.engine import NormalForms, RewriteEngine, Rule
 from repro.rewrite.rules_grouping import GROUPING_SAFE_RULES
@@ -76,14 +78,18 @@ DEFAULT_PRIORITY: Tuple[str, ...] = (
     "relational", "grouping", "unnest", "nestjoin", "combined"
 )
 
+#: one optimize() call's plans, one per distinct candidate expression
+Plans = Dict[A.Expr, PlanNode]
+
 
 @dataclass
 class Attempt:
     """One optimization pipeline attempt and its outcome.
 
-    ``est_cost`` is the cost model's estimate for the candidate (set only
-    under cost-ranked selection, i.e. when the optimizer has a catalog and
-    the attempt is set-oriented).
+    ``est_cost`` is the price of the candidate's plan (set only under
+    cost-ranked selection, i.e. when the optimizer has a catalog, for the
+    set-oriented candidates, the shredded one and a chosen nested-loop
+    fallback).
     """
 
     option: str
@@ -109,12 +115,14 @@ class Attempt:
 
 @dataclass
 class OptimizationResult:
-    """The outcome of :func:`optimize`."""
+    """The outcome of :func:`optimize`: the chosen attempt and its
+    physical ``plan`` (priced when the optimizer has a catalog)."""
 
     original: A.Expr
     normalized: A.Expr
     chosen: Attempt
-    attempts: List[Attempt] = field(default_factory=list)
+    attempts: List[Attempt]
+    plan: PlanNode
 
     @property
     def expr(self) -> A.Expr:
@@ -162,9 +170,8 @@ class Optimizer:
         #: storage catalog (`repro.storage.catalog.Catalog`): when present,
         #: option selection is cost-ranked instead of first-success
         self.catalog = catalog
-        #: worker capacity (PR 9): threaded into the cost model so the
-        #: shredded-vs-nestjoin pricing sees the same partition-parallel
-        #: opportunity the physical planner will; 0 keeps pricing serial
+        #: worker capacity the candidates are planned for (see
+        #: :func:`~repro.engine.planner.plan_query`); 0 plans serially
         self.parallel_workers = parallel_workers
         unknown = set(self.priority) - set(self._PIPELINES)
         if unknown:
@@ -229,7 +236,7 @@ class Optimizer:
         "combined": _run_combined,
     }
 
-    def _finalize(self, attempt: Attempt, memo: NormalForms) -> Attempt:
+    def _finalize(self, attempt: Attempt, memo: NormalForms, plans: Plans) -> Attempt:
         """Optional post-pass: make path expressions explicit ([BlMG93])
         so the planner can use the assembly algorithm.  Purely physical —
         it never changes set-orientation or semantics."""
@@ -240,29 +247,25 @@ class Optimizer:
         )
         if rewritten is attempt.expr:
             return attempt
-        return Attempt.of(attempt.option, rewritten, attempt.trace, attempt.est_cost)
+        cost = None if attempt.est_cost is None else self._plan(rewritten, plans).est_cost
+        return Attempt.of(attempt.option, rewritten, attempt.trace, cost)
 
-    def _candidate_cost(self, expr: A.Expr) -> float:
-        """Price a rewrite candidate with the PR-2/PR-3 cost model, after
-        DP join reordering — so each candidate is compared at the best
-        join order available to it, the same one the planner will use."""
-        from repro.engine.cost import CostModel
-        from repro.engine.joinorder import reorder_joins
+    def _plan(self, expr: A.Expr, plans: Plans) -> PlanNode:
+        """The plan of ``expr``: attempts that reach the same expression share it."""
+        if expr not in plans:
+            plans[expr] = plan_query(expr, self.catalog, parallel_workers=self.parallel_workers)
+        return plans[expr]
 
-        model = CostModel(self.catalog, parallel_workers=self.parallel_workers)
-        reordered, _ = reorder_joins(expr, model, self.catalog)
-        return model.estimate(reordered).cost
-
-    def _maybe_shred(self, chosen: Attempt, attempts: List[Attempt]) -> Attempt:
+    def _maybe_shred(self, chosen: Attempt, attempts: List[Attempt], plans: Plans) -> Attempt:
         """Query shredding (PR 9) as a *priced* post-selection candidate.
 
         When the chosen candidate contains an eligible nestjoin, its
-        shredded form (flat join + stitch) is built, priced with the same
-        cost model, and recorded as a ``"shredded"`` attempt with its own
-        :class:`RewriteTrace`.  It replaces the chosen candidate only when
-        estimated strictly cheaper — the serial stitch estimate is by
-        construction ≥ the nestjoin's, so shredding wins exactly when the
-        cost model sees a parallel/flat opportunity the fused nestjoin
+        shredded form (flat join + stitch) is built, planned, and recorded
+        as a ``"shredded"`` attempt with its own :class:`RewriteTrace`.
+        It replaces the chosen candidate only when its plan is strictly
+        cheaper — a serial stitch prices its inner join plus a group build
+        over the fused nestjoin's work, so shredding wins exactly when the
+        planner finds a parallel/flat opportunity the fused nestjoin
         cannot use.  Everything stays inside the planner's priced
         enumeration; there is no shredding switch.
         """
@@ -278,8 +281,8 @@ class Optimizer:
             # price the incumbent too (e.g. the none-needed short-circuit
             # never ran the cost ranking) so the attempts list records
             # comparable numbers for both sides of the verdict
-            base_cost = chosen.est_cost = self._candidate_cost(chosen.expr)
-        shred_cost = self._candidate_cost(shredded)
+            base_cost = chosen.est_cost = self._plan(chosen.expr, plans).est_cost
+        shred_cost = self._plan(shredded, plans).est_cost
         trace = RewriteTrace(chosen.expr)
         trace.steps.extend(chosen.trace.steps)
         attempt = Attempt.of("shredded", shredded, trace, shred_cost)
@@ -301,24 +304,29 @@ class Optimizer:
         # one memo per call: the context is fixed and nodes are immutable,
         # so a subtree found normal for a rule set stays normal throughout
         memo = NormalForms()
+        # and one plan per distinct candidate expression
+        plans: Plans = {}
         normalize_trace = RewriteTrace(expr)
         normalized = self.engine.run(
             expr, SIMPLIFY_RULES, normalize_trace, "normalize", memo
         )
         normal_count = nested_extent_count(normalized)
 
+        def result(chosen: Attempt, attempts: List[Attempt]) -> OptimizationResult:
+            plan = self._plan(chosen.expr, plans)
+            return OptimizationResult(expr, normalized, chosen, attempts, plan)
+
         attempts: List[Attempt] = []
         if normal_count == 0:
             # already meets the goal (e.g. only set-valued-attribute nesting,
             # which the paper deliberately leaves nested)
             chosen = self._finalize(
-                Attempt("none-needed", normalized, normalize_trace, True, 0), memo
+                Attempt("none-needed", normalized, normalize_trace, True, 0), memo, plans
             )
             # a directly-authored nestjoin arrives here already set-oriented;
             # shredding still competes as a priced alternative (PR 9)
             attempts = [chosen]
-            chosen = self._maybe_shred(chosen, attempts)
-            return OptimizationResult(expr, normalized, chosen, attempts)
+            return result(self._maybe_shred(chosen, attempts, plans), attempts)
 
         for option in self.priority:
             trace = RewriteTrace(expr)
@@ -329,47 +337,48 @@ class Optimizer:
             # the paper's strategy: first success wins.  With a catalog we
             # keep going — every successful pipeline becomes a candidate.
             if attempt.set_oriented and self.catalog is None:
-                return OptimizationResult(
-                    expr, normalized, self._finalize(attempt, memo), attempts
-                )
+                return result(self._finalize(attempt, memo, plans), attempts)
 
         if self.catalog is not None:
-            chosen = self._pick_cheapest(attempts)
+            chosen = self._pick_cheapest(attempts, plans)
             if chosen is not None:
-                chosen = self._maybe_shred(self._finalize(chosen, memo), attempts)
-                return OptimizationResult(expr, normalized, chosen, attempts)
+                chosen = self._maybe_shred(self._finalize(chosen, memo, plans), attempts, plans)
+                return result(chosen, attempts)
 
         # option 4: nested loops — keep the best partial unnesting (fewest
         # base tables left inside iterators; ties: fewest rewrite steps)
         fallback = Attempt("nested-loop", normalized, normalize_trace, False, normal_count)
         attempts.append(fallback)
-        chosen = min(attempts, key=lambda a: (a.nested_extents, len(a.trace.steps)))
-        if chosen.nested_extents == fallback.nested_extents:
-            chosen = fallback  # no attempt improved matters: leave the query as is
+        picked = min(attempts, key=lambda a: (a.nested_extents, len(a.trace.steps)))
+        if picked.nested_extents == fallback.nested_extents:
+            picked = fallback  # no attempt improved matters: leave the query as is
         chosen = Attempt(
-            f"nested-loop/{chosen.option}" if chosen is not fallback else "nested-loop",
-            chosen.expr,
-            chosen.trace,
-            chosen.set_oriented,
-            chosen.nested_extents,
+            f"nested-loop/{picked.option}" if picked is not fallback else "nested-loop",
+            picked.expr,
+            picked.trace,
+            picked.set_oriented,
+            picked.nested_extents,
         )
         if self.ctx.checker is None:
             chosen.trace.note(
                 "schema-aware rules (nestjoin, grouping, unnest) declined: "
                 "no schema / type catalog was given"
             )
-        return OptimizationResult(expr, normalized, chosen, attempts)
+        out = result(chosen, attempts)
+        # the fallback costs what its plan costs (None without a catalog)
+        picked.est_cost = chosen.est_cost = out.plan.est_cost
+        return out
 
-    def _pick_cheapest(self, attempts: List[Attempt]) -> Optional[Attempt]:
-        """Cost-ranked selection: price every set-oriented candidate and
-        keep the cheapest, with the paper's priority order as tie-break.
-        Each candidate's estimate lands on its trace; the winner's trace
-        additionally records the whole ranking."""
+    def _pick_cheapest(self, attempts: List[Attempt], plans: Plans) -> Optional[Attempt]:
+        """Cost-ranked selection: price every set-oriented candidate by its
+        plan and keep the cheapest, with the paper's priority order as
+        tie-break.  Each candidate's price lands on its trace; the winner's
+        trace additionally records the whole ranking."""
         successes = [a for a in attempts if a.set_oriented]
         if not successes:
             return None
         for attempt in successes:
-            attempt.est_cost = self._candidate_cost(attempt.expr)
+            attempt.est_cost = self._plan(attempt.expr, plans).est_cost
             attempt.trace.note(f"estimated cost ≈ {attempt.est_cost:.0f}")
         chosen = min(
             successes,

@@ -708,8 +708,9 @@ class QueryService:
             return entry, False
 
     def _compile(self, shape: str, param_names: Tuple[str, ...]) -> CachedPlan:
-        """The compile pipeline — ``compile_oosql`` → ``optimize`` →
-        ``plan_query`` — run once per shape per catalog version."""
+        """The compile pipeline — ``compile_oosql`` → ``optimize``, which
+        plans its candidates and hands back the chosen one's plan — run
+        once per shape per catalog version."""
         # snapshot the version *before* optimizing: a bump landing during
         # compilation (concurrent create_index/analyze, or planning's own
         # lazy statistics refresh) makes this entry stale on arrival — the
@@ -725,7 +726,8 @@ class QueryService:
             parallel_workers=self.parallel_workers,
         )
         entry = self._cached_plan(
-            shape, version, chosen.expr, param_names, chosen.option, chosen.set_oriented
+            shape, version, chosen.expr, chosen.plan, param_names, chosen.option,
+            chosen.set_oriented,
         )
         with self._state_lock:
             self.compilations += 1
@@ -736,13 +738,13 @@ class QueryService:
         shape: str,
         version: int,
         expr,
+        plan,
         param_names: Tuple[str, ...],
         option: str,
         set_oriented: bool,
     ) -> CachedPlan:
-        """Plan the chosen rewritten ``expr`` and wrap it as a cache entry —
-        the one builder a compile and a warm-start restore share."""
-        plan = plan_query(expr, self.catalog, parallel_workers=self.parallel_workers)
+        """Wrap the chosen rewritten ``expr`` and its ``plan`` as a cache
+        entry — the one builder a compile and a warm-start restore share."""
         return CachedPlan(
             shape=shape,
             catalog_version=version,
@@ -1160,11 +1162,13 @@ class QueryService:
             return
         for raw in entries:
             try:
+                expr = parse_adl(raw["adl"])
                 self.cache.put(
                     self._cached_plan(
                         raw["shape"],
                         version,
-                        parse_adl(raw["adl"]),
+                        expr,
+                        plan_query(expr, self.catalog, parallel_workers=self.parallel_workers),
                         tuple(raw["param_names"]),
                         raw["option"],
                         bool(raw["set_oriented"]),

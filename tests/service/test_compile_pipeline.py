@@ -1,5 +1,8 @@
 """One compile pipeline: ``compile_oosql`` → ``optimize`` → ``plan_query``.
 
+``optimize`` plans each distinct rewrite candidate once and ranks the
+candidates by their plans' prices, so a candidate costs what its plan
+costs and the service caches the chosen candidate's plan as it is.
 Every explain surface — ``QueryService.explain``, a warm-start restore,
 ``Executor.explain`` and ``explain_analyze`` — renders the plan that one
 pipeline builds, join-order headers included; the service's construction
@@ -11,6 +14,8 @@ import gc
 import json
 
 import pytest
+
+import repro.engine.planner as planner_module
 
 from repro.adl import builders as B
 from repro.adl.pretty import pretty
@@ -24,6 +29,7 @@ from repro.storage import Catalog, MemoryDatabase
 from repro.translate import compile_oosql
 from repro.workload import example_database, example_schema
 from repro.workload.queries import OOSQL_EXAMPLES
+from tests.rewrite.derivations import SEED, all_cases
 
 TYPES = TypeCatalog(
     {
@@ -158,3 +164,120 @@ def test_the_batch_size_is_the_read_only_default():
         assert svc.stats()["batch"]["batch_size"] == DEFAULT_BATCH_SIZE
         with pytest.raises(AttributeError):
             svc.batch_size = 4
+
+
+# ---------------------------------------------------------------------------
+# a candidate costs what its plan costs
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def priced_derivations():
+    """Every derivation case with a catalog: name -> (optimizer, result)."""
+    out = {}
+    for name, adl, make in all_cases():
+        optimizer = make()
+        if optimizer.catalog is not None:
+            out[name] = (optimizer, optimizer.optimize(adl))
+    assert out
+    return out
+
+
+def _planned(optimizer, expr):
+    return plan_query(expr, optimizer.catalog, parallel_workers=optimizer.parallel_workers)
+
+
+def test_every_priced_attempt_costs_its_plan(priced_derivations):
+    for name, (optimizer, result) in priced_derivations.items():
+        for attempt in result.attempts:
+            if attempt.est_cost is not None:
+                planned = _planned(optimizer, attempt.expr).est_cost
+                assert attempt.est_cost == planned, (name, attempt.option)
+
+
+def test_the_result_carries_the_chosen_candidates_plan(priced_derivations):
+    for name, (optimizer, result) in priced_derivations.items():
+        expected = _planned(optimizer, result.expr).explain()
+        assert result.plan.explain() == expected, name
+
+
+def _bench_shapes():
+    """``(name, store, text)`` of every bench shape, as the derivation
+    corpus compiles them."""
+    from bench.workloads import WORKLOADS
+
+    for wname, workload in sorted(WORKLOADS.items()):
+        inputs = workload.small(SEED)
+        system = workload.load_small(inputs)
+        try:
+            for shape in inputs.shapes:
+                yield f"{wname}/{shape.name}", system.stores[shape.store], shape.text
+        finally:
+            system.close()
+
+
+def test_a_cold_compile_runs_the_join_order_dp_once_per_distinct_candidate(monkeypatch):
+    runs = []
+    real = planner_module.reorder_joins
+
+    def spy(*args, **kwargs):
+        runs.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(planner_module, "reorder_joins", spy)
+    seen = {}
+    for name, store, text in _bench_shapes():
+        result = optimize(compile_oosql(text, store.schema), store.schema, catalog=store.catalog)
+        distinct = {a.expr for a in result.attempts if a.est_cost is not None}
+        distinct.add(result.expr)
+        del runs[:]
+        with QueryService(store.db, store.schema, store.catalog, cache_size=0) as svc:
+            svc.explain(text)
+        assert len(runs) == len(distinct), name
+        seen[name] = (sum(a.est_cost is not None for a in result.attempts), len(runs))
+    # four equal candidates, one plan
+    assert seen["compile_cold/example_3_1"] == (4, 1)
+
+
+def _three_way():
+    """ROADMAP item 1's 3-way from-clause at 90 / 60 / 40 rows, its types
+    and an analyzed catalog: every rewrite option fails on it and the
+    nested-loop fallback is chosen."""
+    types = TypeCatalog(
+        {
+            "X": SetType(TupleType({"a": INT, "b": INT})),
+            "Y": SetType(TupleType({"d": INT, "e": INT})),
+            "W": SetType(TupleType({"g": INT})),
+        }
+    )
+    db = MemoryDatabase(
+        {
+            "X": [VTuple(a=i % 3, b=i) for i in range(90)],
+            "Y": [VTuple(d=i % 3, e=i) for i in range(60)],
+            "W": [VTuple(g=i) for i in range(40)],
+        }
+    )
+    catalog = Catalog(db)
+    catalog.analyze()
+    text = "select x.b from x in X, y in Y, w in W where x.a = y.d and y.e = w.g"
+    return compile_oosql(text, types), types, catalog
+
+
+def test_the_chosen_nested_loop_fallback_carries_its_plans_price():
+    adl, types, catalog = _three_way()
+    result = optimize(adl, types, catalog=catalog)
+    assert result.option.startswith("nested-loop")
+    assert result.chosen.est_cost is not None
+    assert result.chosen.est_cost == result.plan.est_cost
+    # the price shows in the attempt list, on the attempt whose plan it is
+    (priced,) = [a for a in result.attempts if a.est_cost is not None]
+    assert priced.expr == result.expr
+    assert priced.est_cost == result.plan.est_cost
+
+
+def test_without_a_catalog_the_fallback_stays_unpriced():
+    adl, types, _ = _three_way()
+    result = optimize(adl, types)
+    assert result.option.startswith("nested-loop")
+    assert result.chosen.est_cost is None
+    assert all(a.est_cost is None for a in result.attempts)

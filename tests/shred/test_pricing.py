@@ -4,9 +4,10 @@
 Two provable behaviours gate this PR:
 
 * the paper's tiny queries stay on the unshredded nestjoin plan — a
-  *serial* stitch is priced as the nestjoin's join arithmetic plus the
-  stitch's own strictly-positive extra work, so it can never undercut
-  the fused form;
+  *serial* stitch's logical estimate is the nestjoin's join arithmetic
+  plus the stitch's own strictly-positive extra work, so it can never
+  undercut the fused form's; the plans the optimizer ranks add one
+  freedom, the stitch's flat join may build its smaller left side;
 * on large co-partitioned operands with worker capacity, the shredded
   candidate prices below the serial nestjoin and is chosen, and the
   priced verdict is recorded on the trace either way.
@@ -112,11 +113,13 @@ class TestShreddingWinsAtScale:
         must price higher when one shard holds most of the rows."""
         from types import SimpleNamespace
 
+        from repro.engine.planner import plan_query
+
         db = make_db(2000, fan=2, spread=8)
         catalog = analyzed(db, parts=4)
         shredded = shred_expr(figure3_nestjoin(), Optimizer(TYPES).ctx)
         assert shredded is not None
-        even_cost = CostModel(catalog, parallel_workers=4).estimate(shredded).cost
+        even_cost = plan_query(shredded, catalog, parallel_workers=4).est_cost
 
         real = catalog.partitioning
 
@@ -128,5 +131,5 @@ class TestShreddingWinsAtScale:
             return SimpleNamespace(attr=pe.attr, parts=pe.parts, cardinalities=skewed)
 
         catalog.partitioning = skewed_partitioning
-        skew_cost = CostModel(catalog, parallel_workers=4).estimate(shredded).cost
+        skew_cost = plan_query(shredded, catalog, parallel_workers=4).est_cost
         assert skew_cost > even_cost
